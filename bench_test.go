@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"patch/internal/interconnect"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 )
 
@@ -22,15 +20,17 @@ import (
 const benchCores = 16
 
 // runSim executes one simulation per iteration (varying the seed) and
-// reports simulated cycles and bytes/miss.
-func runSim(b *testing.B, cfg sim.Config) {
+// reports simulated cycles and bytes/miss. The configuration is lowered
+// through Config.toSim, the one protocol/variant mapping every sweep
+// uses.
+func runSim(b *testing.B, cfg Config) {
 	b.Helper()
 	var cycles, bpm float64
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Seed = int64(i + 1)
 		c.SkipChecks = true
-		r, err := sim.Run(c)
+		r, err := sim.Run(c.toSim())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,49 +41,32 @@ func runSim(b *testing.B, cfg sim.Config) {
 	b.ReportMetric(bpm/float64(b.N), "bytes/miss")
 }
 
-func figureConfig(wl string) sim.Config {
-	return sim.Config{
+func figureConfig(wl string) Config {
+	return Config{
 		Cores: benchCores, OpsPerCore: 300, WarmupOps: 900, Workload: wl,
 	}
 }
 
-func variantCfg(base sim.Config, name string) sim.Config {
-	switch name {
-	case "Directory":
-		base.Protocol = sim.Directory
-	case "PATCH-None":
-		base.Protocol = sim.PATCH
-		base.Policy = predictor.None
-		base.BestEffort = true
-	case "PATCH-Owner":
-		base.Protocol = sim.PATCH
-		base.Policy = predictor.Owner
-		base.BestEffort = true
-	case "BcastIfShared":
-		base.Protocol = sim.PATCH
-		base.Policy = predictor.BroadcastIfShared
-		base.BestEffort = true
-	case "PATCH-All":
-		base.Protocol = sim.PATCH
-		base.Policy = predictor.All
-		base.BestEffort = true
-	case "PATCH-All-NA":
-		base.Protocol = sim.PATCH
-		base.Policy = predictor.All
-		base.BestEffort = false
-	case "TokenB":
-		base.Protocol = sim.TokenB
-	}
-	return base
+// withColumn sets cfg's protocol column.
+func withColumn(cfg Config, pv ProtoVariant) Config {
+	cfg.Protocol, cfg.Variant = pv.Protocol, pv.Variant
+	return cfg
 }
+
+// patchAll is the PATCH-All column the ablation benchmarks vary.
+var patchAll = ProtoVariant{Protocol: PATCH, Variant: VariantAll}
+
+// inexactColumns are Figures 9-10's columns: Directory against
+// PATCH-None, named by protocol.
+var inexactColumns = []ProtoVariant{{Protocol: Directory}, {Protocol: PATCH, Variant: VariantNone}}
 
 // BenchmarkFig4 regenerates Figure 4's runtime grid (and Figure 5's
 // traffic, reported as bytes/miss) — every workload x configuration.
 func BenchmarkFig4(b *testing.B) {
 	for _, wl := range []string{"jbb", "oltp", "apache", "barnes", "ocean"} {
-		for _, v := range []string{"Directory", "PATCH-None", "PATCH-Owner", "BcastIfShared", "PATCH-All", "TokenB"} {
-			b.Run(fmt.Sprintf("%s/%s", wl, v), func(b *testing.B) {
-				runSim(b, variantCfg(figureConfig(wl), v))
+		for _, pv := range FigureProtocols() {
+			b.Run(fmt.Sprintf("%s/%s", wl, pv.Name()), func(b *testing.B) {
+				runSim(b, withColumn(figureConfig(wl), pv))
 			})
 		}
 	}
@@ -92,17 +75,21 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5Traffic isolates the traffic comparison of Figure 5 on
 // the paper's most direct-request-sensitive workload.
 func BenchmarkFig5Traffic(b *testing.B) {
-	for _, v := range []string{"Directory", "PATCH-None", "PATCH-All", "TokenB"} {
-		b.Run(v, func(b *testing.B) {
-			runSim(b, variantCfg(figureConfig("oltp"), v))
+	for _, pv := range []ProtoVariant{
+		{Protocol: Directory},
+		{Protocol: PATCH, Variant: VariantNone},
+		patchAll,
+		{Protocol: TokenB},
+	} {
+		b.Run(pv.Name(), func(b *testing.B) {
+			runSim(b, withColumn(figureConfig("oltp"), pv))
 		})
 	}
 }
 
-func bandwidthCfg(wl string, bw int, v string) sim.Config {
-	cfg := variantCfg(figureConfig(wl), v)
-	cfg.Net = interconnect.DefaultConfig()
-	cfg.Net.BytesPerKiloCycle = bw
+func bandwidthCfg(wl string, bw int, pv ProtoVariant) Config {
+	cfg := withColumn(figureConfig(wl), pv)
+	cfg.BandwidthBytesPerKiloCycle = bw
 	return cfg
 }
 
@@ -110,9 +97,9 @@ func bandwidthCfg(wl string, bw int, v string) sim.Config {
 // PATCH-All-NonAdaptive vs best-effort PATCH-All.
 func BenchmarkFig6(b *testing.B) {
 	for _, bw := range []int{300, 900, 2000, 8000} {
-		for _, v := range []string{"Directory", "PATCH-All-NA", "PATCH-All"} {
-			b.Run(fmt.Sprintf("bw%d/%s", bw, v), func(b *testing.B) {
-				runSim(b, bandwidthCfg("ocean", bw, v))
+		for _, pv := range AdaptivityProtocols() {
+			b.Run(fmt.Sprintf("bw%d/%s", bw, pv.Name()), func(b *testing.B) {
+				runSim(b, bandwidthCfg("ocean", bw, pv))
 			})
 		}
 	}
@@ -121,9 +108,9 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 is the same sweep on jbb.
 func BenchmarkFig7(b *testing.B) {
 	for _, bw := range []int{300, 900, 2000, 8000} {
-		for _, v := range []string{"Directory", "PATCH-All-NA", "PATCH-All"} {
-			b.Run(fmt.Sprintf("bw%d/%s", bw, v), func(b *testing.B) {
-				runSim(b, bandwidthCfg("jbb", bw, v))
+		for _, pv := range AdaptivityProtocols() {
+			b.Run(fmt.Sprintf("bw%d/%s", bw, pv.Name()), func(b *testing.B) {
+				runSim(b, bandwidthCfg("jbb", bw, pv))
 			})
 		}
 	}
@@ -133,18 +120,16 @@ func BenchmarkFig7(b *testing.B) {
 // on growing systems with 2-byte/cycle links.
 func BenchmarkFig8(b *testing.B) {
 	for _, cores := range []int{4, 16, 64, 128} {
-		for _, v := range []string{"Directory", "PATCH-All-NA", "PATCH-All"} {
-			b.Run(fmt.Sprintf("cores%d/%s", cores, v), func(b *testing.B) {
+		for _, pv := range AdaptivityProtocols() {
+			b.Run(fmt.Sprintf("cores%d/%s", cores, pv.Name()), func(b *testing.B) {
 				ops := 6400 / cores
 				if ops < 50 {
 					ops = 50
 				}
-				cfg := variantCfg(sim.Config{
+				runSim(b, withColumn(Config{
 					Cores: cores, OpsPerCore: ops, WarmupOps: ops, Workload: "micro",
-				}, v)
-				cfg.Net = interconnect.DefaultConfig()
-				cfg.Net.BytesPerKiloCycle = 2000
-				runSim(b, cfg)
+					BandwidthBytesPerKiloCycle: 2000,
+				}, pv))
 			})
 		}
 	}
@@ -153,20 +138,14 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the inexact-encoding runtime comparison
 // (Figure 9) and, through the bytes/miss metric, Figure 10's traffic.
 func BenchmarkFig9(b *testing.B) {
-	for _, kind := range []sim.Kind{sim.Directory, sim.PATCH} {
+	for _, pv := range inexactColumns {
 		for _, k := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%v/K%d", kind, k), func(b *testing.B) {
-				cfg := sim.Config{
-					Protocol: kind, Cores: benchCores, OpsPerCore: 300, WarmupOps: 600,
-					Workload: "micro", Coarseness: k,
-				}
-				if kind == sim.PATCH {
-					cfg.Policy = predictor.None
-					cfg.BestEffort = true
-				}
-				cfg.Net = interconnect.DefaultConfig()
-				cfg.Net.BytesPerKiloCycle = 2000
-				runSim(b, cfg)
+			b.Run(fmt.Sprintf("%v/K%d", pv.Protocol, k), func(b *testing.B) {
+				runSim(b, withColumn(Config{
+					Cores: benchCores, OpsPerCore: 300, WarmupOps: 600,
+					Workload: "micro", DirectoryCoarseness: k,
+					BandwidthBytesPerKiloCycle: 2000,
+				}, pv))
 			})
 		}
 	}
@@ -175,18 +154,13 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10Traffic is the unbounded-bandwidth companion of Fig9,
 // isolating pure traffic effects.
 func BenchmarkFig10Traffic(b *testing.B) {
-	for _, kind := range []sim.Kind{sim.Directory, sim.PATCH} {
-		b.Run(fmt.Sprintf("%v/K16", kind), func(b *testing.B) {
-			cfg := sim.Config{
-				Protocol: kind, Cores: benchCores, OpsPerCore: 300, WarmupOps: 600,
-				Workload: "micro", Coarseness: 16,
-				Net: interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100},
-			}
-			if kind == sim.PATCH {
-				cfg.Policy = predictor.None
-				cfg.BestEffort = true
-			}
-			runSim(b, cfg)
+	for _, pv := range inexactColumns {
+		b.Run(fmt.Sprintf("%v/K16", pv.Protocol), func(b *testing.B) {
+			runSim(b, withColumn(Config{
+				Cores: benchCores, OpsPerCore: 300, WarmupOps: 600,
+				Workload: "micro", DirectoryCoarseness: 16,
+				UnboundedBandwidth: true,
+			}, pv))
 		})
 	}
 }
@@ -196,7 +170,7 @@ func BenchmarkFig10Traffic(b *testing.B) {
 func BenchmarkAblationTenureTimeout(b *testing.B) {
 	for _, factor := range []float64{0.5, 1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("factor%.1f", factor), func(b *testing.B) {
-			cfg := variantCfg(figureConfig("oltp"), "PATCH-All")
+			cfg := withColumn(figureConfig("oltp"), patchAll)
 			cfg.TenureTimeoutFactor = factor
 			runSim(b, cfg)
 		})
@@ -212,7 +186,7 @@ func BenchmarkAblationDeactWindow(b *testing.B) {
 			name = "window-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := variantCfg(figureConfig("oltp"), "PATCH-All")
+			cfg := withColumn(figureConfig("oltp"), patchAll)
 			cfg.NoDeactWindow = disabled
 			runSim(b, cfg)
 		})
@@ -228,10 +202,8 @@ func BenchmarkAblationLinkModel(b *testing.B) {
 			name = "unbounded"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := variantCfg(figureConfig("oltp"), "PATCH-All")
-			if unbounded {
-				cfg.Net = interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100}
-			}
+			cfg := withColumn(figureConfig("oltp"), patchAll)
+			cfg.UnboundedBandwidth = unbounded
 			runSim(b, cfg)
 		})
 	}
@@ -240,7 +212,7 @@ func BenchmarkAblationLinkModel(b *testing.B) {
 // BenchmarkEngine measures the raw discrete-event engine throughput that
 // bounds overall simulator speed.
 func BenchmarkEngine(b *testing.B) {
-	runSim(b, variantCfg(figureConfig("micro"), "Directory"))
+	runSim(b, withColumn(figureConfig("micro"), ProtoVariant{Protocol: Directory}))
 }
 
 // BenchmarkSweep measures the parallel sweep engine end to end: one

@@ -31,8 +31,8 @@ func main() {
 	env := protocol.DefaultEnv(eng, net, n)
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
-		nodes[i] = core.New(msg.NodeID(i), env, directory.FullMap(n), core.Config{
-			Policy: predictor.All, BestEffort: true,
+		nodes[i] = core.New(msg.NodeID(i), env, protocol.Params{
+			Enc: directory.FullMap(n), Policy: predictor.All, BestEffort: true,
 		})
 		net.Register(msg.NodeID(i), nodes[i].Handle)
 	}

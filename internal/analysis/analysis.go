@@ -16,7 +16,7 @@
 //     enums crossing the wire must implement MarshalJSON and
 //     UnmarshalJSON so the wire form survives constant renumbering.
 //   - poolpair: values acquired from the pooled-object seams
-//     (msg.Pool.New, FreeList.Get, newMSHR) must be released, stored,
+//     (msg.Pool.New, FreeList.Get, MSHRs.Acquire) must be released, stored,
 //     returned, or handed to a sanctioned sink — never silently
 //     dropped.
 //

@@ -121,8 +121,8 @@ func consumes(s *Seam, decls map[*types.Func]*ast.FuncDecl, fn *types.Func) bool
 
 func checkPoolpairFunc(pass *Pass, cfg PoolpairConfig, decls map[*types.Func]*ast.FuncDecl, fd *ast.FuncDecl) {
 	// The seam's own machinery (the acquire wrappers themselves) is
-	// exempt: newMSHR calling FreeList.Get and returning it IS the
-	// seam.
+	// exempt: MSHRs.Acquire calling FreeList.Get and returning it IS
+	// the seam.
 	if self, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 		for i := range cfg.Seams {
 			for _, ref := range cfg.Seams[i].Acquires {

@@ -13,8 +13,6 @@ const (
 	pkgProtocol     = "patch/internal/protocol"
 	pkgMsg          = "patch/internal/msg"
 	pkgCore         = "patch/internal/core"
-	pkgTokenB       = "patch/internal/protocol/tokenb"
-	pkgDirectory    = "patch/internal/protocol/directoryproto"
 	pkgService      = "patch/service"
 	pkgInternalTree = "patch/internal/..."
 	pkgExperiments  = "patch/internal/experiments"
@@ -29,7 +27,7 @@ func PatchSuite() []*Analyzer {
 		NewDeterminism(DeterminismConfig{
 			Scope: Scope{
 				Paths: []string{
-					modulePath, pkgSim, pkgEvent, pkgInterconnect, pkgProtocolTree,
+					modulePath, pkgSim, pkgEvent, pkgInterconnect, pkgProtocolTree, pkgCore,
 					// Reporting/aggregation paths: map-range order here
 					// reaches figure output and axiom error selection.
 					pkgExperiments, pkgLitmus,
@@ -91,14 +89,15 @@ func PatchSuite() []*Analyzer {
 				{
 					Name: "mshr",
 					Acquires: []FuncRef{
-						{Pkg: pkgCore, Recv: "Node", Name: "newMSHR"},
-						{Pkg: pkgTokenB, Recv: "Node", Name: "newMSHR"},
-						{Pkg: pkgDirectory, Recv: "Node", Name: "newMSHR"},
+						{Pkg: pkgProtocol, Recv: "MSHRs", Name: "Acquire"},
 					},
 					Releases: []FuncRef{
-						{Pkg: pkgCore, Recv: "Node", Name: "freeMSHR"},
-						{Pkg: pkgTokenB, Recv: "Node", Name: "freeMSHR"},
-						{Pkg: pkgDirectory, Recv: "Node", Name: "freeMSHR"},
+						{Pkg: pkgProtocol, Recv: "MSHRs", Name: "Release"},
+					},
+					Sinks: []FuncRef{
+						// Registering a miss hands it to the table,
+						// which holds it until Release.
+						{Pkg: pkgProtocol, Recv: "MSHRs", Name: "Add"},
 					},
 				},
 			},

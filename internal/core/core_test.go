@@ -21,14 +21,14 @@ type cluster struct {
 	nodes []*Node
 }
 
-func newCluster(n int, cfg Config) *cluster {
+func newCluster(n int, p protocol.Params) *cluster {
 	eng := &event.Engine{}
 	net := interconnect.New(eng, n, interconnect.DefaultConfig())
 	env := protocol.DefaultEnv(eng, net, n)
 	c := &cluster{eng: eng, net: net, env: env}
-	enc := directory.FullMap(n)
+	p.Enc = directory.FullMap(n)
 	for i := 0; i < n; i++ {
-		nd := New(msg.NodeID(i), env, enc, cfg)
+		nd := New(msg.NodeID(i), env, p)
 		c.nodes = append(c.nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}
@@ -56,7 +56,7 @@ func (c *cluster) checkConservation(t *testing.T) {
 	t.Helper()
 	var holders []token.Holder
 	for _, n := range c.nodes {
-		holders = append(holders, n.Cache(), n.Directory())
+		holders = append(holders, n.L2, n.Home())
 	}
 	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func addrHomedAt(env *protocol.Env, home int) msg.Addr {
 }
 
 func TestColdReadGrantsExclusive(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	done := c.access(0, a, false)
 	c.run(t)
@@ -108,7 +108,7 @@ func TestColdReadGrantsExclusive(t *testing.T) {
 }
 
 func TestColdWriteReachesM(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 2)
 	done := c.access(1, a, true)
 	c.run(t)
@@ -129,7 +129,7 @@ func TestColdWriteReachesM(t *testing.T) {
 // successive readers each retain a shared copy while ownership migrates
 // to the most recent reader.
 func TestReadChainKeepsSharers(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	for _, reader := range []int{0, 1, 2} {
 		done := c.access(reader, a, false)
@@ -152,7 +152,7 @@ func TestReadChainKeepsSharers(t *testing.T) {
 }
 
 func TestWriteInvalidatesAllSharers(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	for _, reader := range []int{0, 1, 2} {
 		c.access(reader, a, false)
@@ -175,7 +175,7 @@ func TestWriteInvalidatesAllSharers(t *testing.T) {
 }
 
 func TestUpgradeMissCollectsAllTokens(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, false)
 	c.run(t)
@@ -201,7 +201,7 @@ func TestUpgradeMissCollectsAllTokens(t *testing.T) {
 // write requests while a direct request moves P1's token to P2. Under
 // naive token counting both starve; token tenure must complete both.
 func TestFigure1RaceResolvedByTenure(t *testing.T) {
-	c := newCluster(4, Config{Policy: predictor.All, BestEffort: true})
+	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
 	home := 3
 	a := addrHomedAt(c.env, home)
 
@@ -238,10 +238,10 @@ func TestFigure1RaceResolvedByTenure(t *testing.T) {
 // processor with no outstanding request remain untenured and must flow
 // back to the home after the probationary period (Rules #2 and #4).
 func TestTenureTimeoutDiscardsUnsolicitedTokens(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	home := 3
 	a := addrHomedAt(c.env, home)
-	e := c.nodes[home].Directory().Entry(a)
+	e := c.nodes[home].Home().Entry(a)
 	tokens, owner, _ := e.Tok.TakeAll()
 
 	// Inject the home's tokens at node 0 as an unsolicited response.
@@ -270,7 +270,7 @@ func TestTenureTimeoutDiscardsUnsolicitedTokens(t *testing.T) {
 // sharing miss is satisfied by a direct request without waiting for the
 // home's forward.
 func TestDirectRequestTwoHopTransfer(t *testing.T) {
-	c := newCluster(4, Config{Policy: predictor.All, BestEffort: true})
+	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true) // P0 owns all tokens
 	c.run(t)
@@ -286,7 +286,7 @@ func TestDirectRequestTwoHopTransfer(t *testing.T) {
 // TestPostDeactivationWindowIgnoresDirects: immediately after completing
 // a request, a processor ignores direct requests for the block (§5.2).
 func TestPostDeactivationWindowIgnoresDirects(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true)
 	c.run(t)
@@ -305,7 +305,7 @@ func TestPostDeactivationWindowIgnoresDirects(t *testing.T) {
 // TestHotBlockStress hammers a handful of blocks from every node with
 // racing reads and writes and verifies liveness plus conservation.
 func TestHotBlockStress(t *testing.T) {
-	for _, cfg := range []Config{
+	for _, cfg := range []protocol.Params{
 		{Policy: predictor.None},
 		{Policy: predictor.All, BestEffort: true},
 		{Policy: predictor.All, BestEffort: false},
@@ -354,7 +354,7 @@ func TestEvictionStress(t *testing.T) {
 	env.L1Bytes = 256
 	var nodes []*Node
 	for i := 0; i < 4; i++ {
-		nd := New(msg.NodeID(i), env, directory.FullMap(4), Config{Policy: predictor.All, BestEffort: true})
+		nd := New(msg.NodeID(i), env, protocol.Params{Enc: directory.FullMap(4), Policy: predictor.All, BestEffort: true})
 		nodes = append(nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}
@@ -381,7 +381,7 @@ func TestEvictionStress(t *testing.T) {
 	var holders []token.Holder
 	dirty := uint64(0)
 	for _, n := range nodes {
-		holders = append(holders, n.Cache(), n.Directory())
+		holders = append(holders, n.L2, n.Home())
 		dirty += n.St.WritebacksDirty + n.St.WritebacksClean
 	}
 	if dirty == 0 {
@@ -393,7 +393,7 @@ func TestEvictionStress(t *testing.T) {
 }
 
 func TestMigratoryOptimisation(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	// Train the detector: read-then-write by successive cores.
 	for round := 0; round < 3; round++ {
@@ -405,7 +405,7 @@ func TestMigratoryOptimisation(t *testing.T) {
 		}
 	}
 	home := c.nodes[3]
-	if !home.Directory().Entry(a).Migratory {
+	if !home.Home().Entry(a).Migratory {
 		t.Fatal("migratory pattern not detected")
 	}
 	// The next read should be converted: the reader gets an exclusive

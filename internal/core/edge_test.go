@@ -6,6 +6,7 @@ import (
 	"patch/internal/event"
 	"patch/internal/msg"
 	"patch/internal/predictor"
+	"patch/internal/protocol"
 	"patch/internal/token"
 )
 
@@ -14,7 +15,7 @@ import (
 // home's forward arrives. It must still answer (zero tokens) so the
 // activation bit reaches the requester, and the requester must complete.
 func TestStaleForwardAfterDirectTransfer(t *testing.T) {
-	c := newCluster(4, Config{Policy: predictor.All, BestEffort: true})
+	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
 	a := addrHomedAt(c.env, 3)
 	// P0 becomes owner of everything.
 	c.access(0, a, true)
@@ -38,7 +39,7 @@ func TestStaleForwardAfterDirectTransfer(t *testing.T) {
 // sharer with no tokens must produce no acknowledgement (the §7 ack
 // elision), which we observe via the network message counts.
 func TestZeroTokenSharerSilence(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	node := c.nodes[2]
 	before := node.St.DirectResponded
@@ -62,7 +63,7 @@ func TestZeroTokenSharerSilence(t *testing.T) {
 // TestForcedOwnerEcho: the same situation but with ToOwner set — the
 // response must flow even with zero tokens, carrying the activation.
 func TestForcedOwnerEcho(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	node := c.nodes[2]
 	node.Handle(c.eng.Now(), &msg.Message{
@@ -78,7 +79,7 @@ func TestForcedOwnerEcho(t *testing.T) {
 // TestWaitersReplayAfterRetire: accesses queued behind an outstanding
 // MSHR replay once it retires, including a write queued behind a read.
 func TestWaitersReplayAfterRetire(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	// Make node 1 the owner so node 0's read is a sharing miss.
 	c.access(1, a, true)
@@ -101,7 +102,7 @@ func TestWaitersReplayAfterRetire(t *testing.T) {
 // TestTenureTimerStopsAfterRetire: once a request deactivates, its timer
 // must not fire and discard the now-tenured tokens.
 func TestTenureTimerStopsAfterRetire(t *testing.T) {
-	c := newCluster(4, Config{})
+	c := newCluster(4, protocol.Params{})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true)
 	c.run(t)
@@ -120,7 +121,7 @@ func TestTenureTimerStopsAfterRetire(t *testing.T) {
 // TestNonAdaptiveDirectsAreGuaranteed: PATCH-ALL-NONADAPTIVE's direct
 // requests travel as normal traffic and are never dropped.
 func TestNonAdaptiveDirectsAreGuaranteed(t *testing.T) {
-	c := newCluster(4, Config{Policy: predictor.All, BestEffort: false})
+	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: false})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true)
 	c.run(t)

@@ -9,20 +9,9 @@ import (
 	"patch/internal/token"
 )
 
-// homeTask defers a home-side message past the directory lookup
-// latency: the pooled-task replacement for the per-message closure,
-// holding the pool reference the closure used to capture.
-type homeTask struct {
-	n *Node
-	m *msg.Message
-}
-
-// Fire implements event.Task: the directory lookup completed.
-func (t *homeTask) Fire(now event.Time) {
-	n, m := t.n, t.m
-	t.m = nil
-	n.homeFree.Put(t)
-	defer n.Env.Net.Release(m)
+// homeLookup dispatches a home-bound message once its directory lookup
+// (protocol.Base.HomeDefer) completes.
+func (n *Node) homeLookup(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM:
 		n.homeReceive(now, m)
@@ -31,24 +20,12 @@ func (t *homeTask) Fire(now event.Time) {
 	}
 }
 
-// homeDefer holds a reference to the delivered message across the
-// directory lookup latency, then dispatches it home-side. Queued
-// requests are copied by value inside the deferred step, so the pooled
-// message is recycled the moment the lookup completes.
-func (n *Node) homeDefer(m *msg.Message) {
-	n.Env.Net.Retain(m)
-	t := n.homeFree.Get()
-	t.n = n
-	t.m = m
-	n.Env.Eng.AfterTask(event.Time(n.dir.LookupLatency), t)
-}
-
 // homeReceive accepts indirect requests at the home (after the lookup
 // delay), applying the per-block blocking discipline PATCH inherits
 // from DIRECTORY (one active request per block; arrival order at the
 // home decides the service order of races).
 func (n *Node) homeReceive(now event.Time, m *msg.Message) {
-	e := n.dir.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	if e.Busy {
 		e.Queue = append(e.Queue, directory.Pending{
 			Req: m.Requester, IsWrite: m.IsWrite, Transient: m.Detached(),
@@ -64,10 +41,10 @@ func (n *Node) homeReceive(now event.Time, m *msg.Message) {
 // tokens are absorbed into memory, with the owner token set clean on
 // arrival (Rule #1).
 func (n *Node) homeTokens(now event.Time, m *msg.Message) {
-	e := n.dir.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	if m.Type != msg.TokenReturn {
 		// A full eviction: the evictor keeps nothing.
-		if n.dir.Enc.Coarseness == 1 {
+		if n.Home().Enc.Coarseness == 1 {
 			e.Sharers.Remove(m.Src)
 		}
 		if e.Owner == m.Src {
@@ -101,7 +78,7 @@ func (n *Node) redirect(e *directory.Entry, m *msg.Message) {
 	if m.Owner && !m.HasData {
 		withData = true // clean owner: supply the memory copy
 		out.Version = e.MemVersion
-		delay = event.Time(n.dir.DRAMLatency)
+		delay = event.Time(n.Home().DRAMLatency)
 	}
 	token.Attach(out, m.Tokens, m.Owner, m.OwnerDirty, withData)
 	if delay > 0 {
@@ -190,7 +167,7 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 				e.Tok.TakeOwner() // the home's owner token is always clean
 				token.Attach(grant, 1+spare, true, false, true)
 			}
-			n.SendAfter(event.Time(n.dir.DRAMLatency), grant)
+			n.SendAfter(event.Time(n.Home().DRAMLatency), grant)
 			actCarrier = true
 		} else if m.IsWrite {
 			tokens, _, _ := e.Tok.TakeAll()
@@ -224,7 +201,7 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 	// Invalidation-style forwards to the sharer superset (writes only).
 	// Only token holders answer: ack elision (§7).
 	if m.IsWrite {
-		if targets := n.invalidationTargets(e, r); len(targets) > 0 {
+		if targets := n.InvalidationTargets(e, r); len(targets) > 0 {
 			n.Multicast(n.Msg(msg.Message{
 				Type: msg.Fwd, Addr: e.Addr, Requester: r, IsWrite: true, Activated: true, Seq: e.ActiveSeq,
 			}), targets)
@@ -236,24 +213,9 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 	}
 }
 
-// invalidationTargets expands the sharer encoding into the node's
-// scratch buffer, excluding requester and owner. The result is consumed
-// (by Multicast) before the buffer's next use.
-func (n *Node) invalidationTargets(e *directory.Entry, r msg.NodeID) []msg.NodeID {
-	members := e.Sharers.AppendMembers(n.Scratch[:0], r)
-	n.Scratch = members[:0] // retain any growth for the next expansion
-	out := members[:0]
-	for _, s := range members {
-		if s != e.Owner {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // homeDeactivate commits the active transaction and services the queue.
 func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
-	e := n.dir.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	if !e.Busy || e.Active != m.Requester || e.ActiveSeq != m.Seq {
 		panic(fmt.Sprintf("core: home %d: spurious deactivate %v", n.ID, m))
 	}
@@ -267,7 +229,7 @@ func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
 			e.Sharers.Add(c.Prev)
 		}
 		e.Owner = c.Req
-		if n.dir.Enc.Coarseness == 1 {
+		if n.Home().Enc.Coarseness == 1 {
 			e.Sharers.Remove(c.Req)
 		}
 	}

@@ -16,10 +16,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"patch/internal/cache"
-	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
 	"patch/internal/predictor"
@@ -27,50 +25,18 @@ import (
 	"patch/internal/token"
 )
 
-// Config selects the PATCH variant.
-type Config struct {
-	// Policy is the destination-set prediction policy (None, Owner,
-	// BroadcastIfShared, All).
-	Policy predictor.Policy
-
-	// BestEffort delivers direct requests on the deprioritised droppable
-	// virtual network (the paper's default). Setting it false yields
-	// PATCH-ALL-NONADAPTIVE: guaranteed-delivery direct requests that
-	// contend with everything else.
-	BestEffort bool
-
-	// TenureTimeoutFactor scales the probationary period relative to the
-	// dynamic average round trip; 0 selects the paper's 2x (§5.2). Used
-	// by the ablation benchmarks.
-	TenureTimeoutFactor float64
-
-	// NoDeactWindow disables the post-deactivation direct-request ignore
-	// window (§5.2's second race mitigation). Used by the ablation
-	// benchmarks.
-	NoDeactWindow bool
-}
-
-type waiter struct {
-	isWrite bool
-	done    func()
-}
-
 // mshr tracks one outstanding PATCH request from issue to deactivation.
 // The core is released as soon as tokens suffice (possibly before
 // activation); the entry lives on until the home has activated the
 // request and the deactivation has been sent.
 type mshr struct {
-	addr       msg.Addr
+	protocol.MSHR
 	seq        uint64
-	isWrite    bool
-	issued     event.Time
 	activated  bool
 	completed  bool // core released
 	sawResp    bool
 	classified bool // memory-vs-sharing classification recorded
 	migratory  bool // satisfied by a confirmed migratory conversion
-	done       []func()
-	waiters    []waiter
 	timer      event.Handle
 
 	// n backs the Fire method: the armed mshr doubles as the tenure
@@ -84,10 +50,9 @@ func (m *mshr) Fire(now event.Time) { m.n.tenureTimeout(now, m) }
 // Node is one core's PATCH controller plus its home-directory slice.
 type Node struct {
 	protocol.Base
-	cfg   Config
-	dir   *directory.Directory
+	cfg   protocol.Params
 	pred  *predictor.Predictor
-	mshrs map[msg.Addr]*mshr
+	mshrs protocol.MSHRs[mshr, *mshr]
 
 	// ignoreDirectUntil implements the post-deactivation window during
 	// which direct (but not forwarded) requests are ignored (§5.2).
@@ -101,150 +66,43 @@ type Node struct {
 	// notifications match the right request generation.
 	seq uint64
 
-	// Free-lists: recycled MSHRs, deferred home-lookup tasks, and
-	// standalone tenure-timer tasks. Together with the pooled tasks in
-	// protocol.Base they make the steady-state miss path allocation-free.
-	mshrFree protocol.FreeList[mshr]
-	homeFree protocol.FreeList[homeTask]
-	saFree   protocol.FreeList[saTimer]
-
-	// avoid is the victim filter passed to AllocateAvoid, built once so
-	// the per-miss line installation does not allocate a closure.
-	avoid func(msg.Addr) bool
+	// saFree recycles standalone tenure-timer tasks; with the MSHR table
+	// and the pooled tasks in protocol.Base it makes the steady-state
+	// miss path allocation-free.
+	saFree protocol.FreeList[saTimer]
 }
 
-// New creates a PATCH node.
-func New(id msg.NodeID, env *protocol.Env, enc directory.Encoding, cfg Config) *Node {
+// New creates a PATCH node; p selects the variant.
+func New(id msg.NodeID, env *protocol.Env, p protocol.Params) *Node {
 	n := &Node{
-		Base:              protocol.NewBase(id, env),
-		cfg:               cfg,
-		dir:               directory.New(id, enc, env.Tokens),
-		pred:              predictor.New(cfg.Policy, id, env.N),
-		mshrs:             make(map[msg.Addr]*mshr),
+		Base:              protocol.NewBase(id, env, p.Enc, env.Tokens),
+		cfg:               p,
+		pred:              predictor.New(p.Policy, id, env.N),
 		ignoreDirectUntil: make(map[msg.Addr]event.Time),
 		tenureTimers:      make(map[msg.Addr]event.Handle),
 	}
-	n.Self = n
-	n.avoid = func(a msg.Addr) bool { _, busy := n.mshrs[a]; return busy }
-	n.dir.LookupLatency = env.DirLatency
-	n.dir.DRAMLatency = env.DRAMLatency
+	n.Bind(n, &n.mshrs, n.EvictTokens, n.homeLookup)
 	return n
 }
 
-// Reset returns the node to its freshly constructed state for cfg,
-// retaining allocated capacity (cache arrays, directory slabs and index,
-// predictor table, MSHR and task free-lists). It must only be called on
-// a quiesced node of a drained system; behaviour after a reset is
-// indistinguishable from a new node's.
-func (n *Node) Reset(enc directory.Encoding, cfg Config) {
-	n.ResetBase()
-	n.cfg = cfg
-	n.dir.Reset(enc, n.Env.Tokens)
-	n.dir.LookupLatency = n.Env.DirLatency
-	n.dir.DRAMLatency = n.Env.DRAMLatency
-	n.pred.Reset(cfg.Policy)
-	for _, m := range n.mshrs { // empty on a quiesced node
-		m.timer.Cancel()
-		n.freeMSHR(m)
-	}
-	clear(n.mshrs)
+// Reset implements protocol.Node.
+func (n *Node) Reset(p protocol.Params) {
+	n.ResetBase(p.Enc, n.Env.Tokens)
+	n.cfg = p
+	n.pred.Reset(p.Policy)
 	clear(n.ignoreDirectUntil)
 	clear(n.tenureTimers)
 	n.seq = 0
 }
 
-// newMSHR acquires a recycled (or new) MSHR initialised for one miss.
-//
-//patch:steadystate
-func (n *Node) newMSHR(addr msg.Addr, isWrite bool) *mshr {
-	m := n.mshrFree.Get()
-	*m = mshr{
-		addr: addr, seq: n.seq, isWrite: isWrite, issued: n.Env.Eng.Now(),
-		done: m.done[:0], waiters: m.waiters[:0], n: n,
-	}
-	return m
-}
-
-// freeMSHR recycles a retired MSHR. The caller must already have
-// cancelled its timer and removed it from the MSHR table; callback
-// references are dropped so retired closures stay collectable.
-//
-//patch:steadystate
-func (n *Node) freeMSHR(m *mshr) {
-	clear(m.done)
-	m.done = m.done[:0]
-	clear(m.waiters)
-	m.waiters = m.waiters[:0]
-	n.mshrFree.Put(m)
-}
-
-// Directory exposes the home slice (checkers, tests).
-func (n *Node) Directory() *directory.Directory { return n.dir }
-
-// Predictor exposes the predictor (tests).
-func (n *Node) Predictor() *predictor.Predictor { return n.pred }
-
-// Cache exposes the L2 for token-conservation checks.
-func (n *Node) Cache() *cache.Cache { return n.L2 }
-
-// AppendMSHRDiags appends one record per outstanding miss, sorted by
-// address, for the simulator's failure diagnostics.
-func (n *Node) AppendMSHRDiags(dst []protocol.MSHRDiag) []protocol.MSHRDiag {
-	addrs := make([]msg.Addr, 0, len(n.mshrs))
-	for a := range n.mshrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		m := n.mshrs[a]
-		dst = append(dst, protocol.MSHRDiag{Node: n.ID, Addr: a, Issued: m.issued, Write: m.isWrite})
-	}
-	return dst
-}
-
-// Quiesced implements protocol.Node.
-func (n *Node) Quiesced() bool {
-	if len(n.mshrs) != 0 {
-		return false
-	}
-	quiet := true
-	n.dir.ForEach(func(e *directory.Entry) {
-		if e.Busy || len(e.Queue) != 0 {
-			quiet = false
-		}
-	})
-	return quiet
-}
-
 // Access implements protocol.Node.
 func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
-	if isWrite {
-		n.St.Stores++
-	} else {
-		n.St.Loads++
-	}
-	line := n.L2.Access(addr)
-	if line != nil && n.sufficient(line, isWrite) {
-		if isWrite {
-			line.Tok.Dirty = true // Rule #2: writer marks the owner token dirty
-			line.MOESI = token.M
-			line.Written = true
-			line.Version++
-		}
-		n.ObservePerform(addr, isWrite, line.Version)
-		lvl := 2
-		if n.InL1(addr) {
-			lvl = 1
-			n.St.L1Hits++
-		} else {
-			n.St.L2Hits++
-			n.TouchL1(addr)
-		}
-		n.Env.Eng.After0(n.HitLatency(lvl), done)
+	line, hit := n.TokenHit(addr, isWrite, done)
+	if hit {
 		return
 	}
-	if m := n.mshrs[addr]; m != nil {
-		m.waiters = append(m.waiters, waiter{isWrite, done})
+	if m := n.mshrs.Get(addr); m != nil {
+		m.Wait(isWrite, done)
 		return
 	}
 	n.St.Misses++
@@ -252,9 +110,9 @@ func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
 		n.St.UpgradeMisses++
 	}
 	n.seq++
-	m := n.newMSHR(addr, isWrite)
-	m.done = append(m.done, done)
-	n.mshrs[addr] = m
+	m := n.mshrs.Acquire(addr, isWrite, done)
+	m.seq, m.n = n.seq, n
+	n.mshrs.Add(m)
 
 	// Indirect request through the home: the correctness path.
 	t := msg.GetS
@@ -277,13 +135,6 @@ func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
 
 	// Arm the token-tenure probationary timer (Rule #4).
 	n.armTenureTimer(m)
-}
-
-func (n *Node) sufficient(l *cache.Line, isWrite bool) bool {
-	if isWrite {
-		return l.Tok.CanWrite(n.Env.Tokens)
-	}
-	return l.Tok.CanRead()
 }
 
 // tenurePeriod returns the probationary period (paper: twice the
@@ -309,10 +160,10 @@ func (n *Node) armTenureTimer(m *mshr) {
 // activation: any tokens held for the block are discarded to the home
 // (Rule #4), which will redirect them to the active requester (Rule #5).
 func (n *Node) tenureTimeout(now event.Time, m *mshr) {
-	if m.activated || n.mshrs[m.addr] != m {
+	if m.activated || n.mshrs.Get(m.Addr) != m {
 		return
 	}
-	if line := n.L2.Lookup(m.addr); line != nil && !line.Tok.Zero() {
+	if line := n.L2.Lookup(m.Addr); line != nil && !line.Tok.Zero() {
 		n.St.TenureTimeouts++
 		n.returnTokensHome(line)
 	}
@@ -340,7 +191,7 @@ func (n *Node) returnTokensHome(line *cache.Line) {
 func (n *Node) Handle(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM, msg.PutM, msg.PutClean, msg.TokenReturn:
-		n.homeDefer(m)
+		n.HomeDefer(m)
 	case msg.Deactivate:
 		n.homeDeactivate(now, m)
 	case msg.Fwd:
@@ -361,14 +212,14 @@ func (n *Node) Handle(now event.Time, m *msg.Message) {
 // line and the outstanding request, applying the token-tenure arrival,
 // promotion and deactivation rules.
 func (n *Node) cacheResponse(now event.Time, m *msg.Message) {
-	ms := n.mshrs[m.Addr]
+	ms := n.mshrs.Get(m.Addr)
 	if m.Tokens > 0 || m.Owner {
 		n.pred.ObserveResponse(m.Addr, m.Src)
 	}
 
 	var line *cache.Line
 	if m.Tokens > 0 || m.Owner {
-		line = n.installLine(m.Addr)
+		line = n.InstallLine(m.Addr)
 		line.Tok.Add(m.Tokens, m.Owner, m.OwnerDirty, m.HasData)
 		if m.HasData && m.Version > line.Version {
 			line.Version = m.Version
@@ -391,7 +242,7 @@ func (n *Node) cacheResponse(now event.Time, m *msg.Message) {
 
 	if !ms.sawResp {
 		ms.sawResp = true
-		n.ObserveRTT(now - ms.issued)
+		n.ObserveRTT(now - ms.Issued)
 	}
 	if m.HasData && !ms.classified {
 		ms.classified = true
@@ -424,24 +275,20 @@ func (n *Node) cacheResponse(now event.Time, m *msg.Message) {
 // progress releases the core and/or deactivates when the token-counting
 // completion conditions hold.
 func (n *Node) progress(now event.Time, ms *mshr) {
-	line := n.L2.Lookup(ms.addr)
-	satisfied := line != nil && n.sufficient(line, ms.isWrite)
+	line := n.L2.Lookup(ms.Addr)
+	satisfied := line != nil && n.TokensSuffice(line, ms.IsWrite)
 	if satisfied && !ms.completed {
 		ms.completed = true
-		if ms.isWrite {
+		if ms.IsWrite {
 			line.Tok.Dirty = true
 			line.Written = true
 			line.Version++
 		}
-		n.ObservePerform(ms.addr, ms.isWrite, line.Version)
+		n.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
 		line.MOESI = line.Tok.ToMOESI(n.Env.Tokens)
-		n.TouchL1(ms.addr)
-		n.St.MissLatencySum += uint64(now - ms.issued)
-		for _, d := range ms.done {
-			d()
-		}
-		clear(ms.done)
-		ms.done = ms.done[:0]
+		n.TouchL1(ms.Addr)
+		n.St.MissLatencySum += uint64(now - ms.Issued)
+		ms.Done()
 	}
 	// Deactivation Rule (#7): once active with sufficient tenured
 	// tokens, give up active status.
@@ -456,18 +303,14 @@ func (n *Node) progress(now event.Time, ms *mshr) {
 // accesses that queued behind the miss.
 func (n *Node) retire(now event.Time, ms *mshr) {
 	ms.timer.Cancel()
-	delete(n.mshrs, ms.addr)
 	if !n.cfg.NoDeactWindow {
-		n.ignoreDirectUntil[ms.addr] = now + n.tenurePeriod()
+		n.ignoreDirectUntil[ms.Addr] = now + n.tenurePeriod()
 	}
 	n.Send(n.Msg(msg.Message{
-		Type: msg.Deactivate, Addr: ms.addr, Dst: n.Env.HomeOf(ms.addr),
+		Type: msg.Deactivate, Addr: ms.Addr, Dst: n.Env.HomeOf(ms.Addr),
 		Requester: n.ID, Seq: ms.seq, Migratory: ms.migratory,
 	}))
-	for _, w := range ms.waiters {
-		n.Replay(1, ms.addr, w.isWrite, w.done)
-	}
-	n.freeMSHR(ms)
+	n.mshrs.Release(ms)
 }
 
 // saTimer is the pooled standalone tenure timer: a probationary discard
@@ -482,7 +325,7 @@ func (t *saTimer) Fire(event.Time) {
 	n, addr := t.n, t.addr
 	n.saFree.Put(t)
 	delete(n.tenureTimers, addr)
-	if n.mshrs[addr] != nil {
+	if n.mshrs.Get(addr) != nil {
 		return // a newer request now governs the line
 	}
 	line := n.L2.Lookup(addr)
@@ -504,34 +347,6 @@ func (n *Node) armStandaloneTimer(addr msg.Addr) {
 	n.tenureTimers[addr] = n.Env.Eng.AfterTask(n.tenurePeriod(), t)
 }
 
-// installLine allocates the block, evicting (non-silently: Rule #1
-// forbids destroying tokens) as needed.
-func (n *Node) installLine(addr msg.Addr) *cache.Line {
-	line, evicted := n.L2.AllocateAvoid(addr, n.avoid)
-	if evicted.Present {
-		n.evict(&evicted)
-	}
-	return line
-}
-
-func (n *Node) evict(l *cache.Line) {
-	n.InvalidateL1(l.Addr)
-	if l.Tok.Zero() {
-		return
-	}
-	tokens, owner, dirty := l.Tok.TakeAll()
-	t := msg.PutClean
-	if dirty {
-		t = msg.PutM
-		n.St.WritebacksDirty++
-	} else {
-		n.St.WritebacksClean++
-	}
-	wb := n.Msg(msg.Message{Type: t, Addr: l.Addr, Dst: n.Env.HomeOf(l.Addr), Requester: n.ID, Version: l.Version})
-	token.Attach(wb, tokens, owner, dirty, dirty)
-	n.Send(wb)
-}
-
 // cacheFwd services a forwarded request from the home. Forwarded
 // requests are never ignored for having a miss outstanding (§5.2), but
 // the active requester hoards (Rule #6a) — any forward it sees is a
@@ -540,7 +355,7 @@ func (n *Node) evict(l *cache.Line) {
 // response always flows so the activation bit reaches the requester.
 func (n *Node) cacheFwd(now event.Time, m *msg.Message) {
 	n.pred.ObserveRequest(m.Addr, m.Requester, m.IsWrite)
-	if ms := n.mshrs[m.Addr]; ms != nil && ms.activated {
+	if ms := n.mshrs.Get(m.Addr); ms != nil && ms.activated {
 		return // hoard: rule #6a
 	}
 	line := n.L2.Lookup(m.Addr)
@@ -552,7 +367,7 @@ func (n *Node) cacheFwd(now event.Time, m *msg.Message) {
 // post-deactivation window.
 func (n *Node) cacheDirect(now event.Time, m *msg.Message) {
 	n.pred.ObserveRequest(m.Addr, m.Requester, m.IsWrite || m.Type == msg.DirectGetM)
-	if n.mshrs[m.Addr] != nil {
+	if n.mshrs.Get(m.Addr) != nil {
 		n.St.DirectIgnored++
 		return
 	}

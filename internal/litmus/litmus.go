@@ -166,14 +166,13 @@ func blockAddr(i int) msg.Addr { return msg.Addr(0x100000 + i*64) }
 // in a later script, which is exactly what the conformance matrix (run
 // under -race in CI) is pinning.
 type Harness struct {
-	p     Protocol
-	cores int
-	eng   *event.Engine
-	net   *interconnect.Network
-	env   *protocol.Env
-	enc   directory.Encoding
-	nodes []protocol.Node
-	l2    []*cache.Cache
+	p      Protocol
+	cores  int
+	eng    *event.Engine
+	net    *interconnect.Network
+	env    *protocol.Env
+	params protocol.Params
+	nodes  []protocol.Node
 
 	lastPerformed []uint64 // version reported by the observer, per core
 	obs           []func(msg.Addr, bool, uint64)
@@ -181,16 +180,12 @@ type Harness struct {
 	netCfg        interconnect.Config
 }
 
-// coreCfg returns the PATCH configuration for the harness's variant.
-func (p Protocol) coreCfg() core.Config {
-	switch p {
-	case PATCHNone:
-		return core.Config{Policy: predictor.None, BestEffort: true}
-	case PATCHAll:
-		return core.Config{Policy: predictor.All, BestEffort: true}
-	default: // PATCHAllNonAdaptive
-		return core.Config{Policy: predictor.All}
-	}
+// variantParams holds each variant's protocol settings; the harness
+// adds its full-map sharer encoding.
+var variantParams = [NumProtocols]protocol.Params{
+	PATCHNone:           {Policy: predictor.None, BestEffort: true},
+	PATCHAll:            {Policy: predictor.All, BestEffort: true},
+	PATCHAllNonAdaptive: {Policy: predictor.All},
 }
 
 // NewHarness assembles a reusable system of the given size for one
@@ -204,68 +199,47 @@ func NewHarness(p Protocol, cores int) (*Harness, error) {
 // under fault injection (jittered, degraded, bursting links) and pin
 // that the axioms are timing-independent in fact, not just by design.
 func NewHarnessNet(p Protocol, cores int, net interconnect.Config) (*Harness, error) {
+	if p < 0 || p >= NumProtocols {
+		return nil, fmt.Errorf("litmus: unknown protocol %v", p)
+	}
 	h := &Harness{
 		p:             p,
 		cores:         cores,
 		eng:           &event.Engine{},
 		nodes:         make([]protocol.Node, cores),
-		l2:            make([]*cache.Cache, cores),
 		lastPerformed: make([]uint64, cores),
-		enc:           directory.FullMap(cores),
+		params:        variantParams[p],
 		netCfg:        net,
 	}
+	h.params.Enc = directory.FullMap(cores)
 	h.net = interconnect.New(h.eng, cores, h.netCfg)
 	h.env = protocol.DefaultEnv(h.eng, h.net, cores)
 	for i := 0; i < cores; i++ {
 		id := msg.NodeID(i)
 		switch p {
 		case Directory:
-			n := directoryproto.New(id, h.env, h.enc)
-			h.nodes[i], h.l2[i] = n, n.L2
-		case PATCHNone, PATCHAll, PATCHAllNonAdaptive:
-			n := core.New(id, h.env, h.enc, p.coreCfg())
-			h.nodes[i], h.l2[i] = n, n.L2
+			h.nodes[i] = directoryproto.New(id, h.env, h.params)
 		case TokenB:
-			n := tokenb.New(id, h.env)
-			h.nodes[i], h.l2[i] = n, n.L2
+			h.nodes[i] = tokenb.New(id, h.env, h.params)
 		default:
-			return nil, fmt.Errorf("litmus: unknown protocol %v", p)
+			h.nodes[i] = core.New(id, h.env, h.params)
 		}
 		i := i
 		h.obs = append(h.obs, func(_ msg.Addr, _ bool, version uint64) { h.lastPerformed[i] = version })
-		h.attachObserver(i)
+		h.nodes[i].Shared().Observer = h.obs[i]
 		h.net.Register(id, h.nodes[i].Handle)
 	}
 	return h, nil
 }
 
-// attachObserver installs core i's (once-built) observer closure.
-func (h *Harness) attachObserver(i int) {
-	switch n := h.nodes[i].(type) {
-	case *directoryproto.Node:
-		n.Observer = h.obs[i]
-	case *core.Node:
-		n.Observer = h.obs[i]
-	case *tokenb.Node:
-		n.Observer = h.obs[i]
-	}
-}
-
 // reset rewinds the reusable system between scripts, re-attaching the
-// observers ResetBase cleared.
+// observers the node Resets cleared.
 func (h *Harness) reset() {
 	h.eng.Reset()
 	h.net.Reset(h.netCfg)
 	for i, n := range h.nodes {
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			v.Reset(h.enc)
-		case *core.Node:
-			v.Reset(h.enc, h.p.coreCfg())
-		case *tokenb.Node:
-			v.Reset()
-		}
-		h.attachObserver(i)
+		n.Reset(h.params)
+		n.Shared().Observer = h.obs[i]
 		h.lastPerformed[i] = 0
 	}
 }
@@ -289,7 +263,7 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 	}
 	h.used = true
 	p, cores := h.p, h.cores
-	eng, nodes, l2 := h.eng, h.nodes, h.l2
+	eng, nodes := h.eng, h.nodes
 	lastPerformed := h.lastPerformed
 
 	// Split the script into per-core queues preserving program order.
@@ -329,32 +303,17 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 
 	// Collect final versions (max over all copies).
 	finals := make(map[msg.Addr]uint64)
-	for i := range nodes {
-		l2[i].ForEach(func(l *cache.Line) {
+	for _, n := range nodes {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			if l.Version > finals[l.Addr] {
 				finals[l.Addr] = l.Version
 			}
 		})
-		switch n := nodes[i].(type) {
-		case *directoryproto.Node:
-			n.Directory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		case *core.Node:
-			n.Directory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		case *tokenb.Node:
-			n.Memory().ForEach(func(e *directory.Entry) {
-				if e.MemVersion > finals[e.Addr] {
-					finals[e.Addr] = e.MemVersion
-				}
-			})
-		}
+		n.Home().ForEach(func(e *directory.Entry) {
+			if e.MemVersion > finals[e.Addr] {
+				finals[e.Addr] = e.MemVersion
+			}
+		})
 	}
 	for b := 0; b < maxBlock(script)+1; b++ {
 		out.FinalVersions[b] = finals[blockAddr(b)]
@@ -437,17 +396,12 @@ func verifyAxioms(p Protocol, script Script, out *Outcome) error {
 
 // verifyTokens runs the conservation check for token protocols.
 func verifyTokens(p Protocol, nodes []protocol.Node, env *protocol.Env) error {
+	if p == Directory {
+		return nil
+	}
 	var holders []token.Holder
 	for _, n := range nodes {
-		switch v := n.(type) {
-		case *core.Node:
-			holders = append(holders, v.Cache(), v.Directory())
-		case *tokenb.Node:
-			holders = append(holders, v.L2, v.Memory())
-		}
-	}
-	if holders == nil {
-		return nil
+		holders = append(holders, n.Shared().L2, n.Home())
 	}
 	return token.CheckConservation(env.Tokens, holders, nil)
 }

@@ -28,9 +28,9 @@ func newCluster(n int, coarseness int, l2Bytes int) *cluster {
 		env.L1Bytes = l2Bytes / 4
 	}
 	c := &cluster{eng: eng, env: env}
-	enc := directory.Encoding{Cores: n, Coarseness: coarseness}
+	p := protocol.Params{Enc: directory.Encoding{Cores: n, Coarseness: coarseness}}
 	for i := 0; i < n; i++ {
-		nd := New(msg.NodeID(i), env, enc)
+		nd := New(msg.NodeID(i), env, p)
 		c.nodes = append(c.nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}
@@ -106,7 +106,7 @@ func TestReadFromDirtyOwnerYieldsO(t *testing.T) {
 	if st := c.nodes[0].L2.Lookup(a).MOESI; st != token.S {
 		t.Fatalf("previous owner state = %v, want S", st)
 	}
-	e := c.nodes[3].Directory().Entry(a)
+	e := c.nodes[3].Home().Entry(a)
 	if e.Owner != 1 || !e.Sharers.Contains(0) {
 		t.Fatalf("directory owner=%d sharers0=%v", e.Owner, e.Sharers.Contains(0))
 	}
@@ -209,7 +209,7 @@ func TestMigratoryDetection(t *testing.T) {
 		c.access(nd, a, true)
 		c.run(t)
 	}
-	if !c.nodes[3].Directory().Entry(a).Migratory {
+	if !c.nodes[3].Home().Entry(a).Migratory {
 		t.Fatal("migratory pattern not detected")
 	}
 	// A converted read grants write permission without a second miss.
@@ -239,7 +239,7 @@ func TestReadSharingClearsMigratory(t *testing.T) {
 	c.run(t)
 	c.access(3, a, false)
 	c.run(t)
-	if c.nodes[3].Directory().Entry(a).Migratory {
+	if c.nodes[3].Home().Entry(a).Migratory {
 		t.Fatal("read sharing did not clear the migratory mark")
 	}
 }

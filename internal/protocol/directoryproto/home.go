@@ -8,40 +8,10 @@ import (
 	"patch/internal/msg"
 )
 
-// homeTask defers a home-side message past the directory lookup
-// latency: the pooled-task replacement for the per-message closure,
-// holding the pool reference the closure used to capture.
-type homeTask struct {
-	n *Node
-	m *msg.Message
-}
-
-// Fire implements event.Task: the directory lookup completed.
-func (t *homeTask) Fire(now event.Time) {
-	n, m := t.n, t.m
-	t.m = nil
-	n.homeFree.Put(t)
-	defer n.Env.Net.Release(m)
-	n.homeReceive(now, m)
-}
-
-// homeDefer holds a reference to the delivered message across the
-// directory lookup latency, then processes it home-side. Requests that
-// must wait in an entry queue are copied by value inside the deferred
-// step, so the pooled message is recycled the moment the lookup
-// completes.
-func (n *Node) homeDefer(m *msg.Message) {
-	n.Env.Net.Retain(m)
-	t := n.homeFree.Get()
-	t.n = n
-	t.m = m
-	n.Env.Eng.AfterTask(event.Time(n.dir.LookupLatency), t)
-}
-
 // homeReceive accepts requests and writebacks at the home node (after
 // the lookup delay), applying the per-block blocking discipline.
 func (n *Node) homeReceive(now event.Time, m *msg.Message) {
-	e := n.dir.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	switch m.Type {
 	case msg.PutM, msg.PutClean:
 		if e.Busy {
@@ -79,7 +49,7 @@ func (n *Node) homeWriteback(e *directory.Entry, m *msg.Message) {
 		if m.HasData && m.Version > e.MemVersion {
 			e.MemVersion = m.Version
 		}
-		if fm := n.dir.Enc.Coarseness == 1; fm {
+		if fm := n.Home().Enc.Coarseness == 1; fm {
 			e.Sharers.Remove(m.Src)
 		}
 	}
@@ -164,7 +134,7 @@ const (
 func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 	// Migratory detection bookkeeping: remember the most recent reader;
 	// two distinct readers without an intervening write clear the mark.
-	migratory := e.Migratory && e.Owner != directory.HomeOwner && e.Owner != r && n.noOtherSharers(e, r, e.Owner)
+	migratory := e.Migratory && e.Owner != directory.HomeOwner && e.Owner != r && len(n.InvalidationTargets(e, r)) == 0
 	if migratory {
 		n.St.MigratoryUpgrades++
 	} else if e.MigrArmed && e.LastReader != r {
@@ -176,7 +146,7 @@ func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 	if e.Owner == directory.HomeOwner {
 		excl := e.Sharers.Count() == 0
 		e.Commit = directory.Commit{Kind: commitReadHome, Req: r}
-		n.SendAfter(event.Time(n.dir.DRAMLatency), n.Msg(msg.Message{
+		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
 			HasData: true, Owner: true, Exclusive: excl, AcksExpected: 0,
 			Version: e.MemVersion,
@@ -203,30 +173,17 @@ func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 	}))
 }
 
-// noOtherSharers reports whether the sharer expansion (excluding r)
-// contains nobody but owner, using the node's scratch buffer.
-func (n *Node) noOtherSharers(e *directory.Entry, r, owner msg.NodeID) bool {
-	members := e.Sharers.AppendMembers(n.Scratch[:0], r)
-	n.Scratch = members[:0]
-	for _, s := range members {
-		if s != owner {
-			return false
-		}
-	}
-	return true
-}
-
 func (n *Node) homeGetM(e *directory.Entry, r msg.NodeID) {
 	// A write by the most recent reader is the migratory hand-off
 	// pattern; a write by anyone else is write sharing.
 	e.Migratory = e.MigrArmed && e.LastReader == r
 	e.MigrArmed = false
 
-	sharers := n.invalidationTargets(e, r)
+	sharers := n.InvalidationTargets(e, r)
 	acks := len(sharers)
 	e.Commit = directory.Commit{Kind: commitWrite, Req: r}
 	if e.Owner == directory.HomeOwner {
-		n.SendAfter(event.Time(n.dir.DRAMLatency), n.Msg(msg.Message{
+		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
 			HasData: true, Owner: true, Exclusive: acks == 0, AcksExpected: acks,
 			Version: e.MemVersion,
@@ -251,7 +208,7 @@ func (n *Node) homeUpg(e *directory.Entry, r msg.NodeID) {
 	e.Migratory = e.MigrArmed && e.LastReader == r
 	e.MigrArmed = false
 
-	sharers := n.invalidationTargets(e, r)
+	sharers := n.InvalidationTargets(e, r)
 	acks := len(sharers)
 	e.Commit = directory.Commit{Kind: commitWrite, Req: r}
 	n.Send(n.Msg(msg.Message{Type: msg.AckCount, Addr: e.Addr, Dst: r, Requester: r, AcksExpected: acks}))
@@ -260,22 +217,6 @@ func (n *Node) homeUpg(e *directory.Entry, r msg.NodeID) {
 			Type: msg.Fwd, Addr: e.Addr, Requester: r, IsWrite: true,
 		}), sharers)
 	}
-}
-
-// invalidationTargets expands the (possibly inexact) sharer encoding
-// into the node's scratch buffer, excluding the requester and the owner
-// (which receives its own forward). The result is consumed before the
-// buffer's next use.
-func (n *Node) invalidationTargets(e *directory.Entry, r msg.NodeID) []msg.NodeID {
-	members := e.Sharers.AppendMembers(n.Scratch[:0], r)
-	n.Scratch = members[:0] // retain any growth for the next expansion
-	out := members[:0]
-	for _, s := range members {
-		if s != e.Owner {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // applyCommit performs the deactivation-time directory update recorded
@@ -288,13 +229,13 @@ func (n *Node) applyCommit(e *directory.Entry, deact *msg.Message) {
 	switch c.Kind {
 	case commitReadHome:
 		e.Owner = c.Req
-		if n.dir.Enc.Coarseness == 1 {
+		if n.Home().Enc.Coarseness == 1 {
 			e.Sharers.Remove(c.Req)
 		}
 	case commitRead:
 		e.Owner = c.Req
 		e.Sharers.Add(c.Prev)
-		if n.dir.Enc.Coarseness == 1 {
+		if n.Home().Enc.Coarseness == 1 {
 			e.Sharers.Remove(c.Req)
 		}
 	case commitMigratory:
@@ -303,7 +244,7 @@ func (n *Node) applyCommit(e *directory.Entry, deact *msg.Message) {
 			e.Sharers.Clear()
 		} else {
 			e.Sharers.Add(c.Prev)
-			if n.dir.Enc.Coarseness == 1 {
+			if n.Home().Enc.Coarseness == 1 {
 				e.Sharers.Remove(c.Req)
 			}
 		}
@@ -316,7 +257,7 @@ func (n *Node) applyCommit(e *directory.Entry, deact *msg.Message) {
 // homeDeactivate commits the active transaction's directory update and
 // services the next queued request or writeback.
 func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
-	e := n.dir.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	if !e.Busy || e.Active != m.Requester {
 		panic(fmt.Sprintf("directoryproto: home %d: spurious deactivate %v", n.ID, m))
 	}

@@ -11,11 +11,9 @@ package directoryproto
 
 import (
 	"fmt"
-	"sort"
 
 	"patch/internal/addrmap"
 	"patch/internal/cache"
-	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
 	"patch/internal/protocol"
@@ -24,21 +22,11 @@ import (
 
 // mshr tracks one outstanding miss.
 type mshr struct {
-	addr      msg.Addr
-	isWrite   bool
-	upgrade   bool
+	protocol.MSHR
 	migratory bool // completed via a confirmed migratory conversion
-	issued    event.Time
 	hasData   bool
 	acksWant  int // -1 until the data/ack-count response announces it
 	acksGot   int
-	done      []func()
-	waiters   []waiter // ops that arrived while this miss was pending
-}
-
-type waiter struct {
-	isWrite bool
-	done    func()
 }
 
 // wbEntry is a writeback buffer slot: the evicted owner line is retained
@@ -53,122 +41,36 @@ type wbEntry struct {
 // for addresses interleaved to it.
 type Node struct {
 	protocol.Base
-	dir   *directory.Directory
-	mshrs map[msg.Addr]*mshr
+	mshrs protocol.MSHRs[mshr, *mshr]
 
 	// wb is the writeback buffer, keyed by block. A small side table
 	// with frequent insert/delete churn, so it lives in an addrmap (a
 	// few array probes, deterministic iteration, Clear-able for reuse)
 	// rather than a Go map.
 	wb addrmap.Map[wbEntry]
-
-	// mshrFree and homeFree recycle MSHRs and deferred home-lookup
-	// tasks; together with the pooled tasks in protocol.Base they make
-	// the steady-state miss path allocation-free.
-	mshrFree protocol.FreeList[mshr]
-	homeFree protocol.FreeList[homeTask]
-
-	// avoid is the victim filter passed to AllocateAvoid, built once so
-	// the per-miss line installation does not allocate a closure.
-	avoid func(msg.Addr) bool
 }
 
-// New creates a DIRECTORY node.
-func New(id msg.NodeID, env *protocol.Env, enc directory.Encoding) *Node {
-	n := &Node{
-		Base:  protocol.NewBase(id, env),
-		dir:   directory.New(id, enc, 0),
-		mshrs: make(map[msg.Addr]*mshr),
-	}
-	n.Self = n
-	n.avoid = func(a msg.Addr) bool { _, busy := n.mshrs[a]; return busy }
-	n.dir.LookupLatency = env.DirLatency
-	n.dir.DRAMLatency = env.DRAMLatency
+// New creates a DIRECTORY node; it uses only p's sharer encoding.
+func New(id msg.NodeID, env *protocol.Env, p protocol.Params) *Node {
+	n := &Node{Base: protocol.NewBase(id, env, p.Enc, 0)}
+	n.Bind(n, &n.mshrs, n.evict, n.homeReceive)
 	return n
 }
 
-// Reset returns the node to its freshly constructed state for enc,
-// retaining allocated capacity (cache arrays, directory slabs and
-// index, writeback table, MSHR and task free-lists). It must only be
-// called on a quiesced node of a drained system; behaviour after a
-// reset is indistinguishable from a new node's.
-func (n *Node) Reset(enc directory.Encoding) {
-	n.ResetBase()
-	n.dir.Reset(enc, 0)
-	n.dir.LookupLatency = n.Env.DirLatency
-	n.dir.DRAMLatency = n.Env.DRAMLatency
-	//lint:allow determinism defensive sweep of a map that is empty on a quiesced node; order cannot matter
-	for _, m := range n.mshrs {
-		n.freeMSHR(m)
-	}
-	clear(n.mshrs)
+// Reset implements protocol.Node.
+func (n *Node) Reset(p protocol.Params) {
+	n.ResetBase(p.Enc, 0)
 	n.wb.Clear()
-}
-
-// newMSHR acquires a recycled (or new) MSHR initialised for one miss.
-//
-//patch:steadystate
-func (n *Node) newMSHR(addr msg.Addr, isWrite bool) *mshr {
-	m := n.mshrFree.Get()
-	*m = mshr{
-		addr: addr, isWrite: isWrite, issued: n.Env.Eng.Now(), acksWant: -1,
-		done: m.done[:0], waiters: m.waiters[:0],
-	}
-	return m
-}
-
-// freeMSHR recycles a retired MSHR, dropping callback references so
-// retired closures stay collectable.
-//
-//patch:steadystate
-func (n *Node) freeMSHR(m *mshr) {
-	clear(m.done)
-	m.done = m.done[:0]
-	clear(m.waiters)
-	m.waiters = m.waiters[:0]
-	n.mshrFree.Put(m)
 }
 
 // Quiesced implements protocol.Node.
 func (n *Node) Quiesced() bool {
-	if len(n.mshrs) != 0 || n.wb.Len() != 0 {
-		return false
-	}
-	quiet := true
-	n.dir.ForEach(func(e *directory.Entry) {
-		if e.Busy || len(e.Queue) != 0 {
-			quiet = false
-		}
-	})
-	return quiet
-}
-
-// Directory exposes the home slice for checkers.
-func (n *Node) Directory() *directory.Directory { return n.dir }
-
-// AppendMSHRDiags appends one record per outstanding miss, sorted by
-// address, for the simulator's failure diagnostics.
-func (n *Node) AppendMSHRDiags(dst []protocol.MSHRDiag) []protocol.MSHRDiag {
-	addrs := make([]msg.Addr, 0, len(n.mshrs))
-	for a := range n.mshrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		m := n.mshrs[a]
-		dst = append(dst, protocol.MSHRDiag{Node: n.ID, Addr: a, Issued: m.issued, Write: m.isWrite})
-	}
-	return dst
+	return n.wb.Len() == 0 && n.Base.Quiesced()
 }
 
 // Access implements protocol.Node.
 func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
-	if isWrite {
-		n.St.Stores++
-	} else {
-		n.St.Loads++
-	}
-	line := n.L2.Access(addr)
+	line := n.AccessL2(addr, isWrite)
 	if line != nil && n.sufficient(line, isWrite) {
 		if isWrite {
 			if line.MOESI == token.E {
@@ -177,28 +79,19 @@ func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
 			line.Written = true
 			line.Version++
 		}
-		n.ObservePerform(addr, isWrite, line.Version)
-		lvl := 2
-		if n.InL1(addr) {
-			lvl = 1
-			n.St.L1Hits++
-		} else {
-			n.St.L2Hits++
-			n.TouchL1(addr)
-		}
-		n.Env.Eng.After0(n.HitLatency(lvl), done)
+		n.Hit(addr, isWrite, line.Version, done)
 		return
 	}
 	// Miss. If an MSHR for this block is already outstanding, queue
 	// behind it and retry on retirement.
-	if m := n.mshrs[addr]; m != nil {
-		m.waiters = append(m.waiters, waiter{isWrite, done})
+	if m := n.mshrs.Get(addr); m != nil {
+		m.Wait(isWrite, done)
 		return
 	}
 	n.St.Misses++
-	m := n.newMSHR(addr, isWrite)
-	m.done = append(m.done, done)
-	n.mshrs[addr] = m
+	m := n.mshrs.Acquire(addr, isWrite, done)
+	m.acksWant = -1
+	n.mshrs.Add(m)
 
 	t := msg.GetS
 	if isWrite {
@@ -206,7 +99,6 @@ func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
 		if line != nil && line.MOESI != token.I && line.MOESI != token.S {
 			// Owner states (O/F): upgrade in place.
 			t = msg.Upg
-			m.upgrade = true
 			n.St.UpgradeMisses++
 		}
 	}
@@ -224,7 +116,7 @@ func (n *Node) sufficient(l *cache.Line, isWrite bool) bool {
 func (n *Node) Handle(now event.Time, m *msg.Message) {
 	switch m.Type {
 	case msg.GetS, msg.GetM, msg.Upg, msg.PutM, msg.PutClean:
-		n.homeDefer(m)
+		n.HomeDefer(m)
 	case msg.Deactivate:
 		n.homeDeactivate(now, m)
 	case msg.Fwd:
@@ -247,7 +139,7 @@ func (n *Node) Handle(now event.Time, m *msg.Message) {
 
 // cacheData handles the data response for an outstanding miss.
 func (n *Node) cacheData(now event.Time, m *msg.Message) {
-	ms := n.mshrs[m.Addr]
+	ms := n.mshrs.Get(m.Addr)
 	if ms == nil {
 		panic(fmt.Sprintf("directoryproto: node %d: data with no MSHR: %v", n.ID, m))
 	}
@@ -258,14 +150,15 @@ func (n *Node) cacheData(now event.Time, m *msg.Message) {
 	if m.Migratory {
 		ms.migratory = true
 	}
-	n.ObserveRTT(now - ms.issued)
-	line := n.installLine(m.Addr)
+	n.ObserveRTT(now - ms.Issued)
+	line := n.InstallLine(m.Addr)
 	if m.Version > line.Version {
 		line.Version = m.Version
 	}
-	if ms.isWrite {
-		line.MOESI = token.M // finalised at completion; acks may be pending
-	} else {
+	// A write miss leaves the line's state alone: invalidation acks may
+	// still be outstanding, so the line becomes writable only when
+	// maybeComplete retires the miss.
+	if !ms.IsWrite {
 		switch {
 		case m.Migratory || (m.Exclusive && m.OwnerDirty):
 			line.MOESI = token.M
@@ -287,7 +180,7 @@ func (n *Node) cacheData(now event.Time, m *msg.Message) {
 }
 
 func (n *Node) cacheAck(now event.Time, m *msg.Message) {
-	ms := n.mshrs[m.Addr]
+	ms := n.mshrs.Get(m.Addr)
 	if ms == nil {
 		// A stale invalidation ack for a miss that was already satisfied
 		// cannot occur in DIRECTORY (acks are counted before completion),
@@ -301,13 +194,13 @@ func (n *Node) cacheAck(now event.Time, m *msg.Message) {
 // cacheAckCount is the home's upgrade grant: the requester keeps its data
 // and now knows how many invalidation acks to await.
 func (n *Node) cacheAckCount(now event.Time, m *msg.Message) {
-	ms := n.mshrs[m.Addr]
+	ms := n.mshrs.Get(m.Addr)
 	if ms == nil {
 		panic(fmt.Sprintf("directoryproto: node %d: ackcount with no MSHR: %v", n.ID, m))
 	}
 	ms.hasData = true
 	ms.acksWant = m.AcksExpected
-	n.ObserveRTT(now - ms.issued)
+	n.ObserveRTT(now - ms.Issued)
 	n.maybeComplete(now, ms)
 }
 
@@ -315,43 +208,30 @@ func (n *Node) maybeComplete(now event.Time, ms *mshr) {
 	if !ms.hasData || ms.acksWant < 0 || ms.acksGot < ms.acksWant {
 		return
 	}
-	line := n.L2.Lookup(ms.addr)
+	line := n.L2.Lookup(ms.Addr)
 	if line == nil {
 		panic("directoryproto: completing miss without a line")
 	}
-	if ms.isWrite {
+	if ms.IsWrite {
 		line.MOESI = token.M
 		line.Written = true
 		line.Version++
 	}
-	n.ObservePerform(ms.addr, ms.isWrite, line.Version)
-	n.TouchL1(ms.addr)
-	n.St.MissLatencySum += uint64(now - ms.issued)
-	delete(n.mshrs, ms.addr)
+	n.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
+	n.TouchL1(ms.Addr)
+	n.St.MissLatencySum += uint64(now - ms.Issued)
 	n.Send(n.Msg(msg.Message{
-		Type: msg.Deactivate, Addr: ms.addr, Dst: n.Env.HomeOf(ms.addr),
+		Type: msg.Deactivate, Addr: ms.Addr, Dst: n.Env.HomeOf(ms.Addr),
 		Requester: n.ID, Migratory: ms.migratory,
 	}))
-	for _, d := range ms.done {
-		d()
-	}
-	// Replay any accesses that queued behind this miss.
-	for _, w := range ms.waiters {
-		n.Replay(1, ms.addr, w.isWrite, w.done)
-	}
-	n.freeMSHR(ms)
+	ms.Done()
+	n.mshrs.Release(ms)
 }
 
-// installLine allocates the block, performing victim writebacks.
-func (n *Node) installLine(addr msg.Addr) *cache.Line {
-	line, evicted := n.L2.AllocateAvoid(addr, n.avoid)
-	if evicted.Present {
-		n.evict(&evicted)
-	}
-	return line
-}
-
-func (n *Node) evict(l *cache.Line) {
+// evict performs the victim writeback InstallLine requests: owner
+// states write back through the writeback buffer, shared copies drop
+// silently.
+func (n *Node) evict(l cache.Line) {
 	n.InvalidateL1(l.Addr)
 	switch l.MOESI {
 	case token.M, token.O:

@@ -1,19 +1,26 @@
 // Package protocol holds the plumbing shared by the three coherence
 // protocols in this repository (DIRECTORY, PATCH, TokenB): the node
-// interface the simulator drives, the shared environment (engine,
-// network, latencies, home mapping), per-node cache hierarchy and
-// statistics, and round-trip latency tracking used to size timeouts.
+// contract the simulator drives, the shared environment (engine,
+// network, latencies, home mapping), and the state and mechanics every
+// backend keeps in its embedded Base — the cache hierarchy, the home
+// slice, statistics, the outstanding-miss table, deferred home and
+// delayed-send messages, and round-trip tracking used to size timeouts.
 package protocol
 
 import (
 	"patch/internal/cache"
+	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
+	"patch/internal/predictor"
 )
 
 // Node is one core's coherence controller (cache side plus the home
-// directory slice for the addresses interleaved to it).
+// directory slice for the addresses interleaved to it). The simulator,
+// its checkers and the litmus harness drive every backend through this
+// contract alone; concrete node types appear only where nodes are
+// constructed.
 type Node interface {
 	// Access performs a memory operation. done is invoked (possibly
 	// immediately, possibly cycles later) when the core may proceed.
@@ -25,11 +32,65 @@ type Node interface {
 	// Quiesced reports whether the node has no outstanding protocol work
 	// (used by liveness checking at end of simulation).
 	Quiesced() bool
+
+	// Shared returns the node's embedded Base: caches (coherence lives
+	// at the L2), statistics, the perform Observer, and the messages it
+	// holds off the wire (Parked). Callers read it freely; the only
+	// writes the contract allows are setting Observer and calling
+	// ResetStats.
+	Shared() *Base
+
+	// Home returns the node's home slice for the blocks interleaved to
+	// it: the directory (DIRECTORY, PATCH) or the memory token store
+	// (TokenB). Its entries carry the home's token holdings and memory
+	// versions; callers must not mutate it.
+	Home() *directory.Directory
+
+	// AppendMSHRDiags appends one record per outstanding miss, sorted by
+	// address, for failure diagnostics.
+	AppendMSHRDiags(dst []MSHRDiag) []MSHRDiag
+
+	// Reset returns the node to its freshly constructed state under p,
+	// retaining allocated capacity (cache arrays, directory slabs and
+	// index, side tables, MSHR and task free-lists). It must only be
+	// called on a quiesced node of a drained system (engine and network
+	// already reset); behaviour after a reset is indistinguishable from
+	// a new node's built with p.
+	Reset(p Params)
 }
 
-// MSHRDiag describes one outstanding miss for liveness forensics. The
-// per-protocol AppendMSHRDiags accessors emit them sorted by address so
-// diagnostic dumps are deterministic.
+// Params are the protocol settings of one run: everything a node's
+// Reset may change without rebuilding it. The PATCH fields select its
+// variant (§6) and ablations; the other backends ignore them.
+type Params struct {
+	// Enc is the home directory's sharer encoding (1 = full map,
+	// Figures 9-10). TokenB keeps no sharer state and ignores it.
+	Enc directory.Encoding
+
+	// Policy is PATCH's destination-set prediction policy (None, Owner,
+	// BroadcastIfShared, All).
+	Policy predictor.Policy
+
+	// BestEffort delivers PATCH's direct requests on the deprioritised
+	// droppable virtual network (the paper's default). Setting it false
+	// yields PATCH-ALL-NONADAPTIVE: guaranteed-delivery direct requests
+	// that contend with everything else.
+	BestEffort bool
+
+	// TenureTimeoutFactor scales PATCH's probationary period relative
+	// to the dynamic average round trip; 0 selects the paper's 2x
+	// (§5.2). Used by the ablation benchmarks.
+	TenureTimeoutFactor float64
+
+	// NoDeactWindow disables PATCH's post-deactivation direct-request
+	// ignore window (§5.2's second race mitigation). Used by the
+	// ablation benchmarks.
+	NoDeactWindow bool
+}
+
+// MSHRDiag describes one outstanding miss for liveness forensics.
+// AppendMSHRDiags emits them sorted by address so diagnostic dumps are
+// deterministic.
 type MSHRDiag struct {
 	Node   msg.NodeID
 	Addr   msg.Addr
@@ -54,8 +115,9 @@ type Env struct {
 	L1Bytes int
 	L2Bytes int
 
-	// Tokens is the per-block token count for token-based protocols
-	// (normally equal to N); 0 for the pure directory protocol.
+	// Tokens is the per-block token count T of the token-counting
+	// protocols (PATCH, TokenB). DefaultEnv sets it to N for every
+	// protocol; DIRECTORY ignores it.
 	Tokens int
 }
 
@@ -101,7 +163,11 @@ type Stats struct {
 
 // Base carries the pieces every protocol node shares: identity, the
 // two-level private cache hierarchy (64 KB L1 filter over a 1 MB L2),
-// statistics, and RTT tracking.
+// the home slice, statistics, RTT tracking, and the wiring to the
+// node's MSHR table, victim writeback and home dispatch (Bind). Each
+// backend embeds it, so its methods — including Shared, Home,
+// AppendMSHRDiags and the default Quiesced of the Node contract — are
+// written once.
 type Base struct {
 	ID  msg.NodeID
 	Env *Env
@@ -109,16 +175,20 @@ type Base struct {
 	L2  *cache.Cache
 	St  Stats
 
-	// Self is the protocol node embedding this Base, set once at
-	// construction; the pooled replay tasks call Self.Access without
-	// allocating a method-value closure.
-	Self Node
-
 	// Observer, when set, is invoked at the instant each memory operation
 	// is performed, with the block's write version at that point (the
 	// version a load observed, or the version a store produced). Checkers
 	// use it to verify per-core coherence order online.
 	Observer func(addr msg.Addr, isWrite bool, version uint64)
+
+	// Scratch is a per-node destination-id scratch buffer for
+	// SharerSet.AppendMembers expansions on the hot path; each use
+	// re-slices it to zero length and consumes the result before the
+	// next use.
+	Scratch []msg.NodeID
+
+	// home is the node's home slice (see Node.Home).
+	home *directory.Directory
 
 	// avgRTT is an exponentially weighted moving average of observed
 	// request round trips, used by PATCH (tenure timeout = 2x) and TokenB
@@ -128,31 +198,34 @@ type Base struct {
 	// others caches the OthersExcept broadcast set.
 	others []msg.NodeID
 
-	// Scratch is a per-node destination-id scratch buffer for
-	// SharerSet.AppendMembers expansions on the hot path; each use
-	// re-slices it to zero length and consumes the result before the
-	// next use.
-	Scratch []msg.NodeID
+	// Set once by Bind: the protocol node embedding this Base (the
+	// pooled replay tasks call self.Access without allocating a
+	// method-value closure), its MSHR table, the victim writeback
+	// InstallLine runs once per eviction, its victim filter, and the
+	// home dispatch HomeDefer runs once the directory lookup completes.
+	self       Node
+	misses     mshrTable
+	evict      func(victim cache.Line)
+	avoid      func(msg.Addr) bool
+	homeLookup func(now event.Time, m *msg.Message)
 
-	// replayFree and sendFree pool the node's deferred-work tasks so
-	// steady-state waiter replays and delayed sends allocate nothing.
+	// replayFree and parkFree pool the node's deferred-work tasks so
+	// steady-state waiter replays, home lookups and delayed sends
+	// allocate nothing.
 	replayFree FreeList[replayTask]
-	sendFree   FreeList[sendTask]
+	parkFree   FreeList[parkedTask]
 
-	// pending tracks the node's outstanding delayed sends. Token-carrying
-	// home responses deduct tokens from the holder when the message is
-	// built, then sit in a sendTask for the directory/DRAM latency —
-	// during that window the tokens are visible neither to any holder nor
-	// to the network auditor. Mid-run conservation audits iterate this
-	// list to account for them (see PendingSends).
-	pending []*sendTask
+	// parked lists the messages the node holds off the wire (see
+	// Parked): delivered home messages waiting out the directory lookup
+	// and delayed sends waiting out the directory/DRAM latency.
+	parked []*parkedTask
 }
 
 // FreeList is the shared recycling discipline for pooled per-node
 // values (MSHRs, deferred home/timer/replay/send tasks): Get pops a
 // recycled value or allocates a zero one, Put pushes one back. Callers
 // reinitialise recycled values themselves — retaining grown capacity
-// (a recycled MSHR's waiter slices) is the point — and must drop
+// (a recycled MSHR's waiter slice) is the point — and must drop
 // references (callbacks, pooled messages) before Put so retired work
 // stays collectable.
 type FreeList[T any] struct{ free []*T }
@@ -170,8 +243,11 @@ func (f *FreeList[T]) Get() *T {
 // Put recycles a value.
 func (f *FreeList[T]) Put(t *T) { f.free = append(f.free, t) }
 
-// NewBase constructs the cache hierarchy with the paper's sizes.
-func NewBase(id msg.NodeID, env *Env) Base {
+// NewBase constructs the cache hierarchy with the paper's sizes and the
+// home slice: a directory with sharer encoding enc whose blocks start
+// with tokens tokens at memory (0 for DIRECTORY). The embedding node
+// must call Bind before use.
+func NewBase(id msg.NodeID, env *Env, enc directory.Encoding, tokens int) Base {
 	l1, l2 := env.L1Bytes, env.L2Bytes
 	if l1 <= 0 {
 		l1 = 64 << 10
@@ -179,116 +255,90 @@ func NewBase(id msg.NodeID, env *Env) Base {
 	if l2 <= 0 {
 		l2 = 1 << 20
 	}
-	return Base{
+	b := Base{
 		ID:     id,
 		Env:    env,
 		L1:     cache.New(cache.Config{SizeBytes: l1, Ways: 4, BlockSize: env.BlockSize}),
 		L2:     cache.New(cache.Config{SizeBytes: l2, Ways: 4, BlockSize: env.BlockSize}),
+		home:   directory.New(id, enc, tokens),
 		avgRTT: 100,
 	}
+	b.setHomeLatencies()
+	return b
+}
+
+// Bind wires the protocol node built around b, once, at construction:
+// self receives replayed accesses, misses is the node's MSHR table,
+// evict writes back each victim InstallLine displaces, and home — nil
+// for a node that never calls HomeDefer — dispatches each deferred home
+// message once its directory lookup completes.
+func (b *Base) Bind(self Node, misses mshrTable, evict func(victim cache.Line), home func(now event.Time, m *msg.Message)) {
+	b.self = self
+	b.misses = misses
+	misses.bind(b)
+	b.avoid = misses.busy
+	b.evict = evict
+	b.homeLookup = home
+}
+
+// ResetBase returns the shared node state to its freshly constructed
+// condition (empty caches, home slice and MSHR table, zero statistics,
+// initial RTT estimate, nothing parked) with the home re-encoded as
+// NewBase would, retaining the cache arrays, directory slabs, scratch
+// buffers and free-lists. The protocol node layered above is
+// responsible for its own state.
+func (b *Base) ResetBase(enc directory.Encoding, tokens int) {
+	b.L1.Reset()
+	b.L2.Reset()
+	b.St = Stats{}
+	b.Observer = nil
+	b.avgRTT = 100
+	for i, t := range b.parked {
+		t.m = nil
+		b.parked[i] = nil
+	}
+	b.parked = b.parked[:0]
+	b.home.Reset(enc, tokens)
+	b.setHomeLatencies()
+	b.misses.reset()
+}
+
+func (b *Base) setHomeLatencies() {
+	b.home.LookupLatency = b.Env.DirLatency
+	b.home.DRAMLatency = b.Env.DRAMLatency
+}
+
+// Shared implements Node.
+func (b *Base) Shared() *Base { return b }
+
+// Home implements Node.
+func (b *Base) Home() *directory.Directory { return b.home }
+
+// AppendMSHRDiags implements Node.
+func (b *Base) AppendMSHRDiags(dst []MSHRDiag) []MSHRDiag {
+	return b.misses.appendDiags(b.ID, dst)
+}
+
+// Quiesced implements Node for a node whose only outstanding work is
+// its misses and its home transactions: no MSHR open, no home entry
+// busy or queued. Backends with side tables add their own conditions.
+func (b *Base) Quiesced() bool {
+	if b.misses.Len() != 0 {
+		return false
+	}
+	quiet := true
+	b.home.ForEach(func(e *directory.Entry) {
+		if e.Busy || len(e.Queue) != 0 {
+			quiet = false
+		}
+	})
+	return quiet
 }
 
 // ObservePerform reports a performed operation to the Observer, if any.
 func (b *Base) ObservePerform(addr msg.Addr, isWrite bool, version uint64) {
 	if b.Observer != nil {
 		b.Observer(addr, isWrite, version)
-	}
-}
-
-// ResetBase returns the shared node state to its freshly constructed
-// condition (empty caches, zero statistics, initial RTT estimate),
-// retaining the cache arrays, scratch buffers and task free-lists. The
-// protocol node layered above is responsible for its own state.
-func (b *Base) ResetBase() {
-	b.L1.Reset()
-	b.L2.Reset()
-	b.St = Stats{}
-	b.Observer = nil
-	b.avgRTT = 100
-	for i, t := range b.pending {
-		t.m = nil
-		b.pending[i] = nil
-	}
-	b.pending = b.pending[:0]
-}
-
-// replayTask re-issues an access that queued behind an outstanding miss
-// once the miss retires: the pooled-task replacement for the per-waiter
-// closure the protocols used to schedule.
-type replayTask struct {
-	b       *Base
-	addr    msg.Addr
-	isWrite bool
-	done    func()
-}
-
-// Fire implements event.Task.
-func (t *replayTask) Fire(event.Time) {
-	b, addr, isWrite, done := t.b, t.addr, t.isWrite, t.done
-	t.done = nil
-	b.replayFree.Put(t)
-	b.Self.Access(addr, isWrite, done)
-}
-
-// Replay schedules Self.Access(addr, isWrite, done) d cycles from now
-// using a pooled task, so replaying queued waiters allocates nothing in
-// steady state.
-func (b *Base) Replay(d event.Time, addr msg.Addr, isWrite bool, done func()) {
-	t := b.replayFree.Get()
-	t.b = b
-	t.addr, t.isWrite, t.done = addr, isWrite, done
-	b.Env.Eng.AfterTask(d, t)
-}
-
-// sendTask sends a prepared message when its delay elapses: the pooled
-// replacement for After(d, func(){ Send(m) }) closures on home paths
-// (directory and DRAM latencies).
-type sendTask struct {
-	b   *Base
-	m   *msg.Message
-	due event.Time
-	pos int // index in b.pending, maintained by swap-removal
-}
-
-// Fire implements event.Task.
-func (t *sendTask) Fire(event.Time) {
-	b, m := t.b, t.m
-	t.m = nil
-	b.unpend(t)
-	b.sendFree.Put(t)
-	b.Send(m)
-}
-
-// SendAfter sends m (stamping the source at fire time, like Send) after
-// d cycles, without allocating in steady state. The caller's reference
-// to a pooled m is consumed when the send fires.
-func (b *Base) SendAfter(d event.Time, m *msg.Message) {
-	t := b.sendFree.Get()
-	t.b = b
-	t.m = m
-	t.due = b.Env.Eng.Now() + d
-	t.pos = len(b.pending)
-	b.pending = append(b.pending, t)
-	b.Env.Eng.AfterTask(d, t)
-}
-
-// unpend removes a fired sendTask from the pending list in O(1).
-func (b *Base) unpend(t *sendTask) {
-	last := len(b.pending) - 1
-	moved := b.pending[last]
-	b.pending[t.pos] = moved
-	moved.pos = t.pos
-	b.pending[last] = nil
-	b.pending = b.pending[:last]
-}
-
-// PendingSends invokes fn for every delayed send that has not yet been
-// handed to the network, with its scheduled send time. Iteration order
-// is arbitrary but deterministic (insertion order perturbed by
-// swap-removal). Callers must not retain or mutate the message.
-func (b *Base) PendingSends(fn func(due event.Time, m *msg.Message)) {
-	for _, t := range b.pending {
-		fn(t.due, t.m)
 	}
 }
 
@@ -347,33 +397,4 @@ func (b *Base) OthersExcept() []msg.NodeID {
 		}
 	}
 	return b.others
-}
-
-// HitLatency models the L1/L2 lookup path for a hit that was filtered at
-// level lvl (1 or 2).
-func (b *Base) HitLatency(lvl int) event.Time {
-	if lvl == 1 {
-		return event.Time(b.Env.L1Latency)
-	}
-	return event.Time(b.Env.L2Latency)
-}
-
-// TouchL1 installs the block in the L1 filter (evictions are silent; L1
-// is a latency filter and coherence lives at the L2).
-func (b *Base) TouchL1(addr msg.Addr) {
-	l, _ := b.L1.Allocate(addr)
-	b.L1.Touch(l)
-}
-
-// InL1 reports an L1 filter hit, updating LRU.
-func (b *Base) InL1(addr msg.Addr) bool {
-	return b.L1.Access(addr) != nil
-}
-
-// InvalidateL1 removes the block from the L1 filter (L1 content must stay
-// a subset of L2 coherence permissions).
-func (b *Base) InvalidateL1(addr msg.Addr) {
-	if l := b.L1.Lookup(addr); l != nil {
-		b.L1.Drop(l)
-	}
 }

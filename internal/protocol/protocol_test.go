@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
@@ -33,7 +34,7 @@ func TestHomeOfInterleaving(t *testing.T) {
 
 func TestTimeoutAdaptsToRTT(t *testing.T) {
 	env := testEnv(4)
-	b := NewBase(0, env)
+	b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
 	initial := b.Timeout()
 	for i := 0; i < 100; i++ {
 		b.ObserveRTT(1000)
@@ -54,7 +55,7 @@ func TestTimeoutAdaptsToRTT(t *testing.T) {
 
 func TestOthersExcept(t *testing.T) {
 	env := testEnv(4)
-	b := NewBase(2, env)
+	b := NewBase(2, env, directory.FullMap(env.N), env.Tokens)
 	got := b.OthersExcept()
 	if len(got) != 3 {
 		t.Fatalf("%d destinations", len(got))
@@ -68,7 +69,7 @@ func TestOthersExcept(t *testing.T) {
 
 func TestL1FilterSubset(t *testing.T) {
 	env := testEnv(4)
-	b := NewBase(0, env)
+	b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
 	if b.InL1(0x40) {
 		t.Fatal("phantom L1 hit")
 	}
@@ -85,7 +86,7 @@ func TestL1FilterSubset(t *testing.T) {
 
 func TestResetStatsKeepsState(t *testing.T) {
 	env := testEnv(4)
-	b := NewBase(0, env)
+	b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
 	b.St.Misses = 7
 	b.TouchL1(0x40)
 	b.ObserveRTT(500)
@@ -104,7 +105,7 @@ func TestResetStatsKeepsState(t *testing.T) {
 
 func TestHitLatencies(t *testing.T) {
 	env := testEnv(4)
-	b := NewBase(0, env)
+	b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
 	if b.HitLatency(1) != event.Time(env.L1Latency) {
 		t.Fatal("L1 latency wrong")
 	}

@@ -9,7 +9,6 @@ package tokenb
 
 import (
 	"fmt"
-	"sort"
 
 	"patch/internal/addrmap"
 	"patch/internal/cache"
@@ -24,21 +23,12 @@ import (
 // requester escalates to a persistent request.
 const MaxRetries = 3
 
-type waiter struct {
-	isWrite bool
-	done    func()
-}
-
 type mshr struct {
-	addr       msg.Addr
-	isWrite    bool
-	issued     event.Time
+	protocol.MSHR
 	retries    int
 	persistent bool // escalated; awaiting persistent completion
 	classified bool
 	sawResp    bool
-	done       []func()
-	waiters    []waiter
 	timer      event.Handle
 
 	// n backs the Fire method: the mshr doubles as its reissue timer's
@@ -58,11 +48,11 @@ type arbiterState struct {
 }
 
 // Node is one core's TokenB controller plus the home memory (token
-// store) and persistent-request arbiter for its address slice.
+// store, its home slice) and persistent-request arbiter for its address
+// slice.
 type Node struct {
 	protocol.Base
-	mem   *directory.Directory // reused as the home token store; sharer state unused
-	mshrs map[msg.Addr]*mshr
+	mshrs protocol.MSHRs[mshr, *mshr]
 
 	// persistentTable is this node's view of active persistent requests
 	// (every node maintains one, as the paper notes in §2).
@@ -73,97 +63,30 @@ type Node struct {
 	// deleted, the insert-only access pattern addrmap serves with a few
 	// array probes and deterministic Clear-able storage.
 	arbiters addrmap.Map[arbiterState]
-
-	// mshrFree recycles MSHRs; together with the pooled tasks in
-	// protocol.Base it makes the steady-state miss path allocation-free.
-	mshrFree protocol.FreeList[mshr]
-
-	// avoid is the victim filter passed to AllocateAvoid, built once so
-	// the per-miss line installation does not allocate a closure.
-	avoid func(msg.Addr) bool
 }
 
-// New creates a TokenB node.
-func New(id msg.NodeID, env *protocol.Env) *Node {
+// New creates a TokenB node. TokenB has no sharer state or variants, so
+// it ignores p: its home slice is a memory token store, kept in a
+// full-map directory whose sharer state goes unused.
+func New(id msg.NodeID, env *protocol.Env, _ protocol.Params) *Node {
 	n := &Node{
-		Base:            protocol.NewBase(id, env),
-		mem:             directory.New(id, directory.FullMap(env.N), env.Tokens),
-		mshrs:           make(map[msg.Addr]*mshr),
+		Base:            protocol.NewBase(id, env, directory.FullMap(env.N), env.Tokens),
 		persistentTable: make(map[msg.Addr]msg.NodeID),
 	}
-	n.Self = n
-	n.avoid = func(a msg.Addr) bool { _, busy := n.mshrs[a]; return busy }
-	n.mem.DRAMLatency = env.DRAMLatency
-	n.mem.LookupLatency = env.DirLatency
+	n.Bind(n, &n.mshrs, n.EvictTokens, nil)
 	return n
 }
 
-// Reset returns the node to its freshly constructed state, retaining
-// allocated capacity (cache arrays, token-store slabs and index,
-// arbiter table, MSHR and task free-lists). It must only be called on a
-// quiesced node of a drained system; behaviour after a reset is
-// indistinguishable from a new node's.
-func (n *Node) Reset() {
-	n.ResetBase()
-	n.mem.Reset(directory.FullMap(n.Env.N), n.Env.Tokens)
-	n.mem.DRAMLatency = n.Env.DRAMLatency
-	n.mem.LookupLatency = n.Env.DirLatency
-	//lint:allow determinism defensive sweep of a map that is empty on a quiesced node; order cannot matter
-	for _, m := range n.mshrs {
-		m.timer.Cancel()
-		n.freeMSHR(m)
-	}
-	clear(n.mshrs)
+// Reset implements protocol.Node.
+func (n *Node) Reset(protocol.Params) {
+	n.ResetBase(directory.FullMap(n.Env.N), n.Env.Tokens)
 	clear(n.persistentTable)
 	n.arbiters.Clear()
 }
 
-// newMSHR acquires a recycled (or new) MSHR initialised for one miss.
-//
-//patch:steadystate
-func (n *Node) newMSHR(addr msg.Addr, isWrite bool) *mshr {
-	m := n.mshrFree.Get()
-	*m = mshr{
-		addr: addr, isWrite: isWrite, issued: n.Env.Eng.Now(),
-		done: m.done[:0], waiters: m.waiters[:0], n: n,
-	}
-	return m
-}
-
-// freeMSHR recycles a retired MSHR. The caller must already have
-// cancelled its timer and removed it from the MSHR table; callback
-// references are dropped so retired closures stay collectable.
-//
-//patch:steadystate
-func (n *Node) freeMSHR(m *mshr) {
-	clear(m.done)
-	m.done = m.done[:0]
-	clear(m.waiters)
-	m.waiters = m.waiters[:0]
-	n.mshrFree.Put(m)
-}
-
-// Memory exposes the home token store for conservation checks.
-func (n *Node) Memory() *directory.Directory { return n.mem }
-
-// AppendMSHRDiags appends one record per outstanding miss, sorted by
-// address, for the simulator's failure diagnostics.
-func (n *Node) AppendMSHRDiags(dst []protocol.MSHRDiag) []protocol.MSHRDiag {
-	addrs := make([]msg.Addr, 0, len(n.mshrs))
-	for a := range n.mshrs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		m := n.mshrs[a]
-		dst = append(dst, protocol.MSHRDiag{Node: n.ID, Addr: a, Issued: m.issued, Write: m.isWrite})
-	}
-	return dst
-}
-
 // Quiesced implements protocol.Node.
 func (n *Node) Quiesced() bool {
-	if len(n.mshrs) != 0 || len(n.persistentTable) != 0 {
+	if len(n.persistentTable) != 0 || !n.Base.Quiesced() {
 		return false
 	}
 	quiet := true
@@ -177,68 +100,39 @@ func (n *Node) Quiesced() bool {
 
 // Access implements protocol.Node.
 func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
-	if isWrite {
-		n.St.Stores++
-	} else {
-		n.St.Loads++
-	}
-	line := n.L2.Access(addr)
-	if line != nil && n.sufficient(line, isWrite) {
-		if isWrite {
-			line.Tok.Dirty = true
-			line.MOESI = token.M
-			line.Written = true
-			line.Version++
-		}
-		n.ObservePerform(addr, isWrite, line.Version)
-		lvl := 2
-		if n.InL1(addr) {
-			lvl = 1
-			n.St.L1Hits++
-		} else {
-			n.St.L2Hits++
-			n.TouchL1(addr)
-		}
-		n.Env.Eng.After0(n.HitLatency(lvl), done)
+	if _, hit := n.TokenHit(addr, isWrite, done); hit {
 		return
 	}
-	if m := n.mshrs[addr]; m != nil {
-		m.waiters = append(m.waiters, waiter{isWrite, done})
+	if m := n.mshrs.Get(addr); m != nil {
+		m.Wait(isWrite, done)
 		return
 	}
 	n.St.Misses++
-	m := n.newMSHR(addr, isWrite)
-	m.done = append(m.done, done)
-	n.mshrs[addr] = m
+	m := n.mshrs.Acquire(addr, isWrite, done)
+	m.n = n
+	n.mshrs.Add(m)
 	n.broadcast(m, false)
 	n.armTimer(m)
-}
-
-func (n *Node) sufficient(l *cache.Line, isWrite bool) bool {
-	if isWrite {
-		return l.Tok.CanWrite(n.Env.Tokens)
-	}
-	return l.Tok.CanRead()
 }
 
 // broadcast sends the transient request to every other node (reissues
 // are accounted in their own traffic class, as in Figure 5).
 func (n *Node) broadcast(m *mshr, reissue bool) {
 	t := msg.DirectGetS
-	if m.isWrite {
+	if m.IsWrite {
 		t = msg.DirectGetM
 	}
 	if reissue {
 		t = msg.Reissue
 	}
 	n.Multicast(n.Msg(msg.Message{
-		Type: t, Addr: m.addr, Requester: n.ID, IsWrite: m.isWrite,
+		Type: t, Addr: m.Addr, Requester: n.ID, IsWrite: m.IsWrite,
 	}), n.OthersExcept())
 	// The home's memory controller also sees the request locally when
 	// this node is the home. The request is consumed synchronously and
 	// never enters the network, so a plain stack value suffices.
-	if n.Env.HomeOf(m.addr) == n.ID {
-		local := msg.Message{Type: t, Addr: m.addr, Src: n.ID, Requester: n.ID, IsWrite: m.isWrite}
+	if n.Env.HomeOf(m.Addr) == n.ID {
+		local := msg.Message{Type: t, Addr: m.Addr, Src: n.ID, Requester: n.ID, IsWrite: m.IsWrite}
 		n.memRespond(&local)
 	}
 }
@@ -251,7 +145,7 @@ func (n *Node) armTimer(m *mshr) {
 // timeout reissues a starving transient request, escalating to a
 // persistent request after MaxRetries.
 func (n *Node) timeout(now event.Time, m *mshr) {
-	if n.mshrs[m.addr] != m || m.persistent {
+	if n.mshrs.Get(m.Addr) != m || m.persistent {
 		return
 	}
 	if m.retries < MaxRetries {
@@ -264,8 +158,8 @@ func (n *Node) timeout(now event.Time, m *mshr) {
 	m.persistent = true
 	n.St.PersistentReqs++
 	n.Send(n.Msg(msg.Message{
-		Type: msg.PersistentReq, Addr: m.addr, Dst: n.Env.HomeOf(m.addr),
-		Requester: n.ID, IsWrite: m.isWrite, Persistent: true,
+		Type: msg.PersistentReq, Addr: m.Addr, Dst: n.Env.HomeOf(m.Addr),
+		Requester: n.ID, IsWrite: m.IsWrite, Persistent: true,
 	}))
 }
 
@@ -310,7 +204,7 @@ func (n *Node) transient(now event.Time, m *msg.Message) {
 	if n.Env.HomeOf(m.Addr) == n.ID {
 		n.memRespond(m)
 	}
-	if n.mshrs[m.Addr] != nil {
+	if n.mshrs.Get(m.Addr) != nil {
 		return
 	}
 	if r, ok := n.persistentTable[m.Addr]; ok && r != m.Requester {
@@ -383,7 +277,7 @@ func (n *Node) respondFromLine(line *cache.Line, r msg.NodeID, isWrite bool) {
 // lookup every protocol's home pays) precedes the DRAM access, keeping
 // the memory path comparable across protocols.
 func (n *Node) memRespond(m *msg.Message) {
-	e := n.mem.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	if e.Tok.Zero() {
 		return
 	}
@@ -421,9 +315,9 @@ func (n *Node) memRespond(m *msg.Message) {
 		resp.Type = msg.Ack
 		token.Attach(resp, spare, false, false, false)
 	}
-	lat := event.Time(n.mem.LookupLatency)
+	lat := event.Time(n.Home().LookupLatency)
 	if resp.HasData {
-		lat += event.Time(n.mem.DRAMLatency)
+		lat += event.Time(n.Home().DRAMLatency)
 	}
 	n.SendAfter(lat, resp)
 }
@@ -438,11 +332,11 @@ func (n *Node) response(now event.Time, m *msg.Message) {
 		n.Send(fwd)
 		return
 	}
-	ms := n.mshrs[m.Addr]
+	ms := n.mshrs.Get(m.Addr)
 	if m.Tokens == 0 && !m.Owner {
 		return
 	}
-	line := n.installLine(m.Addr)
+	line := n.InstallLine(m.Addr)
 	line.Tok.Add(m.Tokens, m.Owner, m.OwnerDirty, m.HasData)
 	if m.HasData && m.Version > line.Version {
 		line.Version = m.Version
@@ -456,7 +350,7 @@ func (n *Node) response(now event.Time, m *msg.Message) {
 		// response at all, so the estimate feeds the reissue timeout
 		// without a contention feedback loop.
 		ms.sawResp = true
-		n.ObserveRTT(now - ms.issued)
+		n.ObserveRTT(now - ms.Issued)
 	}
 	if m.HasData && !ms.classified {
 		ms.classified = true
@@ -466,65 +360,32 @@ func (n *Node) response(now event.Time, m *msg.Message) {
 			n.St.SharingMisses++
 		}
 	}
-	if !n.sufficient(line, ms.isWrite) {
+	if !n.TokensSuffice(line, ms.IsWrite) {
 		return
 	}
 	// Complete.
-	if ms.isWrite {
+	if ms.IsWrite {
 		line.Tok.Dirty = true
 		line.Written = true
 		line.Version++
 	}
-	n.ObservePerform(ms.addr, ms.isWrite, line.Version)
+	n.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
 	line.MOESI = line.Tok.ToMOESI(n.Env.Tokens)
-	n.TouchL1(ms.addr)
-	n.St.MissLatencySum += uint64(now - ms.issued)
+	n.TouchL1(ms.Addr)
+	n.St.MissLatencySum += uint64(now - ms.Issued)
 	ms.timer.Cancel()
-	delete(n.mshrs, ms.addr)
 	// Deactivate the persistent request only if our activation has
 	// arrived; if it is still in flight, the activation handler notices
 	// the retired MSHR and deactivates then.
-	if r, ok := n.persistentTable[ms.addr]; ok && r == n.ID {
-		delete(n.persistentTable, ms.addr)
+	if r, ok := n.persistentTable[ms.Addr]; ok && r == n.ID {
+		delete(n.persistentTable, ms.Addr)
 		n.Send(n.Msg(msg.Message{
-			Type: msg.PersistentDeact, Addr: ms.addr, Dst: n.Env.HomeOf(ms.addr),
+			Type: msg.PersistentDeact, Addr: ms.Addr, Dst: n.Env.HomeOf(ms.Addr),
 			Requester: n.ID, Persistent: true,
 		}))
 	}
-	for _, d := range ms.done {
-		d()
-	}
-	for _, w := range ms.waiters {
-		n.Replay(1, ms.addr, w.isWrite, w.done)
-	}
-	n.freeMSHR(ms)
-}
-
-// installLine allocates with non-silent token evictions.
-func (n *Node) installLine(addr msg.Addr) *cache.Line {
-	line, evicted := n.L2.AllocateAvoid(addr, n.avoid)
-	if evicted.Present {
-		n.evict(&evicted)
-	}
-	return line
-}
-
-func (n *Node) evict(l *cache.Line) {
-	n.InvalidateL1(l.Addr)
-	if l.Tok.Zero() {
-		return
-	}
-	tokens, owner, dirty := l.Tok.TakeAll()
-	t := msg.PutClean
-	if dirty {
-		t = msg.PutM
-		n.St.WritebacksDirty++
-	} else {
-		n.St.WritebacksClean++
-	}
-	wb := n.Msg(msg.Message{Type: t, Addr: l.Addr, Dst: n.Env.HomeOf(l.Addr), Requester: n.ID, Version: l.Version})
-	token.Attach(wb, tokens, owner, dirty, dirty)
-	n.Send(wb)
+	ms.Done()
+	n.mshrs.Release(ms)
 }
 
 // memTokens absorbs writebacks at the home memory (or forwards them to
@@ -535,7 +396,7 @@ func (n *Node) memTokens(now event.Time, m *msg.Message) {
 		withData := m.HasData
 		if m.Owner && !withData {
 			withData = true // clean owner re-joined with the memory copy
-			fwd.Version = n.mem.Entry(m.Addr).MemVersion
+			fwd.Version = n.Home().Entry(m.Addr).MemVersion
 		}
 		token.Attach(fwd, m.Tokens, m.Owner, m.OwnerDirty, withData)
 		if m.Owner {
@@ -544,7 +405,7 @@ func (n *Node) memTokens(now event.Time, m *msg.Message) {
 		n.Send(fwd)
 		return
 	}
-	e := n.mem.Entry(m.Addr)
+	e := n.Home().Entry(m.Addr)
 	e.Tok.Add(m.Tokens, m.Owner, false, m.Owner)
 	if m.HasData && m.Version > e.MemVersion {
 		e.MemVersion = m.Version
@@ -592,7 +453,7 @@ func (n *Node) persistentActivate(now event.Time, m *msg.Message) {
 		// Our own activation. If our miss already completed (the race
 		// resolved while the escalation was in flight), deactivate at
 		// once.
-		if n.mshrs[m.Addr] == nil {
+		if n.mshrs.Get(m.Addr) == nil {
 			delete(n.persistentTable, m.Addr)
 			n.Send(n.Msg(msg.Message{
 				Type: msg.PersistentDeact, Addr: m.Addr, Dst: n.Env.HomeOf(m.Addr),
@@ -605,7 +466,7 @@ func (n *Node) persistentActivate(now event.Time, m *msg.Message) {
 		n.respondFromLine(line, r, true /* surrender everything */)
 	}
 	if n.Env.HomeOf(m.Addr) == n.ID {
-		e := n.mem.Entry(m.Addr)
+		e := n.Home().Entry(m.Addr)
 		if !e.Tok.Zero() {
 			tokens, owner, _ := e.Tok.TakeAll()
 			resp := n.Msg(msg.Message{Type: msg.Ack, Addr: m.Addr, Dst: r, Requester: r, Version: e.MemVersion})
@@ -613,7 +474,7 @@ func (n *Node) persistentActivate(now event.Time, m *msg.Message) {
 				resp.Type = msg.Data
 			}
 			token.Attach(resp, tokens, owner, false, owner)
-			n.SendAfter(event.Time(n.mem.DRAMLatency), resp)
+			n.SendAfter(event.Time(n.Home().DRAMLatency), resp)
 		}
 	}
 }

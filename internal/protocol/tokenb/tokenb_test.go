@@ -23,7 +23,7 @@ func newCluster(n int) *cluster {
 	env := protocol.DefaultEnv(eng, net, n)
 	c := &cluster{eng: eng, env: env}
 	for i := 0; i < n; i++ {
-		nd := New(msg.NodeID(i), env)
+		nd := New(msg.NodeID(i), env, protocol.Params{})
 		c.nodes = append(c.nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}
@@ -45,7 +45,7 @@ func (c *cluster) checkConservation(t *testing.T) {
 	t.Helper()
 	var holders []token.Holder
 	for _, n := range c.nodes {
-		holders = append(holders, n.L2, n.Memory())
+		holders = append(holders, n.L2, n.Home())
 	}
 	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestPersistentActivationDirect(t *testing.T) {
 	done := new(bool)
 	n1 := c.nodes[1]
 	n1.Access(a, true, func() { *done = true })
-	ms := n1.mshrs[a]
+	ms := n1.mshrs.Get(a)
 	if ms == nil {
 		t.Fatal("no MSHR")
 	}
@@ -270,7 +270,7 @@ func TestEvictionReturnsTokensToMemory(t *testing.T) {
 	env.L1Bytes = 256
 	var nodes []*Node
 	for i := 0; i < 4; i++ {
-		nd := New(msg.NodeID(i), env)
+		nd := New(msg.NodeID(i), env, protocol.Params{})
 		nodes = append(nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}
@@ -288,7 +288,7 @@ func TestEvictionReturnsTokensToMemory(t *testing.T) {
 	}
 	var holders []token.Holder
 	for _, n := range nodes {
-		holders = append(holders, n.L2, n.Memory())
+		holders = append(holders, n.L2, n.Home())
 	}
 	if err := token.CheckConservation(4, holders, nil); err != nil {
 		t.Fatal(err)

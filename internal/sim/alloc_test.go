@@ -80,18 +80,18 @@ func (h *allocHarness) window(ops int) {
 }
 
 // newAllocHarness builds a 4-core system of the protocol that build
-// returns, with a contended scripted workload (a small shared block
-// pool spanning every home, ~40% writes).
-func newAllocHarness(build func(id msg.NodeID, env *protocol.Env, enc directory.Encoding) protocol.Node) *allocHarness {
+// returns (PATCH as PATCH-All), with a contended scripted workload (a
+// small shared block pool spanning every home, ~40% writes).
+func newAllocHarness(build func(id msg.NodeID, env *protocol.Env, p protocol.Params) protocol.Node) *allocHarness {
 	const cores = 4
 	eng := &event.Engine{}
 	net := interconnect.New(eng, cores, interconnect.DefaultConfig())
 	env := protocol.DefaultEnv(eng, net, cores)
-	enc := directory.FullMap(cores)
+	p := protocol.Params{Enc: directory.FullMap(cores), Policy: predictor.All, BestEffort: true}
 	h := &allocHarness{eng: eng}
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < cores; i++ {
-		n := build(msg.NodeID(i), env, enc)
+		n := build(msg.NodeID(i), env, p)
 		net.Register(msg.NodeID(i), n.Handle)
 		ops := make([]driverOp, 512)
 		for j := range ops {
@@ -122,8 +122,8 @@ func measureSteadyAllocs(t *testing.T, h *allocHarness) float64 {
 }
 
 func TestSteadyStateAllocsDirectory(t *testing.T) {
-	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, enc directory.Encoding) protocol.Node {
-		return directoryproto.New(id, env, enc)
+	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, p protocol.Params) protocol.Node {
+		return directoryproto.New(id, env, p)
 	})
 	if got := measureSteadyAllocs(t, h); got > allocBudgetPerWindow {
 		t.Errorf("steady-state window allocated %.0f times, budget %d", got, allocBudgetPerWindow)
@@ -131,8 +131,8 @@ func TestSteadyStateAllocsDirectory(t *testing.T) {
 }
 
 func TestSteadyStateAllocsPATCH(t *testing.T) {
-	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, enc directory.Encoding) protocol.Node {
-		return core.New(id, env, enc, core.Config{Policy: predictor.All, BestEffort: true})
+	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, p protocol.Params) protocol.Node {
+		return core.New(id, env, p)
 	})
 	if got := measureSteadyAllocs(t, h); got > allocBudgetPerWindow {
 		t.Errorf("steady-state window allocated %.0f times, budget %d", got, allocBudgetPerWindow)
@@ -140,8 +140,8 @@ func TestSteadyStateAllocsPATCH(t *testing.T) {
 }
 
 func TestSteadyStateAllocsTokenB(t *testing.T) {
-	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, _ directory.Encoding) protocol.Node {
-		return tokenb.New(id, env)
+	h := newAllocHarness(func(id msg.NodeID, env *protocol.Env, p protocol.Params) protocol.Node {
+		return tokenb.New(id, env, p)
 	})
 	if got := measureSteadyAllocs(t, h); got > allocBudgetPerWindow {
 		t.Errorf("steady-state window allocated %.0f times, budget %d", got, allocBudgetPerWindow)

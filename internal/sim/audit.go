@@ -5,12 +5,9 @@ import (
 	"sort"
 
 	"patch/internal/addrmap"
-	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
 )
 
 // auditTask re-verifies mid-run invariants every Config.AuditEvery
@@ -65,9 +62,11 @@ func (s *System) auditNow() error {
 
 // auditConservation verifies Rule #1 mid-run: for every touched block,
 // tokens held by caches and homes, plus tokens on the wire (auditor),
-// plus tokens parked in delayed home sends (PendingSends — deducted
-// from their holder at message build time, invisible everywhere else
-// until the DRAM latency elapses) must sum to exactly Env.Tokens.
+// plus tokens in messages a node holds off the wire (Parked: delayed
+// home sends, deducted from their holder at message build time, and
+// delivered writebacks and token returns still in their home's
+// directory lookup — neither visible to any holder nor to the auditor)
+// must sum to exactly Env.Tokens.
 func (s *System) auditConservation() error {
 	sums := new(addrmap.Map[int])
 	held := func(a msg.Addr, count int, _ bool) { *sums.Ptr(a) += count }
@@ -77,16 +76,10 @@ func (s *System) auditConservation() error {
 		}
 	}
 	for _, n := range s.Nodes {
-		switch v := n.(type) {
-		case *core.Node:
-			v.Cache().TokenHoldings(held)
-			v.Directory().TokenHoldings(held)
-			v.PendingSends(parked)
-		case *tokenb.Node:
-			v.L2.TokenHoldings(held)
-			v.Memory().TokenHoldings(held)
-			v.PendingSends(parked)
-		}
+		b := n.Shared()
+		b.L2.TokenHoldings(held)
+		n.Home().TokenHoldings(held)
+		b.Parked(parked)
 	}
 	s.auditor.InFlightByBlock(func(a msg.Addr, count, _ int) { *sums.Ptr(a) += count })
 	var bad []msg.Addr
@@ -125,14 +118,7 @@ func (s *System) auditQueueDepths() error {
 		})
 	}
 	for i, n := range s.Nodes {
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			check(i, v.Directory())
-		case *core.Node:
-			check(i, v.Directory())
-		case *tokenb.Node:
-			check(i, v.Memory())
-		}
+		check(i, n.Home())
 		if err != nil {
 			return err
 		}

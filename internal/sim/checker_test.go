@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"patch/internal/cache"
-	"patch/internal/core"
 	"patch/internal/predictor"
 	"patch/internal/token"
 )
@@ -36,7 +35,7 @@ func tokenHolder(t *testing.T, s *System) *cache.Line {
 	t.Helper()
 	for _, n := range s.Nodes {
 		var found *cache.Line
-		n.(*core.Node).L2.ForEach(func(l *cache.Line) {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			if found == nil && !l.Tok.Zero() {
 				found = l
 			}
@@ -67,9 +66,9 @@ func TestCheckerCatchesDuplicatedOwner(t *testing.T) {
 	// Give a second node a forged owner token for a block someone holds.
 	l := tokenHolder(t, s)
 	for _, n := range s.Nodes {
-		pn := n.(*core.Node)
-		if pn.L2.Lookup(l.Addr) == nil {
-			forged, _ := pn.L2.Allocate(l.Addr)
+		l2 := n.Shared().L2
+		if l2.Lookup(l.Addr) == nil {
+			forged, _ := l2.Allocate(l.Addr)
 			forged.Tok = token.State{Count: 1, Owner: true, Valid: true}
 			break
 		}
@@ -86,7 +85,7 @@ func TestCheckerCatchesLostWrite(t *testing.T) {
 	// lost.
 	var victim *cache.Line
 	for _, n := range s.Nodes {
-		n.(*core.Node).L2.ForEach(func(l *cache.Line) {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			if victim == nil && l.Version > 0 && !l.Tok.Zero() {
 				victim = l
 			}
@@ -106,8 +105,7 @@ func TestCheckerCatchesLostWrite(t *testing.T) {
 func TestCheckerCatchesUnquiescedNode(t *testing.T) {
 	s := runToCompletion(t)
 	// Fabricate a stuck home entry.
-	pn := s.Nodes[0].(*core.Node)
-	e := pn.Directory().Entry(0xdead_f000)
+	e := s.Nodes[0].Home().Entry(0xdead_f000)
 	e.Busy = true
 	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "quiesced") {
 		t.Fatalf("stuck home entry not caught: %v", err)

@@ -5,13 +5,10 @@ import (
 	"sort"
 	"strings"
 
-	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
 	"patch/internal/protocol"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
 )
 
 // FailKind classifies a RunError.
@@ -45,7 +42,7 @@ func (k FailKind) String() string {
 type NodeDiag struct {
 	Node         int
 	MSHRs        int // outstanding misses
-	PendingSends int // delayed home/DRAM sends not yet on the wire
+	PendingSends int // messages parked off the wire: delayed sends, home lookups
 	HeldTokens   int // tokens held across the node's cache + home slice
 	DirBusy      int // home entries mid-transaction
 	DirQueued    int // requests queued behind busy home entries
@@ -173,24 +170,12 @@ func (s *System) diagnose() Diagnostics {
 		nd := NodeDiag{Node: i}
 		start := len(misses)
 		countTok := func(_ msg.Addr, count int, _ bool) { nd.HeldTokens += count }
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			misses = v.AppendMSHRDiags(misses)
-			dirDiag(v.Directory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		case *core.Node:
-			misses = v.AppendMSHRDiags(misses)
-			v.Cache().TokenHoldings(countTok)
-			v.Directory().TokenHoldings(countTok)
-			dirDiag(v.Directory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		case *tokenb.Node:
-			misses = v.AppendMSHRDiags(misses)
-			v.L2.TokenHoldings(countTok)
-			v.Memory().TokenHoldings(countTok)
-			dirDiag(v.Memory(), &nd)
-			v.PendingSends(func(event.Time, *msg.Message) { nd.PendingSends++ })
-		}
+		misses = n.AppendMSHRDiags(misses)
+		b := n.Shared()
+		b.L2.TokenHoldings(countTok)
+		n.Home().TokenHoldings(countTok)
+		dirDiag(n.Home(), &nd)
+		b.Parked(func(event.Time, *msg.Message) { nd.PendingSends++ })
 		nd.MSHRs = len(misses) - start
 		d.PendingSends += nd.PendingSends
 		if nd.MSHRs > 0 || nd.PendingSends > 0 || nd.DirBusy > 0 || nd.DirQueued > 0 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"patch/internal/cache"
-	"patch/internal/core"
 	"patch/internal/fault"
 	"patch/internal/predictor"
 )
@@ -211,8 +210,7 @@ func TestAuditDetectsTokenTheft(t *testing.T) {
 	}
 	var victim *cache.Line
 	for _, n := range sys.Nodes {
-		pn := n.(*core.Node)
-		pn.Cache().ForEach(func(l *cache.Line) {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			if victim == nil && l.Tok.Count > 1 {
 				victim = l
 			}
@@ -242,5 +240,32 @@ func TestAuditDetectsTokenTheft(t *testing.T) {
 	}
 	if !strings.Contains(re.Error(), "token conservation violated") {
 		t.Fatalf("audit error does not name the violation: %v", re)
+	}
+}
+
+// TestDenseAuditNoFalsePositives pins two former false positives of the
+// mid-run audit under jitter: tokens a PATCH home holds in delivered
+// writebacks and token returns during its directory lookup (once
+// reported as "tokens short"), and a DIRECTORY write miss whose line
+// turned writable on data arrival while invalidation acks were still
+// outstanding (once reported as a writable copy coexisting with
+// sharers). A dense audit must pass every protocol.
+func TestDenseAuditNoFalsePositives(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"directory": func(c *Config) { c.Protocol = Directory },
+		"patch-all": func(c *Config) { c.Protocol = PATCH; c.Policy = predictor.All; c.BestEffort = true },
+		"tokenb":    func(c *Config) { c.Protocol = TokenB },
+	} {
+		cfg := Config{
+			Cores: 16, OpsPerCore: 100, WarmupOps: 200, Seed: 1, Workload: "convoy",
+			AuditEvery: 97,
+		}
+		cfg.Net.Fault = &fault.Plan{Seed: 1, HopJitter: 4}
+		mut(&cfg)
+		t.Run(name, func(t *testing.T) {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -119,7 +119,7 @@ type Config struct {
 	BestEffort bool
 
 	// TenureTimeoutFactor and NoDeactWindow are PATCH ablation knobs
-	// (see core.Config); zero values select the paper's design.
+	// (see protocol.Params); zero values select the paper's design.
 	TenureTimeoutFactor float64
 	NoDeactWindow       bool
 
@@ -139,8 +139,8 @@ type Config struct {
 	SkipChecks bool
 
 	// AuditEvery, when non-zero and checks are enabled, runs the mid-run
-	// invariant audit (token conservation including in-flight and
-	// delayed-send tokens, single-writer, home queue-depth bounds) every
+	// invariant audit (token conservation including tokens in flight
+	// and parked at nodes, single-writer, home queue-depth bounds) every
 	// AuditEvery cycles. Fault-injected runs default it on; it is
 	// verification-only and, like SkipChecks, not part of a config's
 	// identity.
@@ -189,6 +189,21 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// params lowers the configuration to the per-run protocol settings
+// every node is built and Reset with.
+func (c Config) params() protocol.Params {
+	return protocol.Params{
+		Enc:    directory.Encoding{Cores: c.Cores, Coarseness: c.Coarseness},
+		Policy: c.Policy, BestEffort: c.BestEffort,
+		TenureTimeoutFactor: c.TenureTimeoutFactor,
+		NoDeactWindow:       c.NoDeactWindow,
+	}
+}
+
+// tokenCounting reports whether the protocol conserves tokens (Rule #1),
+// so token conservation is checked and audited.
+func (k Kind) tokenCounting() bool { return k == PATCH || k == TokenB }
 
 // Result carries everything the experiment harness reports.
 type Result struct {
@@ -313,8 +328,8 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.Protocol != s.Cfg.Protocol || cfg.Cores != s.Cfg.Cores {
 		return ErrIncompatibleReset
 	}
-	enc := directory.Encoding{Cores: cfg.Cores, Coarseness: cfg.Coarseness}
-	if err := enc.Validate(); err != nil {
+	params := cfg.params()
+	if err := params.Enc.Validate(); err != nil {
 		return err
 	}
 	var gen workload.Generator
@@ -370,19 +385,8 @@ func (s *System) Reset(cfg Config) error {
 			s.auditor = nil
 		}
 	}
-	for i := range s.Nodes {
-		switch v := s.Nodes[i].(type) {
-		case *directoryproto.Node:
-			v.Reset(enc)
-		case *core.Node:
-			v.Reset(enc, core.Config{
-				Policy: cfg.Policy, BestEffort: cfg.BestEffort,
-				TenureTimeoutFactor: cfg.TenureTimeoutFactor,
-				NoDeactWindow:       cfg.NoDeactWindow,
-			})
-		case *tokenb.Node:
-			v.Reset()
-		}
+	for i, n := range s.Nodes {
+		n.Reset(params)
 		if !cfg.SkipChecks {
 			s.attachOrderChecker(i)
 		}
@@ -422,15 +426,15 @@ func NewSystem(cfg Config) (*System, error) {
 	eng := &event.Engine{}
 	net := interconnect.New(eng, cfg.Cores, cfg.Net)
 	env := protocol.DefaultEnv(eng, net, cfg.Cores)
-	enc := directory.Encoding{Cores: cfg.Cores, Coarseness: cfg.Coarseness}
-	if err := enc.Validate(); err != nil {
+	params := cfg.params()
+	if err := params.Enc.Validate(); err != nil {
 		return fail(err)
 	}
 
 	s := &System{Cfg: cfg, Eng: eng, Net: net, Env: env, Gen: gen, closer: closer}
 	if !cfg.SkipChecks {
 		s.storeCounts = new(addrmap.Map[uint64])
-		if cfg.Protocol == PATCH || cfg.Protocol == TokenB {
+		if cfg.Protocol.tokenCounting() {
 			s.auditor = trace.NewAuditor(env.Tokens)
 			net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
 			net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
@@ -441,15 +445,11 @@ func NewSystem(cfg Config) (*System, error) {
 		id := msg.NodeID(i)
 		switch cfg.Protocol {
 		case Directory:
-			s.Nodes[i] = directoryproto.New(id, env, enc)
+			s.Nodes[i] = directoryproto.New(id, env, params)
 		case PATCH:
-			s.Nodes[i] = core.New(id, env, enc, core.Config{
-				Policy: cfg.Policy, BestEffort: cfg.BestEffort,
-				TenureTimeoutFactor: cfg.TenureTimeoutFactor,
-				NoDeactWindow:       cfg.NoDeactWindow,
-			})
+			s.Nodes[i] = core.New(id, env, params)
 		case TokenB:
-			s.Nodes[i] = tokenb.New(id, env)
+			s.Nodes[i] = tokenb.New(id, env, params)
 		default:
 			return fail(fmt.Errorf("sim: unknown protocol %v", cfg.Protocol))
 		}
@@ -488,15 +488,7 @@ func (s *System) attachOrderChecker(i int) {
 	} else {
 		s.lastSeen[i].Clear()
 	}
-	obs := s.obsFns[i]
-	switch v := s.Nodes[i].(type) {
-	case *directoryproto.Node:
-		v.Observer = obs
-	case *core.Node:
-		v.Observer = obs
-	case *tokenb.Node:
-		v.Observer = obs
-	}
+	s.Nodes[i].Shared().Observer = s.obsFns[i]
 }
 
 // issuer drives one core's operation loop. It doubles as the think-time
@@ -593,22 +585,11 @@ func (s *System) beginMeasurement() {
 	s.warming = false
 	s.Net.Stats = interconnect.LinkStats{}
 	for _, n := range s.Nodes {
-		resetNodeStats(n)
+		n.Shared().ResetStats()
 	}
 	s.startedAt = s.Eng.Now()
 	for c := range s.issuers {
 		s.issuers[c].start(false, s.Cfg.OpsPerCore)
-	}
-}
-
-func resetNodeStats(n protocol.Node) {
-	switch v := n.(type) {
-	case *directoryproto.Node:
-		v.ResetStats()
-	case *core.Node:
-		v.ResetStats()
-	case *tokenb.Node:
-		v.ResetStats()
 	}
 }
 
@@ -672,7 +653,7 @@ func (s *System) collect() *Result {
 	r.LinkBytes = ns.LinkBytes
 	r.Dropped = ns.Dropped
 	for _, n := range s.Nodes {
-		st := nodeStats(n)
+		st := n.Shared().St
 		r.Misses += st.Misses
 		addStats(&r.Stats, st)
 	}
@@ -681,18 +662,6 @@ func (s *System) collect() *Result {
 		r.AvgMissLatency = float64(r.Stats.MissLatencySum) / float64(r.Misses)
 	}
 	return r
-}
-
-func nodeStats(n protocol.Node) protocol.Stats {
-	switch v := n.(type) {
-	case *directoryproto.Node:
-		return v.St
-	case *core.Node:
-		return v.St
-	case *tokenb.Node:
-		return v.St
-	}
-	return protocol.Stats{}
 }
 
 func addStats(dst *protocol.Stats, src protocol.Stats) {
@@ -724,21 +693,10 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("sim: node %d not quiesced at end of run", i)
 		}
 	}
-	switch s.Cfg.Protocol {
-	case PATCH:
+	if s.Cfg.Protocol.tokenCounting() {
 		var holders []token.Holder
 		for _, n := range s.Nodes {
-			pn := n.(*core.Node)
-			holders = append(holders, pn.Cache(), pn.Directory())
-		}
-		if err := token.CheckConservation(s.Env.Tokens, holders, nil); err != nil {
-			return err
-		}
-	case TokenB:
-		var holders []token.Holder
-		for _, n := range s.Nodes {
-			tn := n.(*tokenb.Node)
-			holders = append(holders, tn.L2, tn.Memory())
+			holders = append(holders, n.Shared().L2, n.Home())
 		}
 		if err := token.CheckConservation(s.Env.Tokens, holders, nil); err != nil {
 			return err
@@ -777,24 +735,8 @@ func (s *System) checkWriteSerialization() error {
 		}
 	}
 	for _, n := range s.Nodes {
-		var c *cache.Cache
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			c = v.L2
-		case *core.Node:
-			c = v.L2
-		case *tokenb.Node:
-			c = v.L2
-		}
-		c.ForEach(func(l *cache.Line) { consider(l.Addr, l.Version) })
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			v.Directory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		case *core.Node:
-			v.Directory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		case *tokenb.Node:
-			v.Memory().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
-		}
+		n.Shared().L2.ForEach(func(l *cache.Line) { consider(l.Addr, l.Version) })
+		n.Home().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
 	}
 	var serErr error
 	s.storeCounts.ForEach(func(a msg.Addr, want *uint64) {
@@ -818,16 +760,7 @@ func (s *System) checkSingleWriter() error {
 	}
 	views := make(map[msg.Addr]*blockView)
 	for _, n := range s.Nodes {
-		var c *cache.Cache
-		switch v := n.(type) {
-		case *directoryproto.Node:
-			c = v.L2
-		case *core.Node:
-			c = v.L2
-		case *tokenb.Node:
-			c = v.L2
-		}
-		c.ForEach(func(l *cache.Line) {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
 			st := l.MOESI
 			if s.Cfg.Protocol != Directory {
 				st = l.Tok.ToMOESI(s.Env.Tokens)
