@@ -18,6 +18,7 @@ const (
 	pkgExperiments  = "patch/internal/experiments"
 	pkgLitmus       = "patch/internal/litmus"
 	pkgFault        = "patch/internal/fault"
+	pkgCache        = "patch/internal/cache"
 )
 
 // PatchSuite returns the analyzers configured for this repository's
@@ -34,6 +35,9 @@ func PatchSuite() []*Analyzer {
 					// Fault injection must be exactly as deterministic as
 					// the engine it perturbs.
 					pkgFault,
+					// Cache iteration order reaches the audit, the
+					// forensics and the end-of-run checks.
+					pkgCache,
 				},
 				Files: map[string][]string{
 					// Of the root package, only the sweep engine feeds

@@ -41,20 +41,38 @@ type Line struct {
 	lastUse uint64
 }
 
-// Config sizes a cache.
+// Config sizes a cache. Addresses given to the cache must be aligned
+// to BlockSize.
 type Config struct {
 	SizeBytes int
 	Ways      int
 	BlockSize int
 }
 
+// chunkLines is the number of lines allocated together. A chunk never
+// moves once allocated, so a *Line stays valid for the cache's life.
+const chunkLines = 64
+
 // Cache is a set-associative array. It stores coherence state only; data
 // values are not simulated (timing-directed simulation, as in GEMS).
+//
+// Lookups read only the dense tag array, so probing for an absent block
+// (the common case at the recipients of a broadcast) touches one set's
+// tags and no line state. A way receives its Line, from fixed-size
+// chunks, the first time it holds a block and keeps it from then on.
 type Cache struct {
 	cfg   Config
-	sets  [][]Line
 	nsets int
-	clock uint64
+
+	// tags holds one entry per way, set-major: the block number + 1 of
+	// the block the way holds, or 0 if the way is empty.
+	tags []uint64
+	// slots holds one entry per way: 0 until the way's first fill, then
+	// 1 + the index of the way's line in chunks.
+	slots  []int32
+	chunks []*[chunkLines]Line
+	nlines int32 // lines handed out from chunks
+	clock  uint64
 
 	// Stats.
 	Hits, Misses, Evictions uint64
@@ -66,28 +84,46 @@ func New(cfg Config) *Cache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	sets := make([][]Line, nsets)
-	backing := make([]Line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	return &Cache{
+		cfg:   cfg,
+		nsets: nsets,
+		tags:  make([]uint64, nsets*cfg.Ways),
+		slots: make([]int32, nsets*cfg.Ways),
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets}
 }
 
 // Sets returns the number of sets (diagnostics).
 func (c *Cache) Sets() int { return c.nsets }
 
-func (c *Cache) setIndex(addr msg.Addr) int {
-	return int((uint64(addr) / uint64(c.cfg.BlockSize)) % uint64(c.nsets))
+// probe scans addr's set in the tag array. It returns the index of the
+// set's first way, the tag addr carries, and the way holding addr (-1
+// if none).
+//
+//patch:steadystate
+func (c *Cache) probe(addr msg.Addr) (base int, tag uint64, way int) {
+	block := uint64(addr) / uint64(c.cfg.BlockSize)
+	base = int(block%uint64(c.nsets)) * c.cfg.Ways
+	tag = block + 1
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			return base, tag, base + w
+		}
+	}
+	return base, tag, -1
+}
+
+// line returns the line of a way that has held a block.
+func (c *Cache) line(way int) *Line {
+	s := uint32(c.slots[way] - 1)
+	return &c.chunks[s/chunkLines][s%chunkLines]
 }
 
 // Lookup returns the line holding addr, or nil. It does not update LRU.
+//
+//patch:steadystate
 func (c *Cache) Lookup(addr msg.Addr) *Line {
-	set := c.sets[c.setIndex(addr)]
-	for i := range set {
-		if set[i].Present && set[i].Addr == addr {
-			return &set[i]
-		}
+	if _, _, way := c.probe(addr); way >= 0 {
+		return c.line(way)
 	}
 	return nil
 }
@@ -99,35 +135,18 @@ func (c *Cache) Touch(l *Line) {
 }
 
 // Access looks up addr, recording a hit or miss and updating LRU on hit.
+//
+//patch:steadystate
 func (c *Cache) Access(addr msg.Addr) *Line {
-	l := c.Lookup(addr)
-	if l != nil {
-		c.Hits++
-		c.Touch(l)
-	} else {
+	_, _, way := c.probe(addr)
+	if way < 0 {
 		c.Misses++
-	}
-	return l
-}
-
-// Victim returns the line that Allocate would evict for addr: an invalid
-// way if one exists, otherwise the least recently used line in the set.
-// Returns nil only if the line is already present.
-func (c *Cache) Victim(addr msg.Addr) *Line {
-	if c.Lookup(addr) != nil {
 		return nil
 	}
-	set := c.sets[c.setIndex(addr)]
-	var victim *Line
-	for i := range set {
-		if !set[i].Present {
-			return &set[i]
-		}
-		if victim == nil || set[i].lastUse < victim.lastUse {
-			victim = &set[i]
-		}
-	}
-	return victim
+	c.Hits++
+	l := c.line(way)
+	c.Touch(l)
+	return l
 }
 
 // Allocate installs addr into the cache, evicting the LRU way if needed.
@@ -135,17 +154,7 @@ func (c *Cache) Victim(addr msg.Addr) *Line {
 // reports whether anything was displaced). The new line starts invalid
 // (MOESI I, zero tokens); the caller fills in coherence state.
 func (c *Cache) Allocate(addr msg.Addr) (l *Line, evicted Line) {
-	if existing := c.Lookup(addr); existing != nil {
-		return existing, Line{}
-	}
-	v := c.Victim(addr)
-	if v.Present {
-		evicted = *v
-		c.Evictions++
-	}
-	*v = Line{Addr: addr, Present: true}
-	c.Touch(v)
-	return v, evicted
+	return c.AllocateAvoid(addr, nil)
 }
 
 // AllocateAvoid is Allocate with a victim filter: lines for which avoid
@@ -154,77 +163,108 @@ func (c *Cache) Allocate(addr msg.Addr) (l *Line, evicted Line) {
 // evicted anyway (cannot happen with single-outstanding-miss cores, but
 // the fallback keeps the cache total).
 func (c *Cache) AllocateAvoid(addr msg.Addr, avoid func(msg.Addr) bool) (l *Line, evicted Line) {
-	if existing := c.Lookup(addr); existing != nil {
-		return existing, Line{}
+	base, tag, way := c.probe(addr)
+	if way >= 0 {
+		return c.line(way), Line{}
 	}
-	set := c.sets[c.setIndex(addr)]
-	var victim, fallback *Line
-	for i := range set {
-		ln := &set[i]
-		if !ln.Present {
-			victim = ln
-			break
+	way = c.victim(base, avoid)
+	if c.tags[way] != 0 {
+		evicted = *c.line(way)
+		c.Evictions++
+	} else if c.slots[way] == 0 {
+		c.slots[way] = c.newLine()
+	}
+	c.tags[way] = tag
+	l = c.line(way)
+	*l = Line{Addr: addr, Present: true}
+	c.Touch(l)
+	return l, evicted
+}
+
+// victim picks the way to fill in the set whose first way is base: the
+// first empty way, else the least recently used way avoid does not
+// protect, else the least recently used way.
+func (c *Cache) victim(base int, avoid func(msg.Addr) bool) int {
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == 0 {
+			return base + w
 		}
-		if fallback == nil || ln.lastUse < fallback.lastUse {
-			fallback = ln
+	}
+	victim, fallback := -1, -1
+	var victimUse, fallbackUse uint64
+	for w := base; w < base+c.cfg.Ways; w++ {
+		ln := c.line(w)
+		if fallback < 0 || ln.lastUse < fallbackUse {
+			fallback, fallbackUse = w, ln.lastUse
 		}
 		if avoid != nil && avoid(ln.Addr) {
 			continue
 		}
-		if victim == nil || ln.lastUse < victim.lastUse {
-			victim = ln
+		if victim < 0 || ln.lastUse < victimUse {
+			victim, victimUse = w, ln.lastUse
 		}
 	}
-	if victim == nil {
-		victim = fallback
+	if victim < 0 {
+		return fallback
 	}
-	if victim.Present {
-		evicted = *victim
-		c.Evictions++
+	return victim
+}
+
+// newLine hands out the next line from the chunks, allocating a chunk
+// when all are in use, and returns its slot.
+func (c *Cache) newLine() int32 {
+	if int(c.nlines) == len(c.chunks)*chunkLines {
+		c.chunks = append(c.chunks, new([chunkLines]Line))
 	}
-	*victim = Line{Addr: addr, Present: true}
-	c.Touch(victim)
-	return victim, evicted
+	c.nlines++
+	return c.nlines
 }
 
 // Drop removes the line without writeback bookkeeping (caller handles
 // token/dirty obligations).
-func (c *Cache) Drop(l *Line) { *l = Line{} }
+func (c *Cache) Drop(l *Line) {
+	if l.Present {
+		if _, _, way := c.probe(l.Addr); way >= 0 {
+			c.tags[way] = 0
+		}
+	}
+	*l = Line{}
+}
 
 // ResetCounters clears the hit/miss/eviction statistics (used when a
 // measurement phase begins after warmup) without touching contents.
 func (c *Cache) ResetCounters() { c.Hits, c.Misses, c.Evictions = 0, 0, 0 }
 
-// Reset empties the cache and rewinds the LRU clock and statistics,
-// retaining the line arrays: a reset cache behaves exactly like a
-// freshly constructed one of the same geometry.
+// Reset empties the cache and rewinds the LRU clock and statistics: a
+// reset cache behaves exactly like a freshly constructed one of the
+// same geometry. It clears the tags and slots only; the chunks stay as
+// capacity for later fills, each of which overwrites its whole line.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		clear(set)
-	}
+	clear(c.tags)
+	clear(c.slots)
+	c.nlines = 0
 	c.clock = 0
 	c.ResetCounters()
 }
 
 // TokenHoldings implements token.Holder.
 func (c *Cache) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			if l.Present && !l.Tok.Zero() {
-				fn(l.Addr, l.Tok.Count, l.Tok.Owner)
-			}
+	for w, t := range c.tags {
+		if t == 0 {
+			continue
+		}
+		if l := c.line(w); !l.Tok.Zero() {
+			fn(l.Addr, l.Tok.Count, l.Tok.Owner)
 		}
 	}
 }
 
-// ForEach visits every present line (diagnostics and checkers).
+// ForEach visits every present line (diagnostics and checkers), set by
+// set and way by way.
 func (c *Cache) ForEach(fn func(l *Line)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Present {
-				fn(&set[i])
-			}
+	for w, t := range c.tags {
+		if t != 0 {
+			fn(c.line(w))
 		}
 	}
 }
