@@ -7,9 +7,9 @@
 //	    result cache across jobs (size-capped via -cache-max-bytes).
 //	    With -data-dir, specs and completed replicas persist through a
 //	    checksummed journal: a restarted — even kill -9'd — server
-//	    reloads its jobs and resumes them byte-identically. With
-//	    -token, mutating endpoints require the bearer token, and
-//	    -max-jobs-per-user bounds each principal's unfinished jobs.
+//	    reloads its jobs and resumes them byte-identically. At most
+//	    -max-jobs jobs run at once; the rest wait in one FIFO queue.
+//	    With -token, mutating endpoints require the bearer token.
 //	    SIGINT/SIGTERM drains gracefully: admission stops, running and
 //	    queued jobs finish, then the process exits.
 //
@@ -21,9 +21,10 @@
 //	    are retried with jittered exponential backoff (-retries,
 //	    -retry-base) instead of shedding the worker.
 //
-//	sweepd -local -matrix m.json
-//	    local: run the same JSON matrix in-process and print emitter
-//	    output to stdout — the reference the served bytes must equal.
+//	sweepd -local -matrix m.json -format csv
+//	    local: run the same JSON matrix in-process and print it to
+//	    stdout through the server's format table — the reference the
+//	    served bytes must equal.
 package main
 
 import (
@@ -53,7 +54,6 @@ type serveConfig struct {
 	dataDir       string
 	token         string
 	maxJobs       int
-	maxJobsUser   int
 	workers       int
 	lease         time.Duration
 	drainTimeout  time.Duration
@@ -65,8 +65,7 @@ func main() {
 	flag.StringVar(&sc.cacheDir, "cache", "", "serve mode: on-disk result cache directory (empty: <data-dir>/cache, or memory only without -data-dir)")
 	flag.Int64Var(&sc.cacheMaxBytes, "cache-max-bytes", 0, "serve mode: disk result-cache size cap; oldest-accessed entries evicted (0: unbounded)")
 	flag.StringVar(&sc.dataDir, "data-dir", "", "serve mode: durable job store directory — specs and completed replicas survive a restart (empty: jobs are forgotten on restart)")
-	flag.IntVar(&sc.maxJobs, "max-jobs", 2, "serve mode: concurrently running jobs; excess queue per principal, admitted round-robin")
-	flag.IntVar(&sc.maxJobsUser, "max-jobs-per-user", 0, "serve mode: unfinished jobs allowed per principal (0: unlimited)")
+	flag.IntVar(&sc.maxJobs, "max-jobs", 2, "serve mode: concurrently running jobs; excess submissions wait in one FIFO queue")
 	flag.IntVar(&sc.workers, "workers", 0, "serve/local mode: local pool size (0: GOMAXPROCS)")
 	flag.DurationVar(&sc.lease, "lease", 2*time.Minute, "serve mode: remote claim lease; workers heartbeat inside it, so this only bounds how long a dead worker's claims stay stuck")
 	flag.DurationVar(&sc.drainTimeout, "drain-timeout", time.Minute, "serve mode: how long to let jobs finish on SIGTERM before cancelling")
@@ -118,13 +117,12 @@ func serve(ctx context.Context, sc serveConfig) error {
 		}
 	}
 	srv := service.New(service.Config{
-		MaxJobs:        sc.maxJobs,
-		MaxJobsPerUser: sc.maxJobsUser,
-		Workers:        sc.workers,
-		Cache:          cache,
-		Lease:          sc.lease,
-		Store:          store,
-		Token:          sc.token,
+		MaxJobs: sc.maxJobs,
+		Workers: sc.workers,
+		Cache:   cache,
+		Lease:   sc.lease,
+		Store:   store,
+		Token:   sc.token,
 	})
 	if restored, err := srv.Restore(); err != nil {
 		return err
@@ -180,6 +178,10 @@ func runLocal(ctx context.Context, matrixFile, format string, workers int) error
 	if matrixFile == "" {
 		return errors.New("-local needs -matrix FILE (\"-\" for stdin)")
 	}
+	out, err := service.LookupFormat(format)
+	if err != nil {
+		return err
+	}
 	var rd io.Reader = os.Stdin
 	if matrixFile != "-" {
 		f, err := os.Open(matrixFile)
@@ -195,19 +197,6 @@ func runLocal(ctx context.Context, matrixFile, format string, workers int) error
 	if err := dec.Decode(&m); err != nil {
 		return fmt.Errorf("bad matrix: %w", err)
 	}
-	var e patch.Emitter
-	switch format {
-	case "csv":
-		e = &patch.CSVEmitter{W: os.Stdout}
-	case "json":
-		e = &patch.JSONEmitter{W: os.Stdout}
-	case "markdown":
-		e = &patch.MarkdownEmitter{W: os.Stdout}
-	case "chart":
-		e = &patch.ChartEmitter{W: os.Stdout}
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	_, err := patch.Sweep(ctx, m, patch.Workers(workers), patch.EmitTo(e))
+	_, err = patch.Sweep(ctx, m, patch.Workers(workers), patch.EmitTo(out.New(os.Stdout)))
 	return err
 }

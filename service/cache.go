@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,64 +17,62 @@ import (
 // ResultCache is the content-addressed result store: replica results
 // keyed by Config.Fingerprint(). Because a fingerprint's results are
 // deterministic, a hit is exact — the cached Result is the result, not
-// an approximation — so overlapping cells across concurrent jobs and
-// users skip the simulator entirely.
+// an approximation — so overlapping cells across concurrent jobs skip
+// the simulator entirely.
 //
-// The cache is two-layered. An in-memory map serves the hot path,
-// bounded (when MaxMemEntries is set) by least-recently-used eviction;
-// an optional on-disk layer (one checksummed JSON file per key)
-// survives server restarts. Disk entries are verified on load: a
-// truncated or corrupted file fails its checksum and is deleted and
-// recomputed, never served.
+// One index maps each key to its result, the size of its file and its
+// last access. With a directory, every Put writes through to one
+// checksummed JSON file per key, so the cache survives server
+// restarts: entries found at open are indexed without their results,
+// and the first Get of each loads and verifies its file. A truncated
+// or corrupted file fails its checksum and is deleted and recomputed,
+// never served.
 //
-// When MaxDiskBytes is set the disk layer is size-capped: once the
-// resident bytes exceed the cap, the oldest-accessed entries are
-// evicted — never one that a concurrent Get is currently reading off
-// disk (a serving refcount pins it). Access times persist across
-// restarts via file mtimes, so the LRU order survives a restart too.
+// MaxDiskBytes is the one bound. Once the resident file bytes exceed
+// it, the least recently accessed entries are evicted — a memory hit
+// and a disk load refresh an entry alike — and an entry's memory copy
+// leaves together with its file. An entry a concurrent Get is reading
+// off disk is never the victim (a serving refcount pins it). A disk
+// load also refreshes the file mtime, and after a restart the mtimes
+// give the eviction order.
 //
 // Cached *patch.Result values are shared between callers and must be
 // treated as immutable.
 type ResultCache struct {
 	dir     string // "" = memory-only
 	maxDisk int64  // <=0 = unbounded
-	maxMem  int    // <=0 = unbounded
 	now     func() time.Time
 
 	mu        sync.Mutex
-	mem       map[string]*list.Element // key -> element in lru
-	lru       *list.List               // front = most recently used *memEntry
-	serving   map[string]int           // disk loads in flight, by key
-	disk      map[string]*diskEntry
+	entries   map[string]*cacheEntry
+	serving   map[string]int // disk loads in flight, by key
 	diskBytes int64
 
 	hits, misses, bad         int64
 	diskEvict, diskEvictBytes int64
-	memEvict                  int64
 }
 
-type memEntry struct {
-	key string
-	r   *patch.Result
-}
-
-type diskEntry struct {
+// cacheEntry is one key's slot in the index. r is nil until the first
+// Get of an entry indexed at open loads it; size is 0 when no file
+// backs the entry (a memory-only cache, or a failed write).
+type cacheEntry struct {
+	r      *patch.Result
 	size   int64
 	access time.Time
 }
 
 // CacheStats counts cache outcomes since construction, plus the
-// current resident state of both layers. Bad counts on-disk entries
-// rejected by their checksum (each was deleted and the replica
-// recomputed); DiskEvictions counts size-cap evictions (checksum
-// rejections are counted only under Bad).
+// current resident state: MemEntries entries hold their result in
+// memory, DiskEntries have a file. Bad counts on-disk entries rejected
+// by their checksum (each was deleted and the replica recomputed);
+// DiskEvictions counts size-cap evictions (checksum rejections are
+// counted only under Bad).
 type CacheStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Bad    int64 `json:"bad"`
 
-	MemEntries   int   `json:"mem_entries"`
-	MemEvictions int64 `json:"mem_evictions"`
+	MemEntries int `json:"mem_entries"`
 
 	DiskEntries      int   `json:"disk_entries"`
 	DiskBytes        int64 `json:"disk_bytes"`
@@ -86,23 +83,15 @@ type CacheStats struct {
 // CacheOption tunes a ResultCache at construction.
 type CacheOption func(*ResultCache)
 
-// MaxDiskBytes caps the disk layer at n resident bytes; once exceeded,
-// the oldest-accessed entries are evicted. n <= 0 leaves the layer
-// unbounded.
+// MaxDiskBytes caps the cache at n resident file bytes; once exceeded,
+// the least recently accessed entries are evicted. n <= 0 leaves the
+// cache unbounded.
 func MaxDiskBytes(n int64) CacheOption {
 	return func(c *ResultCache) { c.maxDisk = n }
 }
 
-// MaxMemEntries caps the in-memory layer at n entries, evicted LRU.
-// n <= 0 leaves the layer unbounded. Evicting a memory entry never
-// invalidates results already handed out — cached results are shared
-// immutable values — and the disk layer (if any) still holds the key.
-func MaxMemEntries(n int) CacheOption {
-	return func(c *ResultCache) { c.maxMem = n }
-}
-
-// CacheClock injects the clock used for LRU access stamps — tests
-// drive eviction order without sleeping. nil keeps time.Now.
+// CacheClock injects the clock used for access stamps — tests drive
+// eviction order without sleeping. nil keeps time.Now.
 func CacheClock(now func() time.Time) CacheOption {
 	return func(c *ResultCache) {
 		if now != nil {
@@ -114,15 +103,13 @@ func CacheClock(now func() time.Time) CacheOption {
 // NewResultCache opens a cache. dir "" keeps results in memory only;
 // otherwise dir is created and holds one file per fingerprint, and any
 // entries already present are indexed (sizes and access times from the
-// filesystem) so the size cap and LRU order survive restarts.
+// filesystem) so the size cap and eviction order survive restarts.
 func NewResultCache(dir string, opts ...CacheOption) (*ResultCache, error) {
 	c := &ResultCache{
 		dir:     dir,
 		now:     time.Now,
-		mem:     make(map[string]*list.Element),
-		lru:     list.New(),
+		entries: make(map[string]*cacheEntry),
 		serving: make(map[string]int),
-		disk:    make(map[string]*diskEntry),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -134,7 +121,7 @@ func NewResultCache(dir string, opts ...CacheOption) (*ResultCache, error) {
 		if err := c.scanDisk(); err != nil {
 			return nil, fmt.Errorf("service: result cache: %w", err)
 		}
-		c.evictDiskLocked() // a lowered cap applies to preexisting entries
+		c.evictLocked() // a lowered cap applies to preexisting entries
 	}
 	return c, nil
 }
@@ -156,7 +143,7 @@ func (c *ResultCache) scanDisk() error {
 		if err != nil {
 			continue
 		}
-		c.disk[key] = &diskEntry{size: info.Size(), access: info.ModTime()}
+		c.entries[key] = &cacheEntry{size: info.Size(), access: info.ModTime()}
 		c.diskBytes += info.Size()
 	}
 	return nil
@@ -166,37 +153,40 @@ func (c *ResultCache) scanDisk() error {
 func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		Hits: c.hits, Misses: c.misses, Bad: c.bad,
-		MemEntries: c.lru.Len(), MemEvictions: c.memEvict,
-		DiskEntries: len(c.disk), DiskBytes: c.diskBytes,
-		DiskEvictions: c.diskEvict, DiskEvictedBytes: c.diskEvictBytes,
+		DiskBytes: c.diskBytes, DiskEvictions: c.diskEvict, DiskEvictedBytes: c.diskEvictBytes,
 	}
+	for _, e := range c.entries {
+		if e.r != nil {
+			st.MemEntries++
+		}
+		if e.size > 0 {
+			st.DiskEntries++
+		}
+	}
+	return st
 }
 
-// Get returns the cached result for key, consulting memory first and
-// the disk layer second. A disk entry failing its checksum counts as a
-// miss (and is removed so it cannot fail again). While the disk read
-// is in flight the key is pinned against eviction, so a concurrent
-// Put-triggered eviction can never unlink a file mid-serve.
+// Get returns the cached result for key, loading it from disk on the
+// first Get of an entry indexed at open. A file failing its checksum
+// counts as a miss (and is removed so it cannot fail again). While the
+// disk read is in flight the key is pinned against eviction, so a
+// concurrent Put-triggered eviction can never unlink a file mid-serve.
 func (c *ResultCache) Get(key string) (*patch.Result, bool) {
 	c.mu.Lock()
-	if el, ok := c.mem[key]; ok {
-		c.lru.MoveToFront(el)
+	e, ok := c.entries[key]
+	if !ok {
+		c.misses++
+		c.mu.Unlock()
+		return nil, false
+	}
+	if e.r != nil {
+		e.access = c.now()
 		c.hits++
-		r := el.Value.(*memEntry).r
+		r := e.r
 		c.mu.Unlock()
 		return r, true
-	}
-	if c.dir == "" {
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	if _, ok := c.disk[key]; !ok {
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
 	}
 	c.serving[key]++
 	c.mu.Unlock()
@@ -209,94 +199,75 @@ func (c *ResultCache) Get(key string) (*patch.Result, bool) {
 		delete(c.serving, key)
 	}
 	if !ok {
-		// The entry vanished or failed its checksum (load already
-		// removed the file); drop it from the index.
-		if de, still := c.disk[key]; still {
-			c.diskBytes -= de.size
-			delete(c.disk, key)
+		// The file vanished or failed its checksum (load already
+		// removed it); drop the entry unless a concurrent Get already
+		// did.
+		if c.entries[key] == e {
+			c.diskBytes -= e.size
+			delete(c.entries, key)
 		}
 		c.misses++
 		return nil, false
 	}
-	if de, still := c.disk[key]; still {
-		de.access = c.now()
+	if e.r == nil {
+		e.r = r
 	}
-	c.insertMemLocked(key, r)
+	e.access = c.now()
 	c.hits++
-	return r, true
+	return e.r, true
 }
 
-// Put stores a result under key, writing through to disk when a disk
-// layer is configured. Write errors degrade to memory-only silently:
+// Put stores a result under key, writing through to disk when the
+// cache has a directory. Write errors degrade to memory-only silently:
 // the cache is an accelerator, never a correctness dependency.
 func (c *ResultCache) Put(key string, r *patch.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.mem[key]; dup {
+	e, ok := c.entries[key]
+	if ok && e.r != nil {
 		return
 	}
-	c.insertMemLocked(key, r)
+	if !ok {
+		e = &cacheEntry{}
+		c.entries[key] = e
+	}
+	e.r, e.access = r, c.now()
 	if c.dir == "" {
 		return
 	}
-	size, ok := c.store(key, r)
-	if !ok {
-		return
+	if size, ok := c.store(key, r); ok {
+		c.diskBytes += size - e.size
+		e.size = size
 	}
-	if old, existed := c.disk[key]; existed {
-		c.diskBytes -= old.size
-	}
-	c.disk[key] = &diskEntry{size: size, access: c.now()}
-	c.diskBytes += size
-	c.evictDiskLocked()
+	c.evictLocked()
 }
 
-// insertMemLocked adds (or refreshes) a memory entry and applies the
-// LRU cap. Called with mu held.
-func (c *ResultCache) insertMemLocked(key string, r *patch.Result) {
-	if el, ok := c.mem[key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*memEntry).r = r
-		return
-	}
-	c.mem[key] = c.lru.PushFront(&memEntry{key: key, r: r})
-	for c.maxMem > 0 && c.lru.Len() > c.maxMem {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			break
-		}
-		c.lru.Remove(oldest)
-		delete(c.mem, oldest.Value.(*memEntry).key)
-		c.memEvict++
-	}
-}
-
-// evictDiskLocked enforces the disk size cap: while over it, unlink
-// the oldest-accessed entry whose file no concurrent Get is reading
-// (serving refcount zero). Called with mu held.
-func (c *ResultCache) evictDiskLocked() {
+// evictLocked enforces the size cap: while over it, drop the least
+// recently accessed entry — file and memory copy together — whose file
+// no concurrent Get is reading (serving refcount zero). Called with mu
+// held.
+func (c *ResultCache) evictLocked() {
 	for c.maxDisk > 0 && c.diskBytes > c.maxDisk {
 		var victim string
-		var oldest time.Time
-		for key, de := range c.disk {
+		var ve *cacheEntry
+		for key, e := range c.entries {
 			if c.serving[key] > 0 {
 				continue
 			}
-			if victim == "" || de.access.Before(oldest) {
-				victim, oldest = key, de.access
+			if ve == nil || e.access.Before(ve.access) {
+				victim, ve = key, e
 			}
 		}
-		if victim == "" {
+		if ve == nil {
 			return // everything over the cap is being served right now
 		}
 		if path, ok := c.entryPath(victim); ok {
 			_ = os.Remove(path)
 		}
-		de := c.disk[victim]
-		c.diskBytes -= de.size
-		delete(c.disk, victim)
+		c.diskBytes -= ve.size
+		delete(c.entries, victim)
 		c.diskEvict++
-		c.diskEvictBytes += de.size
+		c.diskEvictBytes += ve.size
 	}
 }
 
@@ -364,8 +335,8 @@ func writeChecksummed(path string, payload []byte) error {
 // load reads and verifies one disk entry, with no cache lock held (the
 // key's serving refcount pins it against eviction instead). On a
 // checksum failure the file is removed so it is recomputed exactly
-// once. A successful load refreshes the file mtime, so the LRU order
-// survives restarts.
+// once. A successful load refreshes the file mtime, so the eviction
+// order survives restarts.
 func (c *ResultCache) load(key string) (*patch.Result, bool) {
 	path, ok := c.entryPath(key)
 	if !ok {

@@ -30,40 +30,46 @@ func entrySize(t *testing.T) int64 {
 	return size
 }
 
-// TestDiskCacheEviction drives the size-capped disk layer with an
-// injected clock: the oldest-ACCESSED entry is evicted, so a Get
-// protects an old entry from a newer but idle one.
+// TestDiskCacheEviction: an entry indexed at open carries its file
+// mtime as its access time, and its first Get loads it from disk and
+// refreshes it — so under the byte cap the idle entry is evicted, not
+// the older one just read.
 func TestDiskCacheEviction(t *testing.T) {
 	size := entrySize(t)
-	clk := newFakeClock()
 	dir := t.TempDir()
-	// Memory capped to one entry so Gets actually consult the disk
-	// layer and bump access times there.
-	c, err := service.NewResultCache(dir,
-		service.MaxDiskBytes(2*size), service.MaxMemEntries(1), service.CacheClock(clk.Now))
+	writer, err := service.NewResultCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	writer.Put("aaaa", &patch.Result{Cycles: 1001})
+	writer.Put("bbbb", &patch.Result{Cycles: 1002})
+	clk := newFakeClock()
+	// aaaa is the older file.
+	for key, age := range map[string]time.Duration{"aaaa": 2 * time.Hour, "bbbb": time.Hour} {
+		at := clk.Now().Add(-age)
+		if err := os.Chtimes(filepath.Join(dir, key+".json"), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	c.Put("aaaa", &patch.Result{Cycles: 1001})
-	clk.Advance(time.Minute)
-	c.Put("bbbb", &patch.Result{Cycles: 1002})
-	clk.Advance(time.Minute)
-	// Touch aaaa: it is now more recently accessed than bbbb.
+	c, err := service.NewResultCache(dir, service.MaxDiskBytes(2*size), service.CacheClock(clk.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r, ok := c.Get("aaaa"); !ok || r.Cycles != 1001 {
 		t.Fatalf("get aaaa: %v %v", r, ok)
 	}
 	clk.Advance(time.Minute)
 
 	// A third entry breaches the two-entry cap: bbbb (oldest access)
-	// must be the victim, not aaaa (older insert, newer access).
+	// must be the victim, not aaaa (older file, newer access).
 	c.Put("cccc", &patch.Result{Cycles: 1003})
 	st := c.Stats()
 	if st.DiskEntries != 2 || st.DiskEvictions != 1 || st.DiskEvictedBytes != size {
 		t.Fatalf("after eviction: %+v", st)
 	}
 	if st.DiskBytes > 2*size {
-		t.Fatalf("disk layer over cap: %d > %d", st.DiskBytes, 2*size)
+		t.Fatalf("cache over cap: %d > %d", st.DiskBytes, 2*size)
 	}
 	if _, ok := c.Get("bbbb"); ok {
 		t.Error("bbbb survived eviction but aaaa was accessed more recently")
@@ -76,6 +82,44 @@ func TestDiskCacheEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bad != 0 {
 		t.Errorf("bad entries served: %+v", st)
+	}
+}
+
+// TestMemoryHitRefreshesLRU configures the cache as sweepd does — a
+// byte cap and no other bound — and reads an old key from memory. That
+// read protects the key from the cap like a disk load would: the idle
+// key is the victim, and the read one's file survives, so it still
+// hits after the directory is reopened.
+func TestMemoryHitRefreshesLRU(t *testing.T) {
+	size := entrySize(t)
+	clk := newFakeClock()
+	dir := t.TempDir()
+	c, err := service.NewResultCache(dir, service.MaxDiskBytes(2*size), service.CacheClock(clk.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("aaaa", &patch.Result{Cycles: 1001})
+	clk.Advance(time.Minute)
+	c.Put("bbbb", &patch.Result{Cycles: 1002})
+	clk.Advance(time.Minute)
+	if r, ok := c.Get("aaaa"); !ok || r.Cycles != 1001 {
+		t.Fatalf("get aaaa: %v %v", r, ok)
+	}
+	clk.Advance(time.Minute)
+
+	c.Put("cccc", &patch.Result{Cycles: 1003})
+	if st := c.Stats(); st.MemEntries != 2 || st.DiskEntries != 2 || st.DiskEvictions != 1 {
+		t.Errorf("after eviction: %+v", st)
+	}
+	if _, ok := c.Get("bbbb"); ok {
+		t.Error("bbbb survived eviction but aaaa was read more recently")
+	}
+	reopened, err := service.NewResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := reopened.Get("aaaa"); !ok || r.Cycles != 1001 {
+		t.Errorf("aaaa's file was evicted despite its memory hit: %v %v", r, ok)
 	}
 }
 
@@ -115,81 +159,52 @@ func TestDiskCacheEvictionSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestMemCacheLRUCap: the in-memory layer is LRU-capped, and a Get
-// refreshes recency.
-func TestMemCacheLRUCap(t *testing.T) {
-	c, err := service.NewResultCache("", service.MaxMemEntries(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("aaaa", &patch.Result{Cycles: 1001})
-	c.Put("bbbb", &patch.Result{Cycles: 1002})
-	if _, ok := c.Get("aaaa"); !ok {
-		t.Fatal("aaaa missing before cap hit")
-	}
-	// aaaa was just used; inserting cccc must evict bbbb.
-	c.Put("cccc", &patch.Result{Cycles: 1003})
-	st := c.Stats()
-	if st.MemEntries != 2 || st.MemEvictions != 1 {
-		t.Fatalf("after mem eviction: %+v", st)
-	}
-	if _, ok := c.Get("bbbb"); ok {
-		t.Error("bbbb survived but aaaa was accessed more recently")
-	}
-	if r, ok := c.Get("aaaa"); !ok || r.Cycles != 1001 {
-		t.Errorf("recently used aaaa evicted: %v %v", r, ok)
-	}
-}
-
-// TestEvictionNeverCorruptsServedGets hammers a hot key with
-// concurrent disk Gets while Puts force continuous eviction. The
-// serving refcount pins an entry's file while it is being read, so no
-// Get may ever observe a torn or checksum-failing entry (Stats.Bad
-// stays zero) or a wrong value. Run with -race this also proves the
-// pinning bookkeeping itself is data-race-free.
+// TestEvictionNeverCorruptsServedGets races first-touch disk loads of
+// entries indexed at open against continuous eviction. The serving
+// refcount pins an entry's file while it is being read, so no Get may
+// ever observe a torn or checksum-failing entry (Stats.Bad stays zero)
+// or a wrong value. Run with -race this also proves the pinning
+// bookkeeping itself is data-race-free.
 func TestEvictionNeverCorruptsServedGets(t *testing.T) {
 	size := entrySize(t)
-	// Memory layer capped to a single entry: the hot key is displaced
-	// by every Put, so its Gets go to the disk layer, racing eviction.
-	c, err := service.NewResultCache(t.TempDir(),
-		service.MaxDiskBytes(2*size), service.MaxMemEntries(1))
+	dir := t.TempDir()
+	const indexed = 100
+	key := func(i int) string { return fmt.Sprintf("%08x", i) }
+	cycles := func(i int) uint64 { return 1000 + uint64(i) } // 4 digits: equal entry sizes
+	writer, err := service.NewResultCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hot = "f0f0"
-	c.Put(hot, &patch.Result{Cycles: 9999})
+	for i := 0; i < indexed; i++ {
+		writer.Put(key(i), &patch.Result{Cycles: cycles(i)})
+	}
+	// Reopened, every entry is indexed without its result, so its first
+	// Get loads it from disk. Each Put below evicts one entry, and the
+	// least recently accessed are the files no Get has loaded yet.
+	c, err := service.NewResultCache(dir, service.MaxDiskBytes(indexed*size))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				r, ok := c.Get(hot)
-				if !ok {
-					// The hot entry went idle long enough to be chosen
-					// as LRU victim; that is allowed — serving a stale
-					// or torn value is not.
-					c.Put(hot, &patch.Result{Cycles: 9999})
-					continue
-				}
-				if r.Cycles != 9999 {
-					t.Errorf("hot key served wrong value: %d", r.Cycles)
+			for n := 0; n < indexed; n++ {
+				i := (n*7 + g*31) % indexed // each reader its own order
+				// A miss is allowed: the entry was evicted before its
+				// first Get. Serving a stale or torn value is not.
+				if r, ok := c.Get(key(i)); ok && r.Cycles != cycles(i) {
+					t.Errorf("key %s served wrong value: %d", key(i), r.Cycles)
 					return
 				}
 			}
 		}()
 	}
-	for i := 0; i < 300; i++ {
-		c.Put(fmt.Sprintf("%08x", i), &patch.Result{Cycles: 1000 + uint64(i%9000)})
+	for i := indexed; i < 3*indexed; i++ {
+		c.Put(key(i), &patch.Result{Cycles: cycles(i)})
 	}
-	close(stop)
 	wg.Wait()
 
 	st := c.Stats()

@@ -23,7 +23,8 @@ type Client struct {
 	// required by servers configured with Config.Token.
 	Token string
 	// Principal, when non-empty, is sent as X-Sweep-Principal on
-	// submissions; the server pools empty principals as "anonymous".
+	// submissions; the server records it as the job's label (empty:
+	// "anonymous").
 	Principal string
 }
 

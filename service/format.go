@@ -1,67 +1,43 @@
 package service
 
 import (
+	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"strings"
 
 	"patch"
 )
 
-// Output formats for GET /jobs/{id}/result?format=<name>. Each format
-// is an Emitter constructor: the server replays the finished job's
+// Format is one output format of GET /jobs/{id}/result?format=<name>
+// and of sweepd -local: an emitter constructor and the Content-Type
+// its bytes are served under. The server replays a finished job's
 // cells through a fresh emitter per download, so the bytes served are
-// exactly what a local Sweep with that emitter would have produced.
-
-type formatEntry struct {
-	make        func(io.Writer) patch.Emitter
-	contentType string
+// exactly what a local Sweep with that emitter produces.
+type Format struct {
+	name        string
+	ContentType string
+	New         func(io.Writer) patch.Emitter
 }
 
-var (
-	formatMu sync.RWMutex
-	formats  = map[string]formatEntry{
-		"csv":      {func(w io.Writer) patch.Emitter { return &patch.CSVEmitter{W: w} }, "text/csv; charset=utf-8"},
-		"json":     {func(w io.Writer) patch.Emitter { return &patch.JSONEmitter{W: w} }, "application/json"},
-		"markdown": {func(w io.Writer) patch.Emitter { return &patch.MarkdownEmitter{W: w} }, "text/markdown; charset=utf-8"},
-		"chart":    {func(w io.Writer) patch.Emitter { return &patch.ChartEmitter{W: w} }, "text/plain; charset=utf-8"},
-	}
-)
-
-// RegisterFormat adds a downloadable result format under name. Like
-// patch.RegisterAdjust it panics on empty/nil arguments or a duplicate
-// name: format names are API surface. contentType "" defaults to
-// text/plain.
-func RegisterFormat(name string, contentType string, make func(io.Writer) patch.Emitter) {
-	if name == "" || make == nil {
-		panic("service: RegisterFormat needs a name and a constructor")
-	}
-	if contentType == "" {
-		contentType = "text/plain; charset=utf-8"
-	}
-	formatMu.Lock()
-	defer formatMu.Unlock()
-	if _, dup := formats[name]; dup {
-		panic("service: RegisterFormat called twice for " + name)
-	}
-	formats[name] = formatEntry{make, contentType}
+// formats is the fixed format table, sorted by name.
+var formats = []Format{
+	{"chart", "text/plain; charset=utf-8", func(w io.Writer) patch.Emitter { return &patch.ChartEmitter{W: w} }},
+	{"csv", "text/csv; charset=utf-8", func(w io.Writer) patch.Emitter { return &patch.CSVEmitter{W: w} }},
+	{"json", "application/json", func(w io.Writer) patch.Emitter { return &patch.JSONEmitter{W: w} }},
+	{"markdown", "text/markdown; charset=utf-8", func(w io.Writer) patch.Emitter { return &patch.MarkdownEmitter{W: w} }},
 }
 
-// Formats lists the registered format names, sorted.
-func Formats() []string {
-	formatMu.RLock()
-	defer formatMu.RUnlock()
-	names := make([]string, 0, len(formats))
-	for n := range formats {
-		names = append(names, n)
+// LookupFormat returns the output format called name. The error for an
+// unknown name lists the known ones.
+func LookupFormat(name string) (Format, error) {
+	for _, f := range formats {
+		if f.name == name {
+			return f, nil
+		}
 	}
-	sort.Strings(names)
-	return names
-}
-
-func lookupFormat(name string) (formatEntry, bool) {
-	formatMu.RLock()
-	defer formatMu.RUnlock()
-	e, ok := formats[name]
-	return e, ok
+	names := make([]string, len(formats))
+	for i, f := range formats {
+		names[i] = f.name
+	}
+	return Format{}, fmt.Errorf("unknown format %q (have: %s)", name, strings.Join(names, ", "))
 }

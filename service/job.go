@@ -49,8 +49,8 @@ type JobSpec struct {
 // JobStatus is the GET /jobs/{id} response.
 type JobStatus struct {
 	ID string `json:"id"`
-	// Principal is the submitting identity (quota and fair-share
-	// accounting); empty submissions are pooled under "anonymous".
+	// Principal labels the job with its submission's X-Sweep-Principal
+	// header ("anonymous" when empty); nothing else reads it.
 	Principal string `json:"principal,omitempty"`
 	State     State  `json:"state"`
 	// Done of Total counts completed replicas; Cells is the matrix

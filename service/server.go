@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,14 +20,10 @@ import (
 // begun; the HTTP layer maps it to 503.
 var ErrDraining = errors.New("service: server is draining")
 
-// ErrQuota is returned when a principal already has MaxJobsPerUser
-// unfinished jobs; the HTTP layer maps it to 429.
-var ErrQuota = errors.New("service: per-user job quota exceeded")
-
 // Config parameterizes a Server.
 type Config struct {
 	// MaxJobs bounds concurrently running jobs; excess submissions
-	// queue per principal and are admitted round-robin. <=0 selects 2.
+	// wait in one FIFO queue. <=0 selects 2.
 	MaxJobs int
 	// Workers is the default local pool size per job (JobSpec.Workers
 	// overrides per job). <=0 selects GOMAXPROCS.
@@ -49,10 +46,6 @@ type Config struct {
 	// on the mutating endpoints: submit, claim, results, heartbeat,
 	// and delete. Reads (status, progress, result, healthz) stay open.
 	Token string
-	// MaxJobsPerUser bounds unfinished (queued + running) jobs per
-	// principal; excess submissions fail with ErrQuota. <=0 means
-	// unlimited.
-	MaxJobsPerUser int
 	// Now is the clock used for leases; nil selects time.Now. Tests
 	// inject a fake to drive lease expiry without sleeping.
 	Now func() time.Time
@@ -72,9 +65,9 @@ type Config struct {
 //	POST   /jobs/{id}/heartbeat   worker extends leases   -> 200 {"extended":n}
 //	GET    /healthz               liveness + counters     -> 200
 //
-// Submissions carry their principal in the X-Sweep-Principal header
-// (empty: "anonymous"); when Config.Token is set, mutating endpoints
-// additionally require the bearer token.
+// A submission's X-Sweep-Principal header (empty: "anonymous") only
+// labels the job; when Config.Token is set, mutating endpoints require
+// the bearer token.
 type Server struct {
 	cfg   Config
 	cache *ResultCache
@@ -82,9 +75,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string          // submission order, for /claim scans and listing
-	queues   map[string][]*job // admitted but waiting, FIFO per principal
-	rotation []string          // principals with queued jobs, round-robin order
+	order    []string // submission order, for /claim scans and listing
+	queue    []*job   // admitted but waiting for a running slot, FIFO
 	running  int
 	draining bool
 	idSeq    int
@@ -108,10 +100,9 @@ func New(cfg Config) *Server {
 		cfg.Cache, _ = NewResultCache("")
 	}
 	s := &Server{
-		cfg:    cfg,
-		cache:  cfg.Cache,
-		jobs:   make(map[string]*job),
-		queues: make(map[string][]*job),
+		cfg:   cfg,
+		cache: cfg.Cache,
+		jobs:  make(map[string]*job),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -153,6 +144,21 @@ func (s *Server) Restore() (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	ids, err := s.cfg.Store.jobIDs()
+	if err != nil {
+		return 0, err
+	}
+	// The id sequence passes every job directory on disk, including
+	// those skipped below or by Load: a new job under a skipped job's
+	// id would append to its stale journal, and after the next restart
+	// serve the old job's replicas.
+	s.mu.Lock()
+	for _, id := range ids {
+		if seq, err := strconv.Atoi(strings.TrimPrefix(id, idPrefix)); err == nil && seq > s.idSeq {
+			s.idSeq = seq
+		}
+	}
+	s.mu.Unlock()
 	restored := 0
 	for _, rec := range recs {
 		j, err := newJob(rec.ID, rec.Spec)
@@ -177,9 +183,6 @@ func (s *Server) Restore() (int, error) {
 		}
 		s.mu.Lock()
 		s.attachPersistenceLocked(j)
-		if rec.Seq > s.idSeq {
-			s.idSeq = rec.Seq
-		}
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
 		if !j.status().State.Finished() {
@@ -201,19 +204,19 @@ func (s *Server) attachPersistenceLocked(j *job) {
 	j.persistTerminal = func(state State, msg string) { _ = store.SaveTerminal(id, state, msg) }
 }
 
-// Submit admits a job under the anonymous principal. Also the
-// programmatic entry point used by tests and embedders.
+// Submit admits a job: it starts at once when a running slot is free,
+// and otherwise waits in the FIFO admission queue. With a store
+// configured the spec is persisted before the submission is
+// acknowledged.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	return s.SubmitAs("", spec)
+	return s.submit("", spec)
 }
 
-// SubmitAs admits a job for principal ("" = "anonymous"): it starts
-// immediately when a running slot is free, otherwise queues behind the
-// principal's earlier jobs — queued principals are admitted
-// round-robin, so one user's backlog cannot starve another's first
-// job. With a store configured the spec is persisted before the
-// submission is acknowledged.
-func (s *Server) SubmitAs(principal string, spec JobSpec) (JobStatus, error) {
+// idPrefix starts every job id; the rest is the job's sequence number.
+const idPrefix = "job-"
+
+// submit admits a job labelled with principal ("" = "anonymous").
+func (s *Server) submit(principal string, spec JobSpec) (JobStatus, error) {
 	if principal == "" {
 		principal = "anonymous"
 	}
@@ -222,12 +225,8 @@ func (s *Server) SubmitAs(principal string, spec JobSpec) (JobStatus, error) {
 	if s.draining {
 		return JobStatus{}, ErrDraining
 	}
-	if s.cfg.MaxJobsPerUser > 0 && s.liveJobsLocked(principal) >= s.cfg.MaxJobsPerUser {
-		return JobStatus{}, fmt.Errorf("%w: %q has %d unfinished jobs",
-			ErrQuota, principal, s.cfg.MaxJobsPerUser)
-	}
 	seq := s.idSeq + 1
-	id := fmt.Sprintf("job-%d", seq)
+	id := idPrefix + strconv.Itoa(seq)
 	j, err := newJob(id, spec)
 	if err != nil {
 		return JobStatus{}, err
@@ -246,64 +245,22 @@ func (s *Server) SubmitAs(principal string, spec JobSpec) (JobStatus, error) {
 	return j.status(), nil
 }
 
-// liveJobsLocked counts principal's unfinished jobs. Called with mu
-// held.
-func (s *Server) liveJobsLocked(principal string) int {
-	n := 0
-	for _, j := range s.jobs {
-		if j.principal == principal && !j.status().State.Finished() {
-			n++
-		}
-	}
-	return n
-}
-
-// admitLocked starts j if a running slot is free, else queues it
-// behind its principal. Called with mu held.
+// admitLocked starts j if a running slot is free, else queues it.
+// Called with mu held.
 func (s *Server) admitLocked(j *job) {
 	if s.running < s.cfg.MaxJobs {
 		s.startLocked(j)
 		return
 	}
-	p := j.principal
-	if _, queued := s.queues[p]; !queued {
-		s.rotation = append(s.rotation, p)
-	}
-	s.queues[p] = append(s.queues[p], j)
+	s.queue = append(s.queue, j)
 }
 
-// nextQueuedLocked pops the next job fair-share: the head of the next
-// principal's FIFO in rotation order, with that principal moving to
-// the back of the rotation. Called with mu held.
-func (s *Server) nextQueuedLocked() *job {
-	for len(s.rotation) > 0 {
-		p := s.rotation[0]
-		q := s.queues[p]
-		if len(q) == 0 {
-			delete(s.queues, p)
-			s.rotation = s.rotation[1:]
-			continue
-		}
-		j := q[0]
-		if len(q) == 1 {
-			delete(s.queues, p)
-			s.rotation = s.rotation[1:]
-		} else {
-			s.queues[p] = q[1:]
-			s.rotation = append(s.rotation[1:], p)
-		}
-		return j
-	}
-	return nil
-}
-
-// dequeueLocked removes j from its principal's queue (cancellation of
-// a queued job). Called with mu held.
+// dequeueLocked removes j from the admission queue (cancellation of a
+// queued job). Called with mu held.
 func (s *Server) dequeueLocked(j *job) {
-	q := s.queues[j.principal]
-	for i, qj := range q {
+	for i, qj := range s.queue {
 		if qj == j {
-			s.queues[j.principal] = append(q[:i], q[i+1:]...)
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			return
 		}
 	}
@@ -324,7 +281,7 @@ func (s *Server) startLocked(j *job) {
 
 // runJob drives one job to a terminal state: cache prefill, then the
 // local pool (unless remote-only), then waiting out any remote claims,
-// and finally handing the slot to the next queued job (fair-share).
+// and finally handing the slot to the oldest queued job.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	j.prefill(s.cache)
@@ -340,11 +297,9 @@ func (s *Server) runJob(j *job) {
 	<-j.finished
 	s.mu.Lock()
 	s.running--
-	for s.running < s.cfg.MaxJobs {
-		next := s.nextQueuedLocked()
-		if next == nil {
-			break
-		}
+	for s.running < s.cfg.MaxJobs && len(s.queue) > 0 {
+		next := s.queue[0]
+		s.queue = s.queue[1:]
 		s.startLocked(next)
 	}
 	s.mu.Unlock()
@@ -371,8 +326,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		for _, j := range s.jobs {
 			j.cancelJob()
 		}
-		s.queues = make(map[string][]*job)
-		s.rotation = nil
+		s.queue = nil
 		s.mu.Unlock()
 		<-done
 		return ctx.Err()
@@ -426,12 +380,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	st, err := s.SubmitAs(r.Header.Get("X-Sweep-Principal"), spec)
+	st, err := s.submit(r.Header.Get("X-Sweep-Principal"), spec)
 	switch {
 	case errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrQuota):
-		httpError(w, http.StatusTooManyRequests, "%v", err)
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "%v", err)
 	default:
@@ -540,19 +492,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "csv"
 	}
-	f, ok := lookupFormat(name)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown format %q (have: %s)",
-			name, strings.Join(Formats(), ", "))
+	f, err := LookupFormat(name)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if st := j.status(); st.State != StateDone {
 		httpError(w, http.StatusConflict, "job is %s, not done", st.State)
 		return
 	}
-	w.Header().Set("Content-Type", f.contentType)
+	w.Header().Set("Content-Type", f.ContentType)
 	w.WriteHeader(http.StatusOK)
-	_ = j.render(w, f.make)
+	_ = j.render(w, f.New)
 }
 
 // handleClaim hands a worker up to max replicas from the oldest
@@ -649,11 +600,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	n, running, draining := len(s.jobs), s.running, s.draining
-	queued := 0
-	for _, q := range s.queues {
-		queued += len(q)
-	}
+	n, running, queued, draining := len(s.jobs), s.running, len(s.queue), s.draining
 	s.mu.Unlock()
 	body := map[string]any{
 		"jobs":     n,

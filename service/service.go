@@ -1,17 +1,17 @@
 // Package service turns the sweep engine into a long-lived experiment
 // farm: a sweep-as-a-service HTTP server that accepts serialized
 // patch.Matrix jobs, streams replica-granular progress, and serves
-// emitter output in any registered format.
+// emitter output in any format of its fixed table (LookupFormat).
 //
 // The design cashes in the determinism contract the engine already
 // guarantees (a configuration's results are byte-identical wherever
-// and whenever they run) twice over:
+// and whenever they run) three times over:
 //
 //   - A content-addressed result cache keyed by Config.Fingerprint()
 //     makes repeated work free and exact: overlapping cells across
-//     concurrent users hit the cache instead of the simulator, and an
-//     on-disk layer (checksummed, so truncated or poisoned entries are
-//     recomputed rather than served) survives restarts.
+//     concurrent jobs hit the cache instead of the simulator, and its
+//     files (checksummed, so truncated or poisoned entries are
+//     recomputed rather than served) survive restarts.
 //
 //   - Remote workers claim replica ranges over the same HTTP API and
 //     post results back; because the per-cell reduce is
@@ -25,11 +25,10 @@
 //     last journaled replica — with output byte-identical to an
 //     uninterrupted run.
 //
-// The server enforces bounded concurrent-job admission (excess jobs
-// queue per principal and are admitted round-robin, so one user's
-// backlog cannot starve another), per-principal job quotas, optional
-// bearer-token authentication on the mutating endpoints, worker
-// heartbeats that extend claim leases, per-job cancellation, and
-// graceful drain on shutdown. The disk result cache is size-capped
-// with oldest-accessed eviction; the in-memory layer is LRU-capped.
+// The server runs at most Config.MaxJobs jobs at once and admits the
+// rest from one FIFO queue. It offers optional bearer-token
+// authentication on the mutating endpoints, worker heartbeats that
+// extend claim leases, per-job cancellation, and graceful drain on
+// shutdown. The result cache has one bound, a byte cap with
+// least-recently-accessed eviction.
 package service

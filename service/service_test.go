@@ -602,7 +602,8 @@ func TestBadRequests(t *testing.T) {
 
 	st := runJob(t, c, service.JobSpec{Matrix: smokeMatrix()})
 	var sink bytes.Buffer
-	if err := c.Result(ctx, st.ID, "no-such-format", &sink); err == nil || !strings.Contains(err.Error(), "unknown format") {
+	if err := c.Result(ctx, st.ID, "no-such-format", &sink); err == nil || !strings.Contains(err.Error(), "unknown format") ||
+		!strings.Contains(err.Error(), "(have: chart, csv, json, markdown)") {
 		t.Errorf("unknown format: %v", err)
 	}
 }

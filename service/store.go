@@ -103,19 +103,31 @@ func OpenJobStore(dir string) (*JobStore, error) {
 		return nil, fmt.Errorf("service: job store: %w", err)
 	}
 	st := &JobStore{dir: dir}
-	entries, err := os.ReadDir(st.jobsDir())
+	ids, err := st.jobIDs()
 	if err != nil {
-		return nil, fmt.Errorf("service: job store: %w", err)
+		return nil, err
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			st.stats.Jobs++
-		}
-	}
+	st.stats.Jobs = int64(len(ids))
 	return st, nil
 }
 
 func (st *JobStore) jobsDir() string { return filepath.Join(st.dir, "jobs") }
+
+// jobIDs lists the id of every job directory, including those whose
+// spec Load skips.
+func (st *JobStore) jobIDs() ([]string, error) {
+	entries, err := os.ReadDir(st.jobsDir())
+	if err != nil {
+		return nil, fmt.Errorf("service: job store: %w", err)
+	}
+	var ids []string
+	for _, e := range entries {
+		if e.IsDir() {
+			ids = append(ids, e.Name())
+		}
+	}
+	return ids, nil
+}
 
 // jobDir maps an id to its directory, rejecting anything that could
 // escape the store root.
@@ -244,17 +256,14 @@ func (st *JobStore) Delete(id string) error {
 // its valid prefix (the lost replicas simply re-run — determinism
 // makes the re-run byte-identical).
 func (st *JobStore) Load() ([]RestoredJob, error) {
-	entries, err := os.ReadDir(st.jobsDir())
+	ids, err := st.jobIDs()
 	if err != nil {
-		return nil, fmt.Errorf("service: job store: %w", err)
+		return nil, err
 	}
 	var out []RestoredJob
 	var loaded, replayed, dropped int64
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		dir := filepath.Join(st.jobsDir(), e.Name())
+	for _, id := range ids {
+		dir := filepath.Join(st.jobsDir(), id)
 		payload, ok, bad := readChecksummed(filepath.Join(dir, "spec.json"))
 		if !ok {
 			if bad {
@@ -263,7 +272,7 @@ func (st *JobStore) Load() ([]RestoredJob, error) {
 			continue
 		}
 		var rec persistedJob
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID != e.Name() {
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID != id {
 			dropped++
 			continue
 		}

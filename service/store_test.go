@@ -3,11 +3,14 @@ package service_test
 import (
 	"bytes"
 	"context"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +41,7 @@ func openStore(t *testing.T, dir string) *service.JobStore {
 }
 
 // waitForState polls until job id reaches state (or t fails). Used
-// where a transition rides on a server goroutine (fair-share handoff,
+// where a transition rides on a server goroutine (admission handoff,
 // restored jobs finishing).
 func waitForState(t *testing.T, c *service.Client, id string, state service.State) service.JobStatus {
 	t.Helper()
@@ -300,52 +303,11 @@ func TestTornJournalHeals(t *testing.T) {
 	}
 }
 
-// TestQuota: per-principal admission limits turn into ErrQuota
-// programmatically and 429 over HTTP, and finishing (here: cancelling)
-// a job frees the slot.
-func TestQuota(t *testing.T) {
-	srv := service.New(service.Config{MaxJobs: 1, MaxJobsPerUser: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	ctx := context.Background()
-	m := smokeMatrix()
-	spec := service.JobSpec{Matrix: m, RemoteOnly: true}
-
-	a1, err := srv.SubmitAs("alice", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.SubmitAs("alice", spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.SubmitAs("alice", spec); !errors.Is(err, service.ErrQuota) {
-		t.Fatalf("third alice job: %v, want ErrQuota", err)
-	}
-	// Quotas are per principal: bob is unaffected by alice's backlog.
-	if _, err := srv.SubmitAs("bob", spec); err != nil {
-		t.Fatalf("bob's first job hit alice's quota: %v", err)
-	}
-
-	// Over HTTP the quota surfaces as 429.
-	cAlice := &service.Client{Base: ts.URL, Principal: "alice"}
-	if _, err := cAlice.Submit(ctx, spec); err == nil || !strings.Contains(err.Error(), "429") {
-		t.Fatalf("HTTP submit over quota: %v, want 429", err)
-	}
-
-	// Cancelling one of alice's jobs frees her slot.
-	if err := cAlice.Cancel(ctx, a1.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, cAlice, a1.ID, service.StateCancelled)
-	if _, err := cAlice.Submit(ctx, spec); err != nil {
-		t.Fatalf("submit after freeing quota: %v", err)
-	}
-}
-
-// TestFairShareAdmission: with one running slot, queued jobs are
-// admitted round-robin across principals — alice's backlog cannot
-// lock bob out.
-func TestFairShareAdmission(t *testing.T) {
+// TestFIFOAdmission: with one running slot, queued jobs run in
+// submission order whoever submitted them, a queued job cancelled
+// before its turn is skipped, and /healthz counts only the jobs still
+// waiting.
+func TestFIFOAdmission(t *testing.T) {
 	srv := service.New(service.Config{MaxJobs: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -361,25 +323,139 @@ func TestFairShareAdmission(t *testing.T) {
 		}
 		return st
 	}
-	a1, a2, a3 := submit(cAlice), submit(cAlice), submit(cAlice)
-	b1 := submit(cBob)
-	if st := waitForState(t, cAlice, a1.ID, service.StateRunning); st.Principal != "alice" {
-		t.Fatalf("a1 principal %q", st.Principal)
+	queued := func() int {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Queued int `json:"queued"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Queued
 	}
-
-	// FIFO would run a1, a2, a3, b1. Fair-share rotation interleaves
-	// bob after alice's next turn: a1, a2, b1, a3.
-	finish := func(c *service.Client, id string) {
+	cancel := func(c *service.Client, id string) {
 		if err := c.Cancel(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	finish(cAlice, a1.ID)
+	wantQueued := func(c *service.Client, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if st, err := c.Status(ctx, id); err != nil || st.State != service.StateQueued {
+				t.Fatalf("job %s: %+v, %v; want queued", id, st, err)
+			}
+		}
+	}
+
+	a1 := submit(cAlice)
+	gone := submit(cBob)
+	a2, a3 := submit(cAlice), submit(cAlice)
+	b1 := submit(cBob)
+	if st := waitForState(t, cAlice, a1.ID, service.StateRunning); st.Principal != "alice" {
+		t.Fatalf("a1 principal %q", st.Principal)
+	}
+	if n := queued(); n != 4 {
+		t.Fatalf("healthz queued = %d, want 4", n)
+	}
+	cancel(cBob, gone.ID)
+	if n := queued(); n != 3 {
+		t.Fatalf("healthz queued after cancelling a queued job = %d, want 3", n)
+	}
+
+	// Fair share would run b1 before a3; FIFO runs a1, a2, a3, b1.
+	cancel(cAlice, a1.ID)
 	waitForState(t, cAlice, a2.ID, service.StateRunning)
-	finish(cAlice, a2.ID)
-	waitForState(t, cBob, b1.ID, service.StateRunning)
-	finish(cBob, b1.ID)
+	wantQueued(cAlice, a3.ID, b1.ID)
+	if st, err := cBob.Status(ctx, gone.ID); err != nil || st.State != service.StateCancelled {
+		t.Fatalf("cancelled queued job: %+v, %v", st, err)
+	}
+	cancel(cAlice, a2.ID)
 	waitForState(t, cAlice, a3.ID, service.StateRunning)
+	wantQueued(cBob, b1.ID)
+	cancel(cAlice, a3.ID)
+	if st := waitForState(t, cBob, b1.ID, service.StateRunning); st.Principal != "bob" {
+		t.Fatalf("b1 principal %q", st.Principal)
+	}
+	if n := queued(); n != 0 {
+		t.Fatalf("healthz queued with nothing waiting = %d", n)
+	}
+}
+
+// TestRestoreNeverReusesSkippedIDs: Restore skips a persisted job whose
+// spec no longer expands, and one whose spec.json fails its checksum,
+// but the id sequence still passes both directories. A new job under
+// either id would append to the old journal and, after the next
+// restart, serve the old job's replicas.
+func TestRestoreNeverReusesSkippedIDs(t *testing.T) {
+	m := smokeMatrix()
+	want := localCSV(t, m)
+	dir := t.TempDir()
+	start := func(wantRestored int) *service.Client {
+		t.Helper()
+		srv := service.New(service.Config{Workers: 2, Cache: memCache(t), Store: openStore(t, dir)})
+		if n, err := srv.Restore(); err != nil || n != wantRestored {
+			t.Fatalf("restored %d jobs (err %v), want %d", n, err, wantRestored)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return &service.Client{Base: ts.URL}
+	}
+
+	// Two finished jobs of another matrix leave full journals behind.
+	other := m
+	other.Base.Seed = 99
+	c1 := start(0)
+	skipped := []string{
+		runJob(t, c1, service.JobSpec{Matrix: other}).ID,
+		runJob(t, c1, service.JobSpec{Matrix: other}).ID,
+	}
+
+	// The first spec names an adjust transform this build does not
+	// register, under a valid checksum; the second fails its checksum.
+	specPath := func(id string) string { return filepath.Join(dir, "jobs", id, "spec.json") }
+	raw, err := os.ReadFile(specPath(skipped[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, _ := strings.Cut(string(raw), "\n")
+	payload = strings.Replace(payload, `"matrix":{`, `"matrix":{"adjust":"no-such",`, 1)
+	sum := sha256.Sum256([]byte(payload))
+	if err := os.WriteFile(specPath(skipped[0]), []byte("sha256:"+hex.EncodeToString(sum[:])+"\n"+payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(specPath(skipped[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-2] ^= 0x01
+	if err := os.WriteFile(specPath(skipped[1]), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := start(0)
+	var fresh []string
+	for range skipped {
+		id := runJob(t, c2, service.JobSpec{Matrix: m}).ID
+		if slices.Contains(skipped, id) {
+			t.Errorf("new job took the skipped id %s", id)
+		}
+		fresh = append(fresh, id)
+	}
+
+	c3 := start(len(fresh))
+	for _, id := range fresh {
+		if got := download(t, c3, id, "csv"); !bytes.Equal(got, want) {
+			t.Errorf("job %s after restart differs from local sweep:\n got: %q\nwant: %q", id, got, want)
+		}
+	}
+	// Re-admitted jobs keep their ids too.
+	if id := runJob(t, c3, service.JobSpec{Matrix: m}).ID; slices.Contains(slices.Concat(skipped, fresh), id) {
+		t.Errorf("new job took the persisted id %s", id)
+	}
 }
 
 // TestTokenAuth: with Config.Token set, the mutating endpoints demand
