@@ -14,28 +14,24 @@ package main
 
 import (
 	"fmt"
+	"log"
 
-	"patch/internal/core"
-	"patch/internal/directory"
 	"patch/internal/event"
-	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/predictor"
-	"patch/internal/protocol"
+	"patch/internal/sim"
 )
 
 func main() {
-	const n = 4
-	eng := &event.Engine{}
-	net := interconnect.New(eng, n, interconnect.DefaultConfig())
-	env := protocol.DefaultEnv(eng, net, n)
-	nodes := make([]*core.Node, n)
-	for i := range nodes {
-		nodes[i] = core.New(msg.NodeID(i), env, protocol.Params{
-			Enc: directory.FullMap(n), Policy: predictor.All, BestEffort: true,
-		})
-		net.Register(msg.NodeID(i), nodes[i].Handle)
+	// A 4-node PATCH-All system, driven by hand rather than by a workload.
+	sys, err := sim.NewSystem(sim.Config{
+		Protocol: sim.PATCH, Cores: 4, Policy: predictor.All, BestEffort: true,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer sys.Close()
+	eng, nodes, env := sys.Eng, sys.Nodes, sys.Env
 
 	// Pick a block homed at node 3 (the figure's "Home").
 	var addr msg.Addr
@@ -46,7 +42,7 @@ func main() {
 		}
 	}
 	state := func(who int) string {
-		l := nodes[who].L2.Lookup(addr)
+		l := nodes[who].Shared().L2.Lookup(addr)
 		if l == nil {
 			return "I t=0"
 		}
@@ -65,9 +61,9 @@ func main() {
 	var p1Done, p2Done bool
 	var p1At, p2At event.Time
 	nodes[2].Access(addr, true, func() { p2Done = true; p2At = eng.Now() })
-	eng.After(5, func(event.Time) {
+	eng.After(5, event.Func(func(event.Time) {
 		nodes[1].Access(addr, true, func() { p1Done = true; p1At = eng.Now() })
-	})
+	}))
 	eng.Run(0)
 
 	fmt.Printf("  P2 write completed: %v (cycle %d)\n", p2Done, p2At)
@@ -75,7 +71,7 @@ func main() {
 
 	timeouts := uint64(0)
 	for _, nd := range nodes {
-		timeouts += nd.St.TenureTimeouts
+		timeouts += nd.Shared().St.TenureTimeouts
 	}
 	fmt.Printf("Token-tenure probationary timeouts fired: %d\n", timeouts)
 	fmt.Printf("Final states: P0: %-8s P1: %-8s P2: %-8s\n", state(0), state(1), state(2))

@@ -19,6 +19,7 @@ const (
 	pkgLitmus       = "patch/internal/litmus"
 	pkgFault        = "patch/internal/fault"
 	pkgCache        = "patch/internal/cache"
+	pkgToken        = "patch/internal/token"
 )
 
 // PatchSuite returns the analyzers configured for this repository's
@@ -38,6 +39,9 @@ func PatchSuite() []*Analyzer {
 					// Cache iteration order reaches the audit, the
 					// forensics and the end-of-run checks.
 					pkgCache,
+					// The conservation error reaches the end-of-run
+					// check and the audit failures.
+					pkgToken,
 				},
 				Files: map[string][]string{
 					// Of the root package, only the sweep engine feeds
@@ -86,8 +90,8 @@ func PatchSuite() []*Analyzer {
 					Sinks: []FuncRef{
 						// Scheduling a pooled task hands it to the
 						// engine until it fires.
-						{Pkg: pkgEvent, Recv: "Engine", Name: "AtTask"},
-						{Pkg: pkgEvent, Recv: "Engine", Name: "AfterTask"},
+						{Pkg: pkgEvent, Recv: "Engine", Name: "At"},
+						{Pkg: pkgEvent, Recv: "Engine", Name: "After"},
 					},
 				},
 				{

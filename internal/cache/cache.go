@@ -92,9 +92,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Sets returns the number of sets (diagnostics).
-func (c *Cache) Sets() int { return c.nsets }
-
 // probe scans addr's set in the tag array. It returns the index of the
 // set's first way, the tag addr carries, and the way holding addr (-1
 // if none).

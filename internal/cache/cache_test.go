@@ -187,8 +187,8 @@ func TestReset(t *testing.T) {
 
 func TestSetsPowerOfTwoSizing(t *testing.T) {
 	c := New(Config{SizeBytes: 1 << 20, Ways: 4, BlockSize: 64})
-	if c.Sets() != (1<<20)/(4*64) {
-		t.Fatalf("sets = %d", c.Sets())
+	if c.nsets != (1<<20)/(4*64) {
+		t.Fatalf("sets = %d", c.nsets)
 	}
 }
 

@@ -58,7 +58,7 @@ func (c *cluster) checkConservation(t *testing.T) {
 	for _, n := range c.nodes {
 		holders = append(holders, n.L2, n.Home())
 	}
-	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
+	if err := token.CheckConservation(c.env.Tokens, holders); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -215,7 +215,7 @@ func TestFigure1RaceResolvedByTenure(t *testing.T) {
 	// broadcast direct requests in flight.
 	done2 := c.access(2, a, true)
 	var done1 *bool
-	c.eng.After(5, func(event.Time) { done1 = c.access(1, a, true) })
+	c.eng.After(5, event.Func(func(event.Time) { done1 = c.access(1, a, true) }))
 	c.run(t)
 	if !*done2 || !*done1 {
 		t.Fatalf("race starved: P2 done=%v P1 done=%v", *done2, *done1)
@@ -275,7 +275,7 @@ func TestDirectRequestTwoHopTransfer(t *testing.T) {
 	c.access(0, a, true) // P0 owns all tokens
 	c.run(t)
 	// Wait out P0's post-deactivation direct-ignore window.
-	c.eng.After(5000, func(event.Time) { c.access(1, a, false) })
+	c.eng.After(5000, event.Func(func(event.Time) { c.access(1, a, false) }))
 	c.run(t)
 	if c.nodes[0].St.DirectResponded == 0 {
 		t.Fatal("owner never answered a direct request")
@@ -325,9 +325,9 @@ func TestHotBlockStress(t *testing.T) {
 				a := blocks[r.Intn(len(blocks))]
 				c.nodes[node].Access(a, r.Intn(2) == 0, func() {
 					completed++
-					c.eng.After(event.Time(r.Intn(20)), func(event.Time) {
+					c.eng.After(event.Time(r.Intn(20)), event.Func(func(event.Time) {
 						issue(node, remaining-1)
-					})
+					}))
 				})
 			}
 			const opsPer = 60
@@ -368,7 +368,7 @@ func TestEvictionStress(t *testing.T) {
 		a := msg.Addr(0x20000 + r.Intn(64)*64) // 64 blocks >> cache capacity
 		nodes[node].Access(a, r.Intn(3) == 0, func() {
 			completed++
-			eng.After(event.Time(r.Intn(10)), func(event.Time) { issue(node, remaining-1) })
+			eng.After(event.Time(r.Intn(10)), event.Func(func(event.Time) { issue(node, remaining-1) }))
 		})
 	}
 	for nd := range nodes {
@@ -387,7 +387,7 @@ func TestEvictionStress(t *testing.T) {
 	if dirty == 0 {
 		t.Fatal("stress produced no writebacks; test is not exercising evictions")
 	}
-	if err := token.CheckConservation(4, holders, nil); err != nil {
+	if err := token.CheckConservation(4, holders); err != nil {
 		t.Fatal(err)
 	}
 }

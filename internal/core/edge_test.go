@@ -21,7 +21,7 @@ func TestStaleForwardAfterDirectTransfer(t *testing.T) {
 	c.access(0, a, true)
 	c.run(t)
 	// Wait out P0's post-deactivation window so directs are answered.
-	c.eng.After(5000, func(event.Time) {})
+	c.eng.After(5000, event.Func(func(event.Time) {}))
 	c.run(t)
 
 	// P1 writes: its direct request will strip P0 before the home's
@@ -108,7 +108,7 @@ func TestTenureTimerStopsAfterRetire(t *testing.T) {
 	c.run(t)
 	before := c.nodes[0].St.TenureTimeouts
 	// Run far past any timeout.
-	c.eng.After(100000, func(event.Time) {})
+	c.eng.After(100000, event.Func(func(event.Time) {}))
 	c.run(t)
 	if c.nodes[0].St.TenureTimeouts != before {
 		t.Fatal("tenure timer fired after deactivation")

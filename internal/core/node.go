@@ -153,7 +153,7 @@ func (n *Node) tenurePeriod() event.Time {
 
 func (n *Node) armTenureTimer(m *mshr) {
 	m.timer.Cancel()
-	m.timer = n.Env.Eng.AfterTask(n.tenurePeriod(), m)
+	m.timer = n.Env.Eng.After(n.tenurePeriod(), m)
 }
 
 // tenureTimeout fires when the probationary period expires without an
@@ -344,7 +344,7 @@ func (n *Node) armStandaloneTimer(addr msg.Addr) {
 	t := n.saFree.Get()
 	t.n = n
 	t.addr = addr
-	n.tenureTimers[addr] = n.Env.Eng.AfterTask(n.tenurePeriod(), t)
+	n.tenureTimers[addr] = n.Env.Eng.After(n.tenurePeriod(), t)
 }
 
 // cacheFwd services a forwarded request from the home. Forwarded

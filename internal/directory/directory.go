@@ -74,16 +74,6 @@ func (s *SharerSet) Clear() {
 	}
 }
 
-// Empty reports whether no presence bits are set.
-func (s *SharerSet) Empty() bool {
-	for _, b := range s.bits {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether n may be a sharer (exact for Coarseness 1).
 func (s *SharerSet) Contains(n msg.NodeID) bool {
 	g := s.group(n)
@@ -100,16 +90,10 @@ func (s *SharerSet) Remove(n msg.NodeID) {
 	s.bits[g/64] &^= 1 << (g % 64)
 }
 
-// Members returns the conservative expansion of the set: every core in
-// every marked group, excluding exclude (pass -2 to exclude nobody; the
-// requester is normally excluded from invalidation multicasts).
-func (s *SharerSet) Members(exclude msg.NodeID) []msg.NodeID {
-	return s.AppendMembers(nil, exclude)
-}
-
-// AppendMembers appends the conservative expansion of the set to dst,
-// excluding exclude, and returns the extended slice. It is the
-// allocation-free form of Members for hot paths: callers pass a
+// AppendMembers appends the conservative expansion of the set to dst —
+// every core in every marked group, excluding exclude (pass -2 to
+// exclude nobody; the requester is normally excluded from invalidation
+// multicasts) — and returns the extended slice. Hot paths pass a
 // per-node scratch buffer re-sliced to zero length and must consume the
 // result before the next use of the same buffer.
 func (s *SharerSet) AppendMembers(dst []msg.NodeID, exclude msg.NodeID) []msg.NodeID {
@@ -336,12 +320,6 @@ func (e *Entry) PopQueue() Pending {
 	e.Queue[len(e.Queue)-1] = Pending{}
 	e.Queue = e.Queue[:len(e.Queue)-1]
 	return p
-}
-
-// Peek returns the entry if it exists, without creating one.
-func (d *Directory) Peek(addr msg.Addr) *Entry {
-	e, _ := d.entries.Get(addr)
-	return e
 }
 
 // TokenHoldings implements token.Holder for conservation checks.

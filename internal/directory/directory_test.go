@@ -32,7 +32,7 @@ func TestFullMapExact(t *testing.T) {
 	if !s.Contains(5) || !s.Contains(63) || s.Contains(6) {
 		t.Fatal("full-map membership wrong")
 	}
-	got := s.Members(-2)
+	got := s.AppendMembers(nil, -2)
 	if len(got) != 2 || got[0] != 5 || got[1] != 63 {
 		t.Fatalf("members = %v", got)
 	}
@@ -46,7 +46,7 @@ func TestMembersExcludes(t *testing.T) {
 	s := NewSharerSet(FullMap(8))
 	s.Add(1)
 	s.Add(2)
-	got := s.Members(2)
+	got := s.AppendMembers(nil, 2)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("members excluding 2 = %v", got)
 	}
@@ -64,7 +64,7 @@ func TestCoarseSupersets(t *testing.T) {
 		if !s.Contains(17) {
 			t.Fatalf("K=%d: false negative", k)
 		}
-		members := s.Members(-2)
+		members := s.AppendMembers(nil, -2)
 		if len(members) != k {
 			t.Fatalf("K=%d: %d members, want %d", k, len(members), k)
 		}
@@ -83,18 +83,18 @@ func TestCoarseSupersets(t *testing.T) {
 func TestSingleBitEncoding(t *testing.T) {
 	enc := Encoding{Cores: 64, Coarseness: 64}
 	s := NewSharerSet(enc)
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("fresh set not empty")
 	}
 	s.Add(3)
 	if s.Count() != 64 {
 		t.Fatalf("single-bit encoding expands to %d, want 64", s.Count())
 	}
-	if len(s.Members(3)) != 63 {
+	if len(s.AppendMembers(nil, 3)) != 63 {
 		t.Fatal("exclusion under single-bit encoding wrong")
 	}
 	s.Clear()
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("clear failed")
 	}
 }
@@ -119,7 +119,7 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 			}
 			// Members must be a superset of added.
 			mem := map[msg.NodeID]bool{}
-			for _, m := range s.Members(-2) {
+			for _, m := range s.AppendMembers(nil, -2) {
 				mem[m] = true
 			}
 			for a := range added {
@@ -157,17 +157,6 @@ func TestEntryNoTokensForDirectory(t *testing.T) {
 	e := d.Entry(0x40)
 	if !e.Tok.Zero() {
 		t.Fatal("pure directory entry must hold no tokens")
-	}
-}
-
-func TestPeek(t *testing.T) {
-	d := New(0, FullMap(16), 16)
-	if d.Peek(0x40) != nil {
-		t.Fatal("peek created an entry")
-	}
-	d.Entry(0x40)
-	if d.Peek(0x40) == nil {
-		t.Fatal("peek missed an existing entry")
 	}
 }
 

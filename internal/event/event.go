@@ -1,6 +1,6 @@
 // Package event provides a deterministic discrete-event simulation engine.
 //
-// The engine is a binary-heap priority queue of callbacks keyed by
+// The engine is a binary-heap priority queue of tasks keyed by
 // (time, sequence). Two events scheduled for the same cycle fire in the
 // order they were scheduled, which makes whole-system simulations
 // reproducible for a given seed.
@@ -15,22 +15,23 @@ package event
 // Time is the simulated clock, in cycles.
 type Time uint64
 
-// Func is a callback fired when an event's time is reached.
-type Func func(now Time)
-
-// Task is the allocation-free alternative to Func for hot paths: a
-// scheduler that would otherwise allocate a fresh closure per event
-// implements Task on a pooled struct and passes it to AtTask, typically
-// rescheduling the same value as work progresses.
+// Task is what an event fires. Hot-path schedulers implement it on a
+// pooled struct, typically rescheduling the same value as work
+// progresses, so scheduling allocates nothing.
 type Task interface {
 	Fire(now Time)
 }
 
+// Func adapts a callback to Task. A func value is pointer-shaped, so
+// converting a Func to a Task does not allocate.
+type Func func(now Time)
+
+// Fire implements Task.
+func (f Func) Fire(now Time) { f(now) }
+
 // item is one pooled event slot. The generation counter increments every
 // time the slot is released, invalidating outstanding Handles.
 type item struct {
-	fn   Func
-	fn0  func()
 	task Task
 	gen  uint32
 }
@@ -70,13 +71,12 @@ func (h Handle) Pending() bool {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	heap   []heapEntry
-	items  []item
-	free   []int32
-	now    Time
-	seq    uint64
-	fired  uint64
-	maxLen int
+	heap  []heapEntry
+	items []item
+	free  []int32
+	now   Time
+	seq   uint64
+	fired uint64
 }
 
 // Now returns the current simulated time.
@@ -98,7 +98,6 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
-	e.maxLen = 0
 }
 
 // Fired returns the number of events executed so far.
@@ -108,31 +107,13 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // events that have not yet been popped).
 func (e *Engine) Len() int { return len(e.heap) }
 
-// MaxLen returns the high-water mark of the event queue.
-func (e *Engine) MaxLen() int { return e.maxLen }
-
-// At schedules fn to run at absolute time t. Scheduling in the past
+// At schedules task to fire at absolute time t. Scheduling in the past
 // (t < Now) fires the event at the current time instead; the engine never
-// moves backwards.
-func (e *Engine) At(t Time, fn Func) Handle { return e.schedule(t, fn, nil, nil) }
-
-// AtTask schedules task to run at absolute time t, without allocating:
-// the caller owns the Task value and may reschedule it once it has fired.
-func (e *Engine) AtTask(t Time, task Task) Handle { return e.schedule(t, nil, nil, task) }
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn Func) Handle { return e.At(e.now+d, fn) }
-
-// After0 schedules fn, which takes no arguments, d cycles from now.
-// Passing an existing func() value directly avoids the adapter closure
-// that After(d, func(Time) { fn() }) would allocate.
-func (e *Engine) After0(d Time, fn func()) Handle { return e.schedule(e.now+d, nil, fn, nil) }
-
-// AfterTask schedules task to run d cycles from now.
-func (e *Engine) AfterTask(d Time, task Task) Handle { return e.AtTask(e.now+d, task) }
-
+// moves backwards. The caller owns the Task value and may reschedule it
+// once it has fired.
+//
 //patch:steadystate
-func (e *Engine) schedule(t Time, fn Func, fn0 func(), task Task) Handle {
+func (e *Engine) At(t Time, task Task) Handle {
 	if t < e.now {
 		t = e.now
 	}
@@ -145,16 +126,16 @@ func (e *Engine) schedule(t Time, fn Func, fn0 func(), task Task) Handle {
 		idx = int32(len(e.items) - 1)
 	}
 	it := &e.items[idx]
-	it.fn = fn
-	it.fn0 = fn0
 	it.task = task
 	e.push(heapEntry{at: t, seq: e.seq, idx: idx, gen: it.gen})
 	e.seq++
-	if len(e.heap) > e.maxLen {
-		e.maxLen = len(e.heap)
-	}
 	return Handle{eng: e, idx: idx, gen: it.gen}
 }
+
+// After schedules task to fire d cycles from now.
+//
+//patch:steadystate
+func (e *Engine) After(d Time, task Task) Handle { return e.At(e.now+d, task) }
 
 // freeItem releases a slot back to the free-list, invalidating handles
 // (and any stale heap entry) via the generation bump.
@@ -163,8 +144,6 @@ func (e *Engine) schedule(t Time, fn Func, fn0 func(), task Task) Handle {
 func (e *Engine) freeItem(idx int32) {
 	it := &e.items[idx]
 	it.gen++
-	it.fn = nil
-	it.fn0 = nil
 	it.task = nil
 	e.free = append(e.free, idx)
 }
@@ -223,18 +202,11 @@ func (e *Engine) Step() bool {
 		if it.gen != top.gen {
 			continue // cancelled; slot already recycled
 		}
-		fn, fn0, task := it.fn, it.fn0, it.task
+		task := it.task
 		e.freeItem(top.idx)
 		e.now = top.at
 		e.fired++
-		switch {
-		case fn != nil:
-			fn(e.now)
-		case fn0 != nil:
-			fn0()
-		default:
-			task.Fire(e.now)
-		}
+		task.Fire(e.now)
 		return true
 	}
 	return false
@@ -253,25 +225,5 @@ func (e *Engine) Run(limit uint64) uint64 {
 			return n
 		}
 		n++
-	}
-}
-
-// RunUntil fires events with time <= deadline. Events scheduled beyond
-// the deadline remain queued; the clock advances to the deadline if any
-// work was pending beyond it.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if e.items[top.idx].gen != top.gen {
-			e.popTop() // stale entry of a cancelled event
-			continue
-		}
-		if top.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }

@@ -24,12 +24,12 @@ func TestFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.At(at, func(now Time) {
+		e.At(at, Func(func(now Time) {
 			if now != at {
 				t.Errorf("fired at %d, scheduled for %d", now, at)
 			}
 			got = append(got, now)
-		})
+		}))
 	}
 	e.Run(0)
 	want := []Time{10, 20, 30, 40, 50}
@@ -45,7 +45,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func(Time) { got = append(got, i) })
+		e.At(5, Func(func(Time) { got = append(got, i) }))
 	}
 	e.Run(0)
 	for i := range got {
@@ -58,10 +58,10 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestAfterAccumulates(t *testing.T) {
 	var e Engine
 	var fired []Time
-	e.After(10, func(now Time) {
+	e.After(10, Func(func(now Time) {
 		fired = append(fired, now)
-		e.After(5, func(now Time) { fired = append(fired, now) })
-	})
+		e.After(5, Func(func(now Time) { fired = append(fired, now) }))
+	}))
 	e.Run(0)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
 		t.Fatalf("fired = %v, want [10 15]", fired)
@@ -71,9 +71,9 @@ func TestAfterAccumulates(t *testing.T) {
 func TestSchedulingInPastClamps(t *testing.T) {
 	var e Engine
 	var lastNow Time
-	e.At(100, func(now Time) {
-		e.At(50, func(now Time) { lastNow = now }) // in the past
-	})
+	e.At(100, Func(func(now Time) {
+		e.At(50, Func(func(now Time) { lastNow = now })) // in the past
+	}))
 	e.Run(0)
 	if lastNow != 100 {
 		t.Fatalf("past-scheduled event fired at %d, want clamp to 100", lastNow)
@@ -83,7 +83,7 @@ func TestSchedulingInPastClamps(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var e Engine
 	fired := false
-	h := e.At(10, func(Time) { fired = true })
+	h := e.At(10, Func(func(Time) { fired = true }))
 	if !h.Pending() {
 		t.Fatal("handle should be pending before cancel")
 	}
@@ -106,7 +106,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	count := 0
 	var handles []Handle
 	for i := 0; i < 100; i++ {
-		handles = append(handles, e.At(Time(i), func(Time) { count++ }))
+		handles = append(handles, e.At(Time(i), Func(func(Time) { count++ })))
 	}
 	for i := 0; i < 100; i += 2 {
 		handles[i].Cancel()
@@ -120,7 +120,7 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	var e Engine
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func(Time) {})
+		e.At(Time(i), Func(func(Time) {}))
 	}
 	if n := e.Run(3); n != 3 {
 		t.Fatalf("Run(3) fired %d", n)
@@ -130,39 +130,6 @@ func TestRunLimit(t *testing.T) {
 	}
 	if e.Fired() != 10 {
 		t.Fatalf("Fired = %d, want 10", e.Fired())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		e.At(at, func(now Time) { fired = append(fired, now) })
-	}
-	e.RunUntil(12)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(12) fired %v", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("Now = %d, want 12", e.Now())
-	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("RunUntil(100) fired %v", fired)
-	}
-}
-
-func TestMaxLenHighWater(t *testing.T) {
-	var e Engine
-	for i := 0; i < 64; i++ {
-		e.At(Time(i), func(Time) {})
-	}
-	e.Run(0)
-	if e.MaxLen() != 64 {
-		t.Fatalf("MaxLen = %d, want 64", e.MaxLen())
-	}
-	if e.Len() != 0 {
-		t.Fatalf("Len = %d after drain", e.Len())
 	}
 }
 
@@ -181,7 +148,7 @@ func TestPropertyOrdering(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := Time(r.Intn(50))
 			i := i
-			e.At(at, func(now Time) { fired = append(fired, rec{now, i}) })
+			e.At(at, Func(func(now Time) { fired = append(fired, rec{now, i}) }))
 		}
 		e.Run(0)
 		if len(fired) != n {

@@ -11,10 +11,10 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	var e Engine
 	var fired []string
 
-	ha := e.At(10, func(Time) { fired = append(fired, "a") })
+	ha := e.At(10, Func(func(Time) { fired = append(fired, "a") }))
 	ha.Cancel() // slot freed, generation bumped
 
-	hb := e.At(20, func(Time) { fired = append(fired, "b") })
+	hb := e.At(20, Func(func(Time) { fired = append(fired, "b") }))
 	if ha.idx != hb.idx {
 		t.Fatalf("expected slot reuse: a=%d b=%d", ha.idx, hb.idx)
 	}
@@ -41,7 +41,7 @@ func TestStaleHandleAfterFire(t *testing.T) {
 	var e Engine
 	var got []int
 
-	h1 := e.At(1, func(Time) { got = append(got, 1) })
+	h1 := e.At(1, Func(func(Time) { got = append(got, 1) }))
 	if !e.Step() {
 		t.Fatal("no event fired")
 	}
@@ -49,7 +49,7 @@ func TestStaleHandleAfterFire(t *testing.T) {
 		t.Fatal("fired event still pending")
 	}
 
-	h2 := e.At(2, func(Time) { got = append(got, 2) })
+	h2 := e.At(2, Func(func(Time) { got = append(got, 2) }))
 	if h1.idx != h2.idx {
 		t.Fatalf("expected slot reuse: %d vs %d", h1.idx, h2.idx)
 	}
@@ -65,7 +65,7 @@ func TestStaleHandleAfterFire(t *testing.T) {
 func TestSlotRecyclingReuses(t *testing.T) {
 	var e Engine
 	var n int
-	var tick func(Time)
+	var tick Func
 	tick = func(Time) {
 		if n++; n < 1000 {
 			e.After(1, tick)
@@ -85,20 +85,37 @@ type countTask struct{ n int }
 
 func (c *countTask) Fire(Time) { c.n++ }
 
-// TestAtTaskAndAfter0 exercises the allocation-free scheduling variants.
-func TestAtTaskAndAfter0(t *testing.T) {
+// TestTaskAndFunc exercises both ways to schedule: a pooled Task the
+// caller reschedules, and a callback adapted by Func.
+func TestTaskAndFunc(t *testing.T) {
 	var e Engine
 	ct := &countTask{}
-	e.AtTask(5, ct)
-	e.AfterTask(7, ct)
+	e.At(5, ct)
+	e.After(7, ct)
 	calls := 0
-	e.After0(3, func() { calls++ })
+	e.After(3, Func(func(Time) { calls++ }))
 	e.Run(0)
 	if ct.n != 2 || calls != 1 {
-		t.Fatalf("task fired %d (want 2), func0 fired %d (want 1)", ct.n, calls)
+		t.Fatalf("task fired %d (want 2), func fired %d (want 1)", ct.n, calls)
 	}
 	if e.Now() != 7 {
 		t.Fatalf("clock at %d, want 7", e.Now())
+	}
+}
+
+// TestFuncSchedulesWithoutAllocating pins that adapting an existing
+// callback with Func costs nothing: a func value is pointer-shaped, so
+// it converts to a Task without allocating, and the slot is recycled.
+func TestFuncSchedulesWithoutAllocating(t *testing.T) {
+	var e Engine
+	n := 0
+	fn := func(Time) { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.After(1, Func(fn))
+		e.Run(0)
+	})
+	if allocs != 0 || n == 0 {
+		t.Fatalf("%.1f allocations per scheduled Func (fired %d)", allocs, n)
 	}
 }
 
@@ -107,7 +124,7 @@ func TestAtTaskAndAfter0(t *testing.T) {
 func TestCancelIsIdempotent(t *testing.T) {
 	var e Engine
 	fired := false
-	h := e.At(4, func(Time) { fired = true })
+	h := e.At(4, Func(func(Time) { fired = true }))
 	h.Cancel()
 	h.Cancel()
 	var zero Handle

@@ -9,14 +9,14 @@ import "testing"
 func TestReset(t *testing.T) {
 	e := &Engine{}
 	fired := 0
-	e.After(5, func(Time) { fired++ })
+	e.After(5, Func(func(Time) { fired++ }))
 	e.Step()
-	h := e.After(10, func(Time) { fired++ })
-	e.After(20, func(Time) { fired++ })
+	h := e.After(10, Func(func(Time) { fired++ }))
+	e.After(20, Func(func(Time) { fired++ }))
 
 	e.Reset()
-	if e.Now() != 0 || e.Len() != 0 || e.Fired() != 0 || e.MaxLen() != 0 {
-		t.Fatalf("after Reset: now=%d len=%d fired=%d maxlen=%d", e.Now(), e.Len(), e.Fired(), e.MaxLen())
+	if e.Now() != 0 || e.Len() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: now=%d len=%d fired=%d", e.Now(), e.Len(), e.Fired())
 	}
 	if h.Pending() {
 		t.Fatal("handle still pending after Reset")
@@ -28,8 +28,8 @@ func TestReset(t *testing.T) {
 	f := &Engine{}
 	for i := 0; i < 5; i++ {
 		i := i
-		e.At(7, func(Time) { reused = append(reused, i) })
-		f.At(7, func(Time) { fresh = append(fresh, i) })
+		e.At(7, Func(func(Time) { reused = append(reused, i) }))
+		f.At(7, Func(func(Time) { fresh = append(fresh, i) }))
 	}
 	e.Run(0)
 	f.Run(0)

@@ -129,11 +129,11 @@ type Network struct {
 	Stats LinkStats
 }
 
-// New creates a network over n nodes.
+// New creates a network over n nodes and configures it with Reset, so a
+// new network and a reset one start from the same state under cfg.
 func New(eng *event.Engine, n int, cfg Config) *Network {
 	topo := topology.New(n)
 	net := &Network{
-		cfg:           cfg,
 		topo:          topo,
 		eng:           eng,
 		nodes:         make([]Handler, n),
@@ -141,15 +141,9 @@ func New(eng *event.Engine, n int, cfg Config) *Network {
 		beHorizon:     make([]event.Time, topo.NumLinks()),
 		routes:        make([][]topology.Link, n*n),
 	}
-	if cfg.Fault.Enabled() {
-		net.inj = fault.New(*cfg.Fault, topo.NumLinks())
-		net.faultFloor = make([]event.Time, topo.NumLinks())
-	}
+	net.Reset(cfg)
 	return net
 }
-
-// Topology exposes the underlying torus (for tests and diagnostics).
-func (n *Network) Topology() topology.Torus { return n.topo }
 
 // Reset returns the network to its initial state under cfg, retaining
 // the route cache, the pooled tasks and multicast walks, and the
@@ -364,7 +358,7 @@ func (n *Network) deliver(at event.Time, m *msg.Message) {
 	t := n.newTask()
 	t.kind = taskDeliver
 	t.m = m
-	n.eng.AtTask(at, t)
+	n.eng.At(at, t)
 }
 
 // Send transmits a unicast message from m.Src to m.Dst, modelling route
@@ -406,7 +400,7 @@ func (n *Network) sendRouted(m *msg.Message) {
 	t.route = route
 	t.idx = 0
 	t.ser = n.serialization(m.Bytes())
-	n.eng.AtTask(now+event.Time(n.cfg.RouteOverhead), t)
+	n.eng.At(now+event.Time(n.cfg.RouteOverhead), t)
 }
 
 // fireHop traverses route[idx] now that the message has arrived at its
@@ -429,7 +423,7 @@ func (n *Network) fireHop(t *netTask, now event.Time) {
 		n.deliver(next, m)
 		return
 	}
-	n.eng.AtTask(next, t)
+	n.eng.At(next, t)
 }
 
 // mcastWalk is the pooled per-multicast state: the fan-out tree as a
@@ -582,7 +576,7 @@ func (n *Network) walkFrom(w *mcastWalk, node int, arrive event.Time) {
 	t.kind = taskFanout
 	t.walk = w
 	t.node = node
-	n.eng.AtTask(arrive, t)
+	n.eng.At(arrive, t)
 }
 
 // fireFanout crosses every child link of one tree node, delivering to
@@ -608,24 +602,4 @@ func (n *Network) fireFanout(t *netTask, now event.Time) {
 		n.walkFrom(w, l.To, arr)
 	}
 	n.walkDone(w)
-}
-
-// AvgDistance returns the mean hop count between distinct nodes, used to
-// size timeout defaults.
-func (n *Network) AvgDistance() float64 {
-	t := n.topo
-	total, cnt := 0, 0
-	for i := 0; i < t.Nodes(); i++ {
-		for j := 0; j < t.Nodes(); j++ {
-			if i == j {
-				continue
-			}
-			total += t.Distance(i, j)
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(total) / float64(cnt)
 }

@@ -224,14 +224,6 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestAvgDistance(t *testing.T) {
-	_, net := newNet(4, DefaultConfig()) // 2x2 torus: every pair at distance 1 or 2
-	avg := net.AvgDistance()
-	if avg < 1 || avg > 2 {
-		t.Fatalf("avg distance = %f", avg)
-	}
-}
-
 func TestUnregisteredPanics(t *testing.T) {
 	eng, net := newNet(4, DefaultConfig())
 	defer func() {

@@ -5,6 +5,7 @@ import (
 
 	"patch/internal/event"
 	"patch/internal/msg"
+	"patch/internal/topology"
 )
 
 func TestUnboundedMulticast(t *testing.T) {
@@ -22,7 +23,7 @@ func TestUnboundedMulticast(t *testing.T) {
 		t.Fatalf("delivered %d, want 15", len(s.got))
 	}
 	// Unbounded delivery time is purely hop latency x tree depth.
-	topo := net.Topology()
+	topo := topology.New(16)
 	for i, m := range s.got {
 		want := event.Time(cfg.HopLatency * topo.Distance(0, int(m.Dst)))
 		if s.at[i] != want {

@@ -1,20 +1,22 @@
 // Package litmus generates and executes small cross-core coherence
 // litmus tests: short scripts of loads and stores racing over a handful
 // of blocks, run under each protocol (DIRECTORY, PATCH variants,
-// TokenB) and checked against the coherence axioms that do not depend
-// on timing:
+// TokenB) on a sim.System with checks on, and checked against the
+// coherence axioms that do not depend on timing:
 //
 //   - liveness: every operation completes;
-//   - per-core coherence order: a core's accesses to one block observe
-//     non-decreasing write versions;
-//   - read-own-writes: a load observes at least the version the same
-//     core last wrote;
+//   - per-core coherence order, read-own-writes included: a core's
+//     accesses to one block observe non-decreasing write versions
+//     (sim's online order checker, run on every access);
 //   - write serialisation: the final version of each block equals the
-//     number of stores to it, identically across protocols.
+//     number of stores to it, identically across protocols, and no
+//     access observes a version beyond that count;
+//   - sim's end-of-run checks: every node quiesced, token conservation,
+//     single-writer/many-readers, no tokens left in flight.
 //
-// The harness drives protocol nodes directly (no workload generator), so
-// it can also be seeded from testing/quick for property-based protocol
-// fuzzing.
+// The harness drives the system's nodes directly (no workload
+// generator), so it can also be seeded from testing/quick for
+// property-based protocol fuzzing.
 package litmus
 
 import (
@@ -23,16 +25,12 @@ import (
 	"sort"
 
 	"patch/internal/cache"
-	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/predictor"
-	"patch/internal/protocol"
-	"patch/internal/protocol/directoryproto"
-	"patch/internal/protocol/tokenb"
-	"patch/internal/token"
+	"patch/internal/sim"
 )
 
 // Op is one scripted access.
@@ -158,34 +156,32 @@ type Outcome struct {
 // blockAddr spreads script blocks across homes.
 func blockAddr(i int) msg.Addr { return msg.Addr(0x100000 + i*64) }
 
-// Harness executes scripts under one protocol on a reusable system:
-// between scripts the engine, network and nodes are Reset rather than
-// rebuilt, driving the same pooled/reused-System discipline the sweep
-// scheduler's per-worker arenas rely on. A stale MSHR, waiter, pooled
-// task or arena entry surviving a Reset surfaces as an axiom violation
-// in a later script, which is exactly what the conformance matrix (run
-// under -race in CI) is pinning.
+// Harness executes scripts under one protocol on a reusable system: a
+// sim.System with checks on, built once by sim.NewSystem and rewound by
+// System.Reset between scripts, driving the same pooled/reused-System
+// discipline the sweep scheduler's per-worker arenas rely on. A stale
+// MSHR, waiter, pooled task or arena entry surviving a Reset surfaces
+// as an axiom or invariant violation in a later script, which is
+// exactly what the conformance matrix (run under -race in CI) is
+// pinning.
 type Harness struct {
-	p      Protocol
-	cores  int
-	eng    *event.Engine
-	net    *interconnect.Network
-	env    *protocol.Env
-	params protocol.Params
-	nodes  []protocol.Node
+	p   Protocol
+	cfg sim.Config
+	sys *sim.System
 
 	lastPerformed []uint64 // version reported by the observer, per core
 	obs           []func(msg.Addr, bool, uint64)
 	used          bool
-	netCfg        interconnect.Config
 }
 
-// variantParams holds each variant's protocol settings; the harness
-// adds its full-map sharer encoding.
-var variantParams = [NumProtocols]protocol.Params{
-	PATCHNone:           {Policy: predictor.None, BestEffort: true},
-	PATCHAll:            {Policy: predictor.All, BestEffort: true},
-	PATCHAllNonAdaptive: {Policy: predictor.All},
+// variants holds each protocol variant's simulator configuration; the
+// harness adds the core count and interconnect.
+var variants = [NumProtocols]sim.Config{
+	Directory:           {Protocol: sim.Directory},
+	PATCHNone:           {Protocol: sim.PATCH, Policy: predictor.None, BestEffort: true},
+	PATCHAll:            {Protocol: sim.PATCH, Policy: predictor.All, BestEffort: true},
+	PATCHAllNonAdaptive: {Protocol: sim.PATCH, Policy: predictor.All},
+	TokenB:              {Protocol: sim.TokenB},
 }
 
 // NewHarness assembles a reusable system of the given size for one
@@ -202,43 +198,29 @@ func NewHarnessNet(p Protocol, cores int, net interconnect.Config) (*Harness, er
 	if p < 0 || p >= NumProtocols {
 		return nil, fmt.Errorf("litmus: unknown protocol %v", p)
 	}
-	h := &Harness{
-		p:             p,
-		cores:         cores,
-		eng:           &event.Engine{},
-		nodes:         make([]protocol.Node, cores),
-		lastPerformed: make([]uint64, cores),
-		params:        variantParams[p],
-		netCfg:        net,
+	cfg := variants[p]
+	cfg.Cores, cfg.Net = cores, net
+	sys, err := sim.NewSystem(cfg)
+	if err != nil {
+		return nil, err
 	}
-	h.params.Enc = directory.FullMap(cores)
-	h.net = interconnect.New(h.eng, cores, h.netCfg)
-	h.env = protocol.DefaultEnv(h.eng, h.net, cores)
-	for i := 0; i < cores; i++ {
-		id := msg.NodeID(i)
-		switch p {
-		case Directory:
-			h.nodes[i] = directoryproto.New(id, h.env, h.params)
-		case TokenB:
-			h.nodes[i] = tokenb.New(id, h.env, h.params)
-		default:
-			h.nodes[i] = core.New(id, h.env, h.params)
-		}
-		i := i
-		h.obs = append(h.obs, func(_ msg.Addr, _ bool, version uint64) { h.lastPerformed[i] = version })
-		h.nodes[i].Shared().Observer = h.obs[i]
-		h.net.Register(id, h.nodes[i].Handle)
+	h := &Harness{p: p, cfg: cfg, sys: sys, lastPerformed: make([]uint64, cores)}
+	// Chain each core's observation after sim's order checker, which
+	// survives Resets, so the chained observer is built once.
+	for i, n := range sys.Nodes {
+		check := n.Shared().Observer
+		h.obs = append(h.obs, func(addr msg.Addr, isWrite bool, version uint64) {
+			check(addr, isWrite, version)
+			h.lastPerformed[i] = version
+		})
 	}
+	h.observe()
 	return h, nil
 }
 
-// reset rewinds the reusable system between scripts, re-attaching the
-// observers the node Resets cleared.
-func (h *Harness) reset() {
-	h.eng.Reset()
-	h.net.Reset(h.netCfg)
-	for i, n := range h.nodes {
-		n.Reset(h.params)
+// observe attaches the chained observers, which node Resets clear.
+func (h *Harness) observe() {
+	for i, n := range h.sys.Nodes {
 		n.Shared().Observer = h.obs[i]
 		h.lastPerformed[i] = 0
 	}
@@ -256,18 +238,21 @@ func Run(p Protocol, script Script, cores int) (*Outcome, error) {
 }
 
 // Run executes one script on the harness, resetting the reused system
-// first if a previous script ran on it.
+// first if a previous script ran on it. After the script's axioms it
+// runs the system's own end-of-run checks (sim.System.CheckInvariants).
 func (h *Harness) Run(script Script) (*Outcome, error) {
 	if h.used {
-		h.reset()
+		if err := h.sys.Reset(h.cfg); err != nil {
+			return nil, err
+		}
+		h.observe()
 	}
 	h.used = true
-	p, cores := h.p, h.cores
-	eng, nodes := h.eng, h.nodes
+	p, eng, nodes := h.p, h.sys.Eng, h.sys.Nodes
 	lastPerformed := h.lastPerformed
 
 	// Split the script into per-core queues preserving program order.
-	queues := make([][]int, cores) // indices into script
+	queues := make([][]int, len(nodes)) // indices into script
 	for i, op := range script {
 		queues[op.Core] = append(queues[op.Core], i)
 	}
@@ -283,15 +268,15 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 		}
 		idx := queues[coreID][qi]
 		op := script[idx]
-		eng.After(event.Time(op.Delay), func(event.Time) {
+		eng.After(event.Time(op.Delay), event.Func(func(event.Time) {
 			nodes[coreID].Access(blockAddr(op.Block), op.Write, func() {
 				obs[idx] = Observation{Op: op, Version: lastPerformed[coreID]}
 				completed++
 				issue(coreID, qi+1)
 			})
-		})
+		}))
 	}
-	for c := 0; c < cores; c++ {
+	for c := range nodes {
 		issue(c, 0)
 	}
 	eng.Run(0)
@@ -322,8 +307,8 @@ func (h *Harness) Run(script Script) (*Outcome, error) {
 	if err := verifyAxioms(p, script, out); err != nil {
 		return nil, err
 	}
-	if err := verifyTokens(p, nodes, h.env); err != nil {
-		return nil, err
+	if err := h.sys.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("litmus: %v: %w", p, err)
 	}
 	return out, nil
 }
@@ -338,36 +323,15 @@ func maxBlock(s Script) int {
 	return m
 }
 
-// verifyAxioms checks the timing-independent coherence requirements.
+// verifyAxioms checks the timing-independent coherence requirements
+// that sim's own checks cannot: the final version of each block equals
+// its store count, and no observation exceeds that count. Per-core
+// coherence order is sim's online order checker's, run on every access.
 func verifyAxioms(p Protocol, script Script, out *Outcome) error {
-	// Per-core, per-block monotone versions and read-own-writes.
-	type key struct{ core, block int }
-	last := make(map[key]uint64)
 	writes := make(map[int]uint64)
-	perCoreIdx := make(map[int][]int)
-	for i, op := range script {
-		perCoreIdx[op.Core] = append(perCoreIdx[op.Core], i)
+	for _, op := range script {
 		if op.Write {
 			writes[op.Block]++
-		}
-	}
-	// Iterate cores in sorted order so which axiom violation is
-	// reported first is deterministic run to run.
-	cores := make([]int, 0, len(perCoreIdx))
-	for c := range perCoreIdx {
-		cores = append(cores, c)
-	}
-	sort.Ints(cores)
-	for _, c := range cores {
-		for _, i := range perCoreIdx[c] {
-			op := script[i]
-			v := out.Observations[i].Version
-			k := key{op.Core, op.Block}
-			if v < last[k] {
-				return fmt.Errorf("litmus: %v: core %d observed version %d after %d on block %d",
-					p, op.Core, v, last[k], op.Block)
-			}
-			last[k] = v
 		}
 	}
 	// Final version equals the store count. Blocks are checked in
@@ -392,18 +356,6 @@ func verifyAxioms(p Protocol, script Script, out *Outcome) error {
 		}
 	}
 	return nil
-}
-
-// verifyTokens runs the conservation check for token protocols.
-func verifyTokens(p Protocol, nodes []protocol.Node, env *protocol.Env) error {
-	if p == Directory {
-		return nil
-	}
-	var holders []token.Holder
-	for _, n := range nodes {
-		holders = append(holders, n.Shared().L2, n.Home())
-	}
-	return token.CheckConservation(env.Tokens, holders, nil)
 }
 
 // Suite holds one reusable harness per protocol variant, so a sequence

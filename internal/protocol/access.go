@@ -38,8 +38,15 @@ func (b *Base) Hit(addr msg.Addr, isWrite bool, version uint64, done func()) {
 		b.St.L2Hits++
 		b.TouchL1(addr)
 	}
-	b.Env.Eng.After0(b.HitLatency(lvl), done)
+	b.Env.Eng.After(b.HitLatency(lvl), doneTask(done))
 }
+
+// doneTask adapts an access's completion callback to event.Task. A func
+// value is pointer-shaped, so the conversion allocates nothing.
+type doneTask func()
+
+// Fire implements event.Task.
+func (f doneTask) Fire(event.Time) { f() }
 
 // TokenHit is the L2-hit path of the token-counting backends (PATCH,
 // TokenB): it counts the operation and, if the line holds enough tokens

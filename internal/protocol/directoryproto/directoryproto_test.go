@@ -283,7 +283,7 @@ func TestStress(t *testing.T) {
 			a := msg.Addr(0x40000 + r.Intn(48)*64)
 			c.nodes[node].Access(a, r.Intn(3) == 0, func() {
 				completed++
-				c.eng.After(event.Time(r.Intn(15)), func(event.Time) { issue(node, remaining-1) })
+				c.eng.After(event.Time(r.Intn(15)), event.Func(func(event.Time) { issue(node, remaining-1) }))
 			})
 		}
 		for nd := range c.nodes {

@@ -39,7 +39,7 @@ func (b *Base) park(d event.Time, m *msg.Message, home bool) {
 	t.due = b.Env.Eng.Now() + d
 	t.pos = len(b.parked)
 	b.parked = append(b.parked, t)
-	b.Env.Eng.AfterTask(d, t)
+	b.Env.Eng.After(d, t)
 }
 
 // unpark removes a fired task from the parked list in O(1).

@@ -181,5 +181,5 @@ func (b *Base) replay(d event.Time, addr msg.Addr, isWrite bool, done func()) {
 	t := b.replayFree.Get()
 	t.b = b
 	t.addr, t.isWrite, t.done = addr, isWrite, done
-	b.Env.Eng.AfterTask(d, t)
+	b.Env.Eng.After(d, t)
 }

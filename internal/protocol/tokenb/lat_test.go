@@ -16,7 +16,7 @@ func TestLatencyProbe64(t *testing.T) {
 	c.run(t)
 	t.Logf("cold write: %d cycles (done=%v)", c.eng.Now()-t0, *d)
 	// Sharing read.
-	c.eng.After(1000, func(event.Time) {})
+	c.eng.After(1000, event.Func(func(event.Time) {}))
 	c.run(t)
 	t1 := c.eng.Now()
 	d2 := c.access(1, a, false)

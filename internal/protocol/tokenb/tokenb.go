@@ -139,7 +139,7 @@ func (n *Node) broadcast(m *mshr, reissue bool) {
 
 func (n *Node) armTimer(m *mshr) {
 	m.timer.Cancel()
-	m.timer = n.Env.Eng.AfterTask(n.Timeout(), m)
+	m.timer = n.Env.Eng.After(n.Timeout(), m)
 }
 
 // timeout reissues a starving transient request, escalating to a

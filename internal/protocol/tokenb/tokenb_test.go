@@ -47,7 +47,7 @@ func (c *cluster) checkConservation(t *testing.T) {
 	for _, n := range c.nodes {
 		holders = append(holders, n.L2, n.Home())
 	}
-	if err := token.CheckConservation(c.env.Tokens, holders, nil); err != nil {
+	if err := token.CheckConservation(c.env.Tokens, holders); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -213,7 +213,7 @@ func TestPersistentRequestResolvesStarvation(t *testing.T) {
 		}
 		c.nodes[node].Access(a, true, func() {
 			completed++
-			c.eng.After(event.Time(r.Intn(5)), func(event.Time) { issue(node, remaining-1) })
+			c.eng.After(event.Time(r.Intn(5)), event.Func(func(event.Time) { issue(node, remaining-1) }))
 		})
 	}
 	for nd := range c.nodes {
@@ -290,7 +290,7 @@ func TestEvictionReturnsTokensToMemory(t *testing.T) {
 	for _, n := range nodes {
 		holders = append(holders, n.L2, n.Home())
 	}
-	if err := token.CheckConservation(4, holders, nil); err != nil {
+	if err := token.CheckConservation(4, holders); err != nil {
 		t.Fatal(err)
 	}
 }

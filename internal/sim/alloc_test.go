@@ -57,7 +57,7 @@ func (d *coreDriver) pull() {
 		d.pos = 0
 	}
 	d.addr, d.write = op.addr, op.write
-	d.eng.AfterTask(op.think, d)
+	d.eng.After(op.think, d)
 }
 
 // Fire implements event.Task: think time elapsed, perform the access.

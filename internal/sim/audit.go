@@ -2,12 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
-	"patch/internal/addrmap"
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
+	"patch/internal/protocol"
+	"patch/internal/token"
 )
 
 // auditTask re-verifies mid-run invariants every Config.AuditEvery
@@ -37,88 +37,86 @@ func (t *auditTask) Fire(event.Time) {
 		// instant; keeping the queue alive would mask the deadlock.
 		return
 	}
-	s.Eng.AfterTask(event.Time(s.Cfg.AuditEvery), t)
+	s.Eng.After(event.Time(s.Cfg.AuditEvery), t)
 }
 
 // auditNow checks every invariant that must hold at any instant, not
 // only at quiescence. It returns a *RunError with diagnostics attached.
 func (s *System) auditNow() error {
-	if s.auditor != nil {
-		if err := s.auditor.Err(); err != nil {
-			return s.failRun(FailAudit, err.Error())
-		}
-		if err := s.auditConservation(); err != nil {
-			return err
-		}
-	}
-	if err := s.auditQueueDepths(); err != nil {
-		return err
-	}
-	if err := s.checkSingleWriter(); err != nil {
+	if err := s.checkAnyInstant(); err != nil {
 		return s.failRun(FailAudit, err.Error())
 	}
 	return nil
 }
 
-// auditConservation verifies Rule #1 mid-run: for every touched block,
-// tokens held by caches and homes, plus tokens on the wire (auditor),
-// plus tokens in messages a node holds off the wire (Parked: delayed
-// home sends, deducted from their holder at message build time, and
-// delivered writebacks and token returns still in their home's
-// directory lookup — neither visible to any holder nor to the auditor)
-// must sum to exactly Env.Tokens.
-func (s *System) auditConservation() error {
-	sums := new(addrmap.Map[int])
-	held := func(a msg.Addr, count int, _ bool) { *sums.Ptr(a) += count }
-	parked := func(_ event.Time, m *msg.Message) {
-		if m.Tokens != 0 {
-			*sums.Ptr(m.Addr) += m.Tokens
+// checkAnyInstant runs the invariants that must hold at any instant, not
+// only at quiescence: the auditor's token-flow errors, token
+// conservation (Rule #1) over every holder, single-writer/many-readers,
+// and the home-queue bound. The mid-run audit and CheckInvariants both
+// run exactly this list.
+func (s *System) checkAnyInstant() error {
+	if s.auditor != nil {
+		if err := s.auditor.Err(); err != nil {
+			return err
 		}
 	}
-	for _, n := range s.Nodes {
-		b := n.Shared()
-		b.L2.TokenHoldings(held)
-		n.Home().TokenHoldings(held)
-		b.Parked(parked)
-	}
-	s.auditor.InFlightByBlock(func(a msg.Addr, count, _ int) { *sums.Ptr(a) += count })
-	var bad []msg.Addr
-	sums.ForEach(func(a msg.Addr, p *int) {
-		if *p != s.Env.Tokens {
-			bad = append(bad, a)
+	if s.Cfg.Protocol.tokenCounting() {
+		if err := token.CheckConservation(s.Env.Tokens, s.tokenHolders()); err != nil {
+			return err
 		}
-	})
-	if len(bad) == 0 {
-		return nil
 	}
-	// Report the smallest violating address so the error is independent
-	// of accumulation order.
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-	got, _ := sums.Get(bad[0])
-	return s.failRun(FailAudit, fmt.Sprintf(
-		"token conservation violated at %#x: %d tokens visible, want %d (%d blocks violate)",
-		uint64(bad[0]), got, s.Env.Tokens, len(bad)))
+	if err := s.checkSingleWriter(); err != nil {
+		return err
+	}
+	return s.checkQueueDepths()
 }
 
-// auditQueueDepths bounds the home request queues: every core can have
+// tokenHolders lists everywhere a block's tokens can be: every cache
+// and home, the messages nodes hold off the wire, and, with checks on,
+// the network (the auditor's in-flight count).
+func (s *System) tokenHolders() []token.Holder {
+	holders := make([]token.Holder, 0, 3*len(s.Nodes)+1)
+	for _, n := range s.Nodes {
+		holders = append(holders, n.Shared().L2, n.Home(), parkedTokens{n.Shared()})
+	}
+	if s.auditor != nil {
+		holders = append(holders, s.auditor)
+	}
+	return holders
+}
+
+// parkedTokens is the token.Holder over the messages a node holds off
+// the wire (protocol.Base.Parked): delayed home sends, whose tokens were
+// deducted from their holder when the message was built, and delivered
+// writebacks and token returns still in their home's directory lookup,
+// which the auditor stopped counting at delivery. No other holder sees
+// these tokens.
+type parkedTokens struct{ b *protocol.Base }
+
+// TokenHoldings implements token.Holder.
+func (p parkedTokens) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
+	p.b.Parked(func(_ event.Time, m *msg.Message) {
+		if m.Tokens != 0 || m.Owner {
+			fn(m.Addr, m.Tokens, m.Owner)
+		}
+	})
+}
+
+// checkQueueDepths bounds the home request queues: every core can have
 // only a handful of requests outstanding per block, so a queue that
 // grows past a small multiple of the core count means requests are
 // being re-queued without progress (a livelock signature the watchdog
 // would take two billion cycles to call).
-func (s *System) auditQueueDepths() error {
+func (s *System) checkQueueDepths() error {
 	bound := 4*s.Cfg.Cores + 16
 	var err error
-	check := func(home int, dir *directory.Directory) {
-		dir.ForEach(func(e *directory.Entry) {
+	for i, n := range s.Nodes {
+		n.Home().ForEach(func(e *directory.Entry) {
 			if len(e.Queue) > bound && err == nil {
-				err = s.failRun(FailAudit, fmt.Sprintf(
-					"home %d queue for %#x holds %d requests (bound %d)",
-					home, uint64(e.Addr), len(e.Queue), bound))
+				err = fmt.Errorf("sim: home %d queue for %#x holds %d requests (bound %d)",
+					i, uint64(e.Addr), len(e.Queue), bound)
 			}
 		})
-	}
-	for i, n := range s.Nodes {
-		check(i, n.Home())
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"patch/internal/cache"
 	"patch/internal/fault"
+	"patch/internal/msg"
 	"patch/internal/predictor"
 )
 
@@ -267,5 +268,54 @@ func TestDenseAuditNoFalsePositives(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestAuditDetectsForgedOwner proves the audit counts owner tokens,
+// not just tokens: forge the owner flag on a cache line that holds some
+// of a block's tokens while the block's owner token sits at its home.
+// Every count is unchanged and no cache-side single-writer check sees
+// two owners; only Rule #1's one-owner clause can.
+func TestAuditDetectsForgedOwner(t *testing.T) {
+	sys, err := NewSystem(Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true, Cores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	read := func(core int, a msg.Addr) {
+		sys.Nodes[core].Access(a, false, func() {})
+		sys.Eng.Run(0)
+	}
+	// Three cores read the block: the last reader receives the owner
+	// token, the first two keep one plain token each.
+	const a = msg.Addr(0x10000)
+	for c := 0; c < 3; c++ {
+		read(c, a)
+	}
+	// Evict core 2's copy by reading four blocks that share its set of
+	// the 1 MiB 4-way L2: the writeback returns the owner token home.
+	const setStride = (1 << 20) / 4
+	for k := msg.Addr(1); k <= 4; k++ {
+		read(2, a+k*setStride)
+	}
+	homeOwns := false
+	sys.Nodes[sys.Env.HomeOf(a)].Home().TokenHoldings(func(b msg.Addr, _ int, owner bool) {
+		homeOwns = homeOwns || (b == a && owner)
+	})
+	victim := sys.Nodes[0].Shared().L2.Lookup(a)
+	if !homeOwns || victim == nil || victim.Tok.Count == 0 || victim.Tok.Owner {
+		t.Fatalf("setup: home owns %v, core 0 holds %+v; want the owner at home beside a plain sharer", homeOwns, victim)
+	}
+	if err := sys.auditNow(); err != nil {
+		t.Fatalf("audit failed before tampering: %v", err)
+	}
+	victim.Tok.Owner = true
+	err = sys.auditNow()
+	var re *RunError
+	if !errors.As(err, &re) || re.Kind != FailAudit {
+		t.Fatalf("forged owner token: audit returned %v, want a FailAudit RunError", err)
+	}
+	if !strings.Contains(re.Reason, "2 owner tokens") {
+		t.Fatalf("audit error does not name the owner count: %v", re)
 	}
 }

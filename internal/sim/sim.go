@@ -139,11 +139,11 @@ type Config struct {
 	SkipChecks bool
 
 	// AuditEvery, when non-zero and checks are enabled, runs the mid-run
-	// invariant audit (token conservation including tokens in flight
-	// and parked at nodes, single-writer, home queue-depth bounds) every
-	// AuditEvery cycles. Fault-injected runs default it on; it is
-	// verification-only and, like SkipChecks, not part of a config's
-	// identity.
+	// invariant audit (token conservation, owner tokens included, over
+	// tokens in flight and parked at nodes too; single-writer; home
+	// queue-depth bounds) every AuditEvery cycles. Fault-injected runs
+	// default it on; it is verification-only and, like SkipChecks, not
+	// part of a config's identity.
 	AuditEvery uint64
 }
 
@@ -229,8 +229,9 @@ type Result struct {
 	Stats          protocol.Stats
 }
 
-// System is an assembled simulation, exposed so tests and examples can
-// reach inside (engine, nodes) while cmd/ and benchmarks just call Run.
+// System is an assembled simulation, exposed so tests, examples and the
+// litmus harness can reach inside (engine, nodes) while cmd/ and
+// benchmarks just call Run.
 type System struct {
 	Cfg   Config
 	Eng   *event.Engine
@@ -328,120 +329,38 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.Protocol != s.Cfg.Protocol || cfg.Cores != s.Cfg.Cores {
 		return ErrIncompatibleReset
 	}
-	params := cfg.params()
-	if err := params.Enc.Validate(); err != nil {
+	gen, closer, err := open(cfg)
+	if err != nil {
 		return err
 	}
-	var gen workload.Generator
-	var closer io.Closer
-	if cfg.TraceFile != "" {
-		replay, err := workload.OpenTrace(cfg.TraceFile, cfg.Cores)
-		if err != nil {
-			return err
-		}
-		if total := replay.Len(); cfg.WarmupOps+cfg.OpsPerCore > total {
-			replay.Close()
-			return fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
-				total, cfg.WarmupOps, cfg.OpsPerCore)
-		}
-		gen, closer = replay, replay
-	} else {
-		var err error
-		gen, err = workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
-		if err != nil {
-			return err
-		}
-	}
-	s.Close() // release a replay left by an unrun assembly
-	s.Cfg = cfg
-	s.Gen, s.closer = gen, closer
 	s.Eng.Reset()
 	s.Net.Reset(cfg.Net)
-	s.warming = false
-	s.warmFinished, s.finished = 0, 0
-	s.opsIssued = 0
-	s.startedAt, s.doneAt = 0, 0
-	s.orderViolation = nil
-	s.auditErr = nil
-	if cfg.SkipChecks {
-		s.storeCounts, s.auditor = nil, nil
-	} else {
-		// The checking state is itself arena-reused: the store-count
-		// table and auditor keep their grown capacity across runs.
-		if s.storeCounts == nil {
-			s.storeCounts = new(addrmap.Map[uint64])
-		} else {
-			s.storeCounts.Clear()
-		}
-		if cfg.Protocol == PATCH || cfg.Protocol == TokenB {
-			if s.auditor == nil {
-				s.auditor = trace.NewAuditor(s.Env.Tokens)
-			} else {
-				s.auditor.Reset(s.Env.Tokens)
-			}
-			s.Net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
-			s.Net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
-		} else {
-			s.auditor = nil
-		}
-	}
-	for i, n := range s.Nodes {
+	params := cfg.params()
+	for _, n := range s.Nodes {
 		n.Reset(params)
-		if !cfg.SkipChecks {
-			s.attachOrderChecker(i)
-		}
 	}
+	s.ready(cfg, gen, closer)
 	return nil
 }
 
-// NewSystem builds (but does not run) a system.
+// NewSystem builds (but does not run) a system. It is the one place a
+// protocol backend's nodes are constructed; everything else, the litmus
+// harness included, drives them through protocol.Node.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	var gen workload.Generator
-	var closer io.Closer
-	var err error
-	if cfg.TraceFile != "" {
-		replay, rerr := workload.OpenTrace(cfg.TraceFile, cfg.Cores)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if total := replay.Len(); cfg.WarmupOps+cfg.OpsPerCore > total {
-			replay.Close()
-			return nil, fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
-				total, cfg.WarmupOps, cfg.OpsPerCore)
-		}
-		gen, closer = replay, replay
-	} else {
-		gen, err = workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	if cfg.Protocol < Directory || cfg.Protocol > TokenB {
+		return nil, fmt.Errorf("sim: unknown protocol %v", cfg.Protocol)
 	}
-	fail := func(err error) (*System, error) {
-		if closer != nil {
-			closer.Close()
-		}
+	gen, closer, err := open(cfg)
+	if err != nil {
 		return nil, err
 	}
 	eng := &event.Engine{}
 	net := interconnect.New(eng, cfg.Cores, cfg.Net)
 	env := protocol.DefaultEnv(eng, net, cfg.Cores)
+	s := &System{Eng: eng, Net: net, Env: env, Nodes: make([]protocol.Node, cfg.Cores)}
 	params := cfg.params()
-	if err := params.Enc.Validate(); err != nil {
-		return fail(err)
-	}
-
-	s := &System{Cfg: cfg, Eng: eng, Net: net, Env: env, Gen: gen, closer: closer}
-	if !cfg.SkipChecks {
-		s.storeCounts = new(addrmap.Map[uint64])
-		if cfg.Protocol.tokenCounting() {
-			s.auditor = trace.NewAuditor(env.Tokens)
-			net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
-			net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
-		}
-	}
-	s.Nodes = make([]protocol.Node, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
+	for i := range s.Nodes {
 		id := msg.NodeID(i)
 		switch cfg.Protocol {
 		case Directory:
@@ -450,16 +369,72 @@ func NewSystem(cfg Config) (*System, error) {
 			s.Nodes[i] = core.New(id, env, params)
 		case TokenB:
 			s.Nodes[i] = tokenb.New(id, env, params)
-		default:
-			return fail(fmt.Errorf("sim: unknown protocol %v", cfg.Protocol))
 		}
-		n := s.Nodes[i]
-		if !cfg.SkipChecks {
-			s.attachOrderChecker(i)
-		}
-		net.Register(id, n.Handle)
+		net.Register(id, s.Nodes[i].Handle)
 	}
+	s.ready(cfg, gen, closer)
 	return s, nil
+}
+
+// open validates cfg's sharer encoding and opens its reference stream:
+// the trace replay, sized against the run, or the named generator. The
+// closer, if any, releases the replay.
+func open(cfg Config) (workload.Generator, io.Closer, error) {
+	if err := cfg.params().Enc.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if cfg.TraceFile == "" {
+		gen, err := workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
+		return gen, nil, err
+	}
+	replay, err := workload.OpenTrace(cfg.TraceFile, cfg.Cores)
+	if err != nil {
+		return nil, nil, err
+	}
+	if total := replay.Len(); cfg.WarmupOps+cfg.OpsPerCore > total {
+		replay.Close()
+		return nil, nil, fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
+			total, cfg.WarmupOps, cfg.OpsPerCore)
+	}
+	return replay, replay, nil
+}
+
+// ready readies an assembled system, built or just rewound, for a run
+// under cfg: the run counters and reference stream, plus, with checks
+// on, the store counts, the token auditor's network hooks and the
+// per-core order checkers. The checking state is itself arena-reused:
+// a table or auditor that exists keeps its grown capacity.
+func (s *System) ready(cfg Config, gen workload.Generator, closer io.Closer) {
+	s.Close() // release a replay left by an unrun assembly
+	s.Cfg = cfg
+	s.Gen, s.closer = gen, closer
+	s.warming = false
+	s.warmFinished, s.finished = 0, 0
+	s.opsIssued = 0
+	s.startedAt, s.doneAt = 0, 0
+	s.orderViolation = nil
+	s.auditErr = nil
+	if cfg.SkipChecks {
+		s.storeCounts, s.auditor = nil, nil
+		return
+	}
+	if s.storeCounts == nil {
+		s.storeCounts = new(addrmap.Map[uint64])
+	} else {
+		s.storeCounts.Clear()
+	}
+	if cfg.Protocol.tokenCounting() {
+		if s.auditor == nil {
+			s.auditor = trace.NewAuditor(s.Env.Tokens)
+		} else {
+			s.auditor.Reset(s.Env.Tokens)
+		}
+		s.Net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
+		s.Net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
+	}
+	for i := range s.Nodes {
+		s.attachOrderChecker(i)
+	}
 }
 
 // attachOrderChecker installs an online per-core coherence-order
@@ -535,7 +510,7 @@ func (it *issuer) pull() {
 		*s.storeCounts.Ptr(op.Addr)++
 	}
 	it.addr, it.write = op.Addr, op.Write
-	s.Eng.AfterTask(event.Time(op.Think), it)
+	s.Eng.After(event.Time(op.Think), it)
 }
 
 // Fire implements event.Task: the think time elapsed, perform the op.
@@ -567,7 +542,7 @@ func (s *System) start() {
 		if s.auditT == nil {
 			s.auditT = &auditTask{s: s}
 		}
-		s.Eng.AfterTask(event.Time(s.Cfg.AuditEvery), s.auditT)
+		s.Eng.After(event.Time(s.Cfg.AuditEvery), s.auditT)
 	}
 	if s.Cfg.WarmupOps > 0 {
 		s.warming = true
@@ -685,33 +660,21 @@ func addStats(dst *protocol.Stats, src protocol.Stats) {
 }
 
 // CheckInvariants verifies end-of-run correctness: every controller
-// quiesced, token conservation (Rule #1) for token-based protocols, and
-// the single-writer/many-readers invariant over final cache states.
+// quiesced, the invariants that hold at any instant (checkAnyInstant:
+// token-flow errors, token conservation including owner tokens,
+// single-writer/many-readers, the home-queue bound), no tokens left in
+// flight, per-core coherence order, and write serialisation.
 func (s *System) CheckInvariants() error {
 	for i, n := range s.Nodes {
 		if !n.Quiesced() {
 			return fmt.Errorf("sim: node %d not quiesced at end of run", i)
 		}
 	}
-	if s.Cfg.Protocol.tokenCounting() {
-		var holders []token.Holder
-		for _, n := range s.Nodes {
-			holders = append(holders, n.Shared().L2, n.Home())
-		}
-		if err := token.CheckConservation(s.Env.Tokens, holders, nil); err != nil {
-			return err
-		}
-	}
-	if err := s.checkSingleWriter(); err != nil {
+	if err := s.checkAnyInstant(); err != nil {
 		return err
 	}
-	if s.auditor != nil {
-		if err := s.auditor.Err(); err != nil {
-			return err
-		}
-		if !s.auditor.QuiescentOK() {
-			return fmt.Errorf("sim: tokens still in flight at quiescence (lost message?)")
-		}
+	if s.auditor != nil && !s.auditor.QuiescentOK() {
+		return fmt.Errorf("sim: tokens still in flight at quiescence (lost message?)")
 	}
 	if s.orderViolation != nil {
 		return s.orderViolation

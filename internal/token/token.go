@@ -7,6 +7,7 @@ package token
 import (
 	"fmt"
 
+	"patch/internal/addrmap"
 	"patch/internal/msg"
 )
 
@@ -163,23 +164,17 @@ type Holder interface {
 	TokenHoldings(fn func(addr msg.Addr, count int, owner bool))
 }
 
-// CheckConservation verifies Rule #1 across a set of holders plus
-// in-flight counts: for every block, tokens sum to exactly total and
-// exactly one owner token exists. Blocks never touched are assumed to sit
-// entirely at their home and are exempt when absent everywhere.
-// It returns an error describing the first violation found.
-func CheckConservation(total int, holders []Holder, inflight map[msg.Addr]State) error {
-	type sum struct {
-		count  int
-		owners int
-	}
-	sums := make(map[msg.Addr]*sum)
+// CheckConservation verifies Rule #1 across a set of holders: for every
+// block any holder reports, tokens sum to exactly total and exactly one
+// owner token exists. Blocks never touched sit entirely at their home
+// and are exempt when absent everywhere. Of several violating blocks it
+// reports the one with the smallest address, so the error does not
+// depend on the order the holders report in.
+func CheckConservation(total int, holders []Holder) error {
+	type sum struct{ count, owners int }
+	var sums addrmap.Map[sum]
 	add := func(addr msg.Addr, count int, owner bool) {
-		s := sums[addr]
-		if s == nil {
-			s = &sum{}
-			sums[addr] = s
-		}
+		s := sums.Ptr(addr)
 		s.count += count
 		if owner {
 			s.owners++
@@ -188,18 +183,26 @@ func CheckConservation(total int, holders []Holder, inflight map[msg.Addr]State)
 	for _, h := range holders {
 		h.TokenHoldings(add)
 	}
-	for addr, st := range inflight {
-		if !st.Zero() {
-			add(addr, st.Count, st.Owner)
+	var bad sum
+	var badAddr msg.Addr
+	violations := 0
+	sums.ForEach(func(a msg.Addr, s *sum) {
+		if s.count == total && s.owners == 1 {
+			return
 		}
+		if violations == 0 || a < badAddr {
+			bad, badAddr = *s, a
+		}
+		violations++
+	})
+	switch {
+	case violations == 0:
+		return nil
+	case bad.count != total:
+		return fmt.Errorf("token conservation violated at %#x: %d tokens, want %d (%d blocks violate)",
+			uint64(badAddr), bad.count, total, violations)
+	default:
+		return fmt.Errorf("token conservation violated at %#x: %d owner tokens, want 1 (%d blocks violate)",
+			uint64(badAddr), bad.owners, violations)
 	}
-	for addr, s := range sums {
-		if s.count != total {
-			return fmt.Errorf("token: conservation violated at %#x: %d tokens, want %d", uint64(addr), s.count, total)
-		}
-		if s.owners != 1 {
-			return fmt.Errorf("token: %d owner tokens at %#x, want 1", s.owners, uint64(addr))
-		}
-	}
-	return nil
 }

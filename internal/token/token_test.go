@@ -2,6 +2,7 @@ package token
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,15 +162,15 @@ func (h mapHolder) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) 
 func TestCheckConservationOK(t *testing.T) {
 	h1 := mapHolder{0x100: {Count: 10, Owner: true}}
 	h2 := mapHolder{0x100: {Count: 4}}
-	inflight := map[msg.Addr]State{0x100: {Count: 2}}
-	if err := CheckConservation(16, []Holder{h1, h2}, inflight); err != nil {
+	inflight := mapHolder{0x100: {Count: 2}}
+	if err := CheckConservation(16, []Holder{h1, h2, inflight}); err != nil {
 		t.Fatalf("conservation reported violation: %v", err)
 	}
 }
 
 func TestCheckConservationDetectsLoss(t *testing.T) {
 	h := mapHolder{0x100: {Count: 15, Owner: true}}
-	if err := CheckConservation(16, []Holder{h}, nil); err == nil {
+	if err := CheckConservation(16, []Holder{h}); err == nil {
 		t.Fatal("lost token not detected")
 	}
 }
@@ -177,8 +178,27 @@ func TestCheckConservationDetectsLoss(t *testing.T) {
 func TestCheckConservationDetectsDuplicateOwner(t *testing.T) {
 	h1 := mapHolder{0x100: {Count: 8, Owner: true}}
 	h2 := mapHolder{0x100: {Count: 8, Owner: true}}
-	if err := CheckConservation(16, []Holder{h1, h2}, nil); err == nil {
+	if err := CheckConservation(16, []Holder{h1, h2}); err == nil {
 		t.Fatal("duplicate owner not detected")
+	}
+}
+
+// TestCheckConservationNamesSmallestBlock pins which violation is
+// reported when several blocks violate: always the smallest address,
+// whatever order the holders (here Go maps) report their blocks in.
+func TestCheckConservationNamesSmallestBlock(t *testing.T) {
+	h := mapHolder{
+		0x40: {Count: 16, Owner: true}, 0x80: {Count: 16, Owner: true},
+		0x1c0: {Count: 15, Owner: true}, // a token short
+		0x140: {Count: 16, Owner: true},
+		0x100: {Count: 16}, // no owner token
+		0x200: {Count: 16, Owner: true},
+	}
+	for i := 0; i < 50; i++ {
+		err := CheckConservation(16, []Holder{h})
+		if err == nil || !strings.Contains(err.Error(), "at 0x100:") {
+			t.Fatalf("call %d: %v, want the violation at 0x100", i, err)
+		}
 	}
 }
 

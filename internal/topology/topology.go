@@ -132,9 +132,6 @@ func ringDist(a, b, n int) int {
 	return d
 }
 
-// MaxDistance returns the network diameter in hops.
-func (t Torus) MaxDistance() int { return t.W/2 + t.H/2 }
-
 // MulticastTree computes a fan-out multicast tree from src covering every
 // destination in dsts. The tree is the union of dimension-order routes,
 // deduplicated so each link appears once: this models the paper's

@@ -149,19 +149,15 @@ func (a *Auditor) Delivered(m *msg.Message) {
 	}
 }
 
-// InFlight returns the tokens currently in flight for a block.
-func (a *Auditor) InFlight(addr msg.Addr) (count, owners int) {
-	t := a.inflight[addr]
-	return t.count, t.owners
-}
-
-// InFlightByBlock invokes add for every block with tokens currently in
-// flight. Iteration order is unspecified; callers accumulate into
-// order-independent sums (the simulator's mid-run conservation audit
-// folds these into an insertion-ordered addrmap).
-func (a *Auditor) InFlightByBlock(add func(addr msg.Addr, count, owners int)) {
+// TokenHoldings implements token.Holder over the tokens currently in
+// flight, so conservation checks count the wire like any other holder.
+// A block with more than one owner token in flight has already been
+// recorded as a violation (Err), so the owner flag says whether any is.
+// Iteration order is unspecified; token.CheckConservation's result does
+// not depend on it.
+func (a *Auditor) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
 	for addr, t := range a.inflight {
-		add(addr, t.count, t.owners)
+		fn(addr, t.count, t.owners > 0)
 	}
 }
 

@@ -79,8 +79,15 @@ func TestAuditorBalancedFlow(t *testing.T) {
 	a := NewAuditor(4)
 	m := tok(0x40, 3, true)
 	a.Sent(m)
-	if c, o := a.InFlight(0x40); c != 3 || o != 1 {
-		t.Fatalf("inflight = %d,%d", c, o)
+	held := 0
+	a.TokenHoldings(func(addr msg.Addr, c int, owner bool) {
+		held++
+		if addr != 0x40 || c != 3 || !owner {
+			t.Fatalf("inflight = %#x: %d, owner %v", uint64(addr), c, owner)
+		}
+	})
+	if held != 1 {
+		t.Fatalf("%d blocks in flight, want 1", held)
 	}
 	a.Delivered(m)
 	if !a.QuiescentOK() {
