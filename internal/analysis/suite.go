@@ -20,6 +20,7 @@ const (
 	pkgFault        = "patch/internal/fault"
 	pkgCache        = "patch/internal/cache"
 	pkgToken        = "patch/internal/token"
+	pkgDirectory    = "patch/internal/directory"
 )
 
 // PatchSuite returns the analyzers configured for this repository's
@@ -42,6 +43,10 @@ func PatchSuite() []*Analyzer {
 					// The conservation error reaches the end-of-run
 					// check and the audit failures.
 					pkgToken,
+					// Home-entry order reaches Quiesced, the queue-depth
+					// bound, write serialisation and the forensics, and
+					// the deactivation commit lives here.
+					pkgDirectory,
 				},
 				Files: map[string][]string{
 					// Of the root package, only the sweep engine feeds

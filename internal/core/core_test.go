@@ -197,40 +197,57 @@ func TestUpgradeMissCollectsAllTokens(t *testing.T) {
 }
 
 // TestFigure1RaceResolvedByTenure reproduces the paper's Figure 1/2
-// scenario: P0 owns with spare tokens, P1 shares, and P1 and P2 race
-// write requests while a direct request moves P1's token to P2. Under
-// naive token counting both starve; token tenure must complete both.
+// scenario: P0 owns the block with spare tokens, P1 shares it, and P2
+// and P1 race writes. P1's request wins the home (node 1 is its home),
+// while P2's direct request takes P0's tokens. Those tokens are
+// untenured at P2, which ignores P1's requests; under naive token
+// counting both writers starve. Token tenure must time them out to the
+// home, which redirects them to P1, and both writes complete. Every
+// gap from 2 to 8 cycles between the two writes stages the race.
 func TestFigure1RaceResolvedByTenure(t *testing.T) {
-	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
-	home := 3
-	a := addrHomedAt(c.env, home)
+	for gap := event.Time(2); gap <= 8; gap++ {
+		c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
+		a := addrHomedAt(c.env, 1)
 
-	// Build the initial state from the figure organically: P0 writes
-	// (M, all tokens), then P1 reads (P1 owner+spares, P0 sharer).
-	c.access(0, a, true)
-	c.run(t)
-	c.access(1, a, false)
-	c.run(t)
-	// Now stage the race: P2 and P1 both write, one cycle apart, with
-	// broadcast direct requests in flight.
-	done2 := c.access(2, a, true)
-	var done1 *bool
-	c.eng.After(5, event.Func(func(event.Time) { done1 = c.access(1, a, true) }))
-	c.run(t)
-	if !*done2 || !*done1 {
-		t.Fatalf("race starved: P2 done=%v P1 done=%v", *done2, *done1)
-	}
-	c.checkQuiesced(t)
-	c.checkConservation(t)
-	// Exactly one of them holds all tokens at the end.
-	writers := 0
-	for _, n := range c.nodes {
-		if l := n.L2.Lookup(a); l != nil && l.Tok.CanWrite(4) {
-			writers++
+		// P1 writes, then P0 reads: ownership and all but one token
+		// move to P0 (O, 3 tokens), P1 keeps one (S).
+		c.access(1, a, true)
+		c.run(t)
+		c.access(0, a, false)
+		c.run(t)
+		p0, p1 := c.nodes[0].L2.Lookup(a), c.nodes[1].L2.Lookup(a)
+		if p0 == nil || p0.Tok.ToMOESI(4) != token.O || p0.Tok.Count != 3 || p1 == nil || p1.Tok.ToMOESI(4) != token.S {
+			t.Fatalf("gap %d: initial state is not P0 = O t=3, P1 = S", gap)
 		}
-	}
-	if writers != 1 {
-		t.Fatalf("%d final writers, want 1", writers)
+
+		// Idle past both post-deactivation windows, then race.
+		var done1, done2 *bool
+		start := c.eng.Now() + 2000
+		c.eng.At(start, event.Func(func(event.Time) { done2 = c.access(2, a, true) }))
+		c.eng.At(start+gap, event.Func(func(event.Time) { done1 = c.access(1, a, true) }))
+		c.eng.Run(100_000) // bounded: an unresolved race never drains
+		if !*done2 || !*done1 {
+			t.Fatalf("gap %d: race starved: P2 done=%v P1 done=%v", gap, *done2, *done1)
+		}
+		timeouts := uint64(0)
+		for _, n := range c.nodes {
+			timeouts += n.St.TenureTimeouts
+		}
+		if timeouts == 0 {
+			t.Fatalf("gap %d: no tenure timeout fired: the race was not staged", gap)
+		}
+		c.checkQuiesced(t)
+		c.checkConservation(t)
+		// Exactly one of them holds all tokens at the end.
+		writers := 0
+		for _, n := range c.nodes {
+			if l := n.L2.Lookup(a); l != nil && l.Tok.CanWrite(4) {
+				writers++
+			}
+		}
+		if writers != 1 {
+			t.Fatalf("gap %d: %d final writers, want 1", gap, writers)
+		}
 	}
 }
 

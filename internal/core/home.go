@@ -27,9 +27,7 @@ func (n *Node) homeLookup(now event.Time, m *msg.Message) {
 func (n *Node) homeReceive(now event.Time, m *msg.Message) {
 	e := n.Home().Entry(m.Addr)
 	if e.Busy {
-		e.Queue = append(e.Queue, directory.Pending{
-			Req: m.Requester, IsWrite: m.IsWrite, Transient: m.Detached(),
-		})
+		e.Queue = append(e.Queue, m.Detached())
 		return
 	}
 	n.homeActivate(now, e, m)
@@ -44,9 +42,7 @@ func (n *Node) homeTokens(now event.Time, m *msg.Message) {
 	e := n.Home().Entry(m.Addr)
 	if m.Type != msg.TokenReturn {
 		// A full eviction: the evictor keeps nothing.
-		if n.Home().Enc.Coarseness == 1 {
-			e.Sharers.Remove(m.Src)
-		}
+		e.Sharers.Remove(m.Src)
 		if e.Owner == m.Src {
 			e.Owner = directory.HomeOwner
 		}
@@ -55,13 +51,7 @@ func (n *Node) homeTokens(now event.Time, m *msg.Message) {
 		n.redirect(e, m)
 		return
 	}
-	e.Tok.Add(m.Tokens, m.Owner, false, m.Owner) // memory data valid once the owner returns
-	if m.HasData && m.Version > e.MemVersion {
-		e.MemVersion = m.Version
-	}
-	if m.Owner {
-		e.DataAtMemory = true
-	}
+	e.AbsorbTokens(m)
 }
 
 // redirect funnels arriving tokens to the active requester. A clean
@@ -88,16 +78,6 @@ func (n *Node) redirect(e *directory.Entry, m *msg.Message) {
 	}
 }
 
-// Deactivation-time directory commits (see directory.Entry.Commit).
-const (
-	// commitWrite installs the writer as owner with no sharers; the
-	// memory copy goes stale.
-	commitWrite uint8 = iota + 1
-	// commitRead installs the reader as owner, keeping the previous
-	// owner (Prev) in the sharer superset (Rule #1b).
-	commitRead
-)
-
 // homeActivate designates the request as the block's active request
 // (Rule #1a) and forwards it to a superset of the caches holding tenured
 // tokens (Rule #1b): the exact owner plus the (possibly inexact) sharer
@@ -110,29 +90,21 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 	e.Busy = true
 	e.Active = m.Requester
 	e.ActiveSeq = m.Seq
-	e.ActiveWrite = m.IsWrite
 	r := m.Requester
 
-	// Migratory-sharing detection: a write by the most recent reader is
-	// the hand-off pattern; a write by anyone else is write sharing and
-	// clears the mark, as do two consecutive reads by different cores.
+	// Migratory-sharing detection. Unlike DIRECTORY, a conversion needs
+	// no sharer check: if the owner lacks the full token count it
+	// degrades to a plain ownership transfer, with token counting
+	// keeping everyone safe.
 	migratory := false
 	if m.IsWrite {
-		e.Migratory = e.MigrArmed && e.LastReader == r
-		e.MigrArmed = false
+		e.NoteWrite(r)
 	} else {
-		// Unlike DIRECTORY, the conversion needs no sharer check: if the
-		// owner lacks the full token count it degrades to a plain
-		// ownership transfer, with token counting keeping everyone safe.
-		migratory = e.Migratory && e.Owner != directory.HomeOwner && e.Owner != r
+		migratory = e.MigratoryRead(r)
 		if migratory {
 			n.St.MigratoryUpgrades++
-			e.MigrAttempted = true
-		} else if e.MigrArmed && e.LastReader != r {
-			e.Migratory = false
 		}
-		e.LastReader = r
-		e.MigrArmed = true
+		e.NoteRead(r, migratory)
 	}
 
 	// Directory update committed at deactivation. Reads (including
@@ -140,52 +112,30 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 	// it may retain tenured tokens, and the set must stay a superset of
 	// tenured holders (Rule #1b).
 	if m.IsWrite {
-		e.Commit = directory.Commit{Kind: commitWrite, Req: r}
+		e.Commit = directory.Commit{Kind: directory.CommitWrite, Req: r}
 	} else {
-		e.Commit = directory.Commit{Kind: commitRead, Req: r, Prev: e.Owner}
+		e.Commit = directory.Commit{Kind: directory.CommitRead, Req: r, Prev: e.Owner}
 	}
 
 	actCarrier := false
 
-	// Home-held tokens flow to the requester (Rule #1a).
-	//
-	// Writes take everything. Reads take everything only when no cache
-	// holds a copy (the E-grant DIRECTORY uses to avoid upgrade misses on
-	// unshared data); for actively shared blocks the home hands out the
-	// owner token (with data) plus one spare token, keeping the rest
-	// pooled. The spare keeps the previous owner of a read chain in S
-	// when ownership later migrates — matching DIRECTORY, where old
-	// owners retain shared copies.
+	// Home-held tokens flow to the requester (Rule #1a). A read is
+	// exclusive, and takes everything, only when the home holds the
+	// owner token, the directory records no cache as owner and none as
+	// a sharer. The owner token comes with data from DRAM.
 	if !e.Tok.Zero() {
-		if e.Tok.Owner {
-			grant := n.Msg(msg.Message{Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r, Activated: true, Seq: e.ActiveSeq, Version: e.MemVersion})
-			if m.IsWrite || (e.Sharers.Count() == 0 && e.Owner == directory.HomeOwner) {
-				tokens, owner, _ := e.Tok.TakeAll()
-				token.Attach(grant, tokens, owner, false, true)
-			} else {
-				spare := e.Tok.TakeNonOwner(1)
-				e.Tok.TakeOwner() // the home's owner token is always clean
-				token.Attach(grant, 1+spare, true, false, true)
-			}
-			n.SendAfter(event.Time(n.Home().DRAMLatency), grant)
-			actCarrier = true
-		} else if m.IsWrite {
-			tokens, _, _ := e.Tok.TakeAll()
+		exclusive := !m.IsWrite && e.Tok.Owner && e.Owner == directory.HomeOwner && e.Sharers.Count() == 0
+		if tokens, owner := e.Tok.Grant(m.IsWrite, exclusive); tokens > 0 {
 			grant := n.Msg(msg.Message{Type: msg.Ack, Addr: e.Addr, Dst: r, Requester: r, Activated: true, Seq: e.ActiveSeq})
-			token.Attach(grant, tokens, false, false, false)
-			n.Send(grant)
-			actCarrier = true
-		} else if e.Tok.Count > 0 {
-			// Read of a block owned elsewhere: hand out one pooled spare
-			// so the requester can later pass ownership on without
-			// dropping to I.
-			spare := e.Tok.TakeNonOwner(1)
-			if spare > 0 {
-				grant := n.Msg(msg.Message{Type: msg.Ack, Addr: e.Addr, Dst: r, Requester: r, Activated: true, Seq: e.ActiveSeq})
-				token.Attach(grant, spare, false, false, false)
+			token.Attach(grant, tokens, owner, false, owner)
+			if owner {
+				grant.Type = msg.Data
+				grant.Version = e.MemVersion
+				n.SendAfter(event.Time(n.Home().DRAMLatency), grant)
+			} else {
 				n.Send(grant)
-				actCarrier = true
 			}
+			actCarrier = true
 		}
 	}
 
@@ -219,30 +169,10 @@ func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
 	if !e.Busy || e.Active != m.Requester || e.ActiveSeq != m.Seq {
 		panic(fmt.Sprintf("core: home %d: spurious deactivate %v", n.ID, m))
 	}
-	switch c := e.Commit; c.Kind {
-	case commitWrite:
-		e.Owner = c.Req
-		e.Sharers.Clear()
-		e.DataAtMemory = false
-	case commitRead:
-		if c.Prev != directory.HomeOwner && c.Prev != c.Req {
-			e.Sharers.Add(c.Prev)
-		}
-		e.Owner = c.Req
-		if n.Home().Enc.Coarseness == 1 {
-			e.Sharers.Remove(c.Req)
-		}
-	}
-	e.Commit = directory.Commit{}
-	if e.MigrAttempted {
-		if !m.Migratory {
-			e.Migratory = false // the owner had not written: not migrating
-		}
-		e.MigrAttempted = false
-	}
+	e.Deactivate(m.Migratory)
 	e.Busy = false
 	if len(e.Queue) > 0 {
-		p := e.PopQueue()
-		n.homeActivate(now, e, &p.Transient)
+		next := e.PopQueue()
+		n.homeActivate(now, e, &next)
 	}
 }

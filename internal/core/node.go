@@ -31,13 +31,11 @@ import (
 // request and the deactivation has been sent.
 type mshr struct {
 	protocol.MSHR
-	seq        uint64
-	activated  bool
-	completed  bool // core released
-	sawResp    bool
-	classified bool // memory-vs-sharing classification recorded
-	migratory  bool // satisfied by a confirmed migratory conversion
-	timer      event.Handle
+	seq       uint64
+	activated bool
+	completed bool // core released
+	migratory bool // satisfied by a confirmed migratory conversion
+	timer     event.Handle
 
 	// n backs the Fire method: the armed mshr doubles as the tenure
 	// timer's event.Task, so re-arming allocates no closure.
@@ -180,10 +178,7 @@ func (n *Node) returnTokensHome(line *cache.Line) {
 		Version: line.Version,
 	})
 	token.Attach(ret, tokens, owner, dirty, dirty) // Rule #4: dirty owner travels with data
-	line.Untenured = false
-	line.MOESI = token.I
-	n.InvalidateL1(line.Addr)
-	n.L2.Drop(line)
+	n.DropLine(line)
 	n.Send(ret)
 }
 
@@ -219,11 +214,7 @@ func (n *Node) cacheResponse(now event.Time, m *msg.Message) {
 
 	var line *cache.Line
 	if m.Tokens > 0 || m.Owner {
-		line = n.InstallLine(m.Addr)
-		line.Tok.Add(m.Tokens, m.Owner, m.OwnerDirty, m.HasData)
-		if m.HasData && m.Version > line.Version {
-			line.Version = m.Version
-		}
+		line = n.ReceiveTokens(m)
 	} else {
 		line = n.L2.Lookup(m.Addr)
 	}
@@ -240,18 +231,7 @@ func (n *Node) cacheResponse(now event.Time, m *msg.Message) {
 		return
 	}
 
-	if !ms.sawResp {
-		ms.sawResp = true
-		n.ObserveRTT(now - ms.Issued)
-	}
-	if m.HasData && !ms.classified {
-		ms.classified = true
-		if m.Src == n.Env.HomeOf(m.Addr) {
-			n.St.MemoryMisses++
-		} else {
-			n.St.SharingMisses++
-		}
-	}
+	n.NoteResponse(&ms.MSHR, now, m)
 	if m.Activated && m.Seq == ms.seq && !ms.activated {
 		ms.activated = true
 		ms.timer.Cancel()
@@ -279,15 +259,7 @@ func (n *Node) progress(now event.Time, ms *mshr) {
 	satisfied := line != nil && n.TokensSuffice(line, ms.IsWrite)
 	if satisfied && !ms.completed {
 		ms.completed = true
-		if ms.IsWrite {
-			line.Tok.Dirty = true
-			line.Written = true
-			line.Version++
-		}
-		n.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
-		line.MOESI = line.Tok.ToMOESI(n.Env.Tokens)
-		n.TouchL1(ms.Addr)
-		n.St.MissLatencySum += uint64(now - ms.Issued)
+		n.PerformMiss(&ms.MSHR, line, now)
 		ms.Done()
 	}
 	// Deactivation Rule (#7): once active with sufficient tenured
@@ -387,70 +359,21 @@ func (n *Node) cacheDirect(now event.Time, m *msg.Message) {
 	n.respondToRequest(line, m, false)
 }
 
-// respondToRequest implements the processor response rules shared by
-// forwarded and direct requests. forced forces a zero-token response
-// (owner-targeted forwards must echo the activation bit).
+// respondToRequest answers a forwarded or direct request. A holder of
+// tokens gives them up by the shared response rules (a read needs the
+// owner token to be answered); the migratory hand-off applies to a
+// direct request, whose owner applies the heuristic itself since it
+// cannot consult the directory, and to a forward the home's detector
+// marked migratory.
 func (n *Node) respondToRequest(line *cache.Line, m *msg.Message, fwd bool) {
 	write := m.IsWrite || m.Type == msg.DirectGetM
-	hasTokens := line != nil && !line.Tok.Zero()
-	hasOwner := hasTokens && line.Tok.Owner
-
 	resp := n.Msg(msg.Message{
 		Addr: m.Addr, Dst: m.Requester, Requester: m.Requester,
 		Activated: fwd && m.Activated, Seq: m.Seq,
 	})
-	if line != nil {
-		resp.Version = line.Version
-	}
 	switch {
-	case write && hasTokens:
-		// Write request: surrender everything (data if we are the owner).
-		tokens, owner, dirty := line.Tok.TakeAll()
-		resp.Type = msg.Ack
-		if owner {
-			resp.Type = msg.Data
-		}
-		token.Attach(resp, tokens, owner, dirty, owner)
-		line.MOESI = token.I
-		line.Untenured = false
-		n.InvalidateL1(m.Addr)
-		n.L2.Drop(line)
-	case !write && hasOwner && line.Tok.Count == n.Env.Tokens && line.Written &&
-		(m.Migratory || !fwd):
-		// Migratory read: this owner wrote the block and holds every
-		// token. For home forwards this fires when the home's detector
-		// requested a conversion; for direct requests the owner applies
-		// the heuristic itself (as the owner cannot consult the
-		// directory) — the same cache-side migratory support TokenB
-		// uses. Hand over the exclusive dirty copy.
-		tokens, owner, dirty := line.Tok.TakeAll()
-		resp.Type = msg.Data
-		resp.Migratory = true
-		token.Attach(resp, tokens, owner, dirty, true)
-		line.MOESI = token.I
-		n.InvalidateL1(m.Addr)
-		n.L2.Drop(line)
-	case !write && hasOwner:
-		// Read request: ownership moves to the reader (as in DIRECTORY).
-		// The previous owner keeps exactly one token — staying a sharer —
-		// and passes data, the owner token and the rest of the block's
-		// token pool along, so successive readers of a chain each retain
-		// an S copy.
-		dirty := line.Tok.TakeOwner()
-		keep := 0
-		if line.Tok.Count >= 1 {
-			keep = 1
-		}
-		give := 1 + line.Tok.TakeNonOwner(line.Tok.Count-keep)
-		resp.Type = msg.Data
-		token.Attach(resp, give, true, dirty, true)
-		if keep == 0 {
-			line.MOESI = token.I
-			n.InvalidateL1(m.Addr)
-			n.L2.Drop(line)
-		} else {
-			line.MOESI = token.S
-		}
+	case line != nil && !line.Tok.Zero() && (write || line.Tok.Owner):
+		n.GiveTokens(line, resp, write, m.Migratory || !fwd)
 	case fwd && m.ToOwner:
 		// Directory-designated owner with nothing left: respond anyway so
 		// the activation bit is delivered (zero-token ack; the paper's

@@ -80,12 +80,14 @@ func (s *SharerSet) Contains(n msg.NodeID) bool {
 	return s.bits[g/64]&(1<<(g%64)) != 0
 }
 
-// Remove clears n's presence bit. Under a coarse encoding this also
-// forgets other cores in the same group, so callers only use it when the
-// whole group is known to be invalid (e.g. after a full invalidation) —
-// ordinary replacement simply leaves the bit set, which is the source of
-// the inexactness the paper studies.
+// Remove forgets node n under the exact encoding. Under a coarse
+// encoding n's bit also stands for the rest of its group, so Remove
+// leaves it set: a departed sharer stays in the superset, which is the
+// source of the inexactness the paper studies.
 func (s *SharerSet) Remove(n msg.NodeID) {
+	if s.enc.Coarseness != 1 {
+		return
+	}
 	g := s.group(n)
 	s.bits[g/64] &^= 1 << (g % 64)
 }
@@ -139,20 +141,6 @@ func (s *SharerSet) Count() int {
 	return n
 }
 
-// Pending is a queued request waiting for the block to become idle.
-type Pending struct {
-	Req      msg.NodeID
-	IsWrite  bool
-	Upgrade  bool
-	QueuedAt uint64
-
-	// Transient is a by-value copy of the original message, kept for
-	// protocol-specific fields. Copying (rather than retaining the
-	// pointer) lets the interconnect recycle the delivered message the
-	// moment the handler returns.
-	Transient msg.Message
-}
-
 // Entry is the per-block directory state.
 type Entry struct {
 	Addr    msg.Addr
@@ -160,24 +148,23 @@ type Entry struct {
 	Sharers SharerSet
 
 	// Busy marks an active request being serviced; Active is its
-	// requester; ActiveWrite its kind. Queue holds requests that arrived
-	// while busy (the paper's DIRECTORY queues at the home).
-	Busy        bool
-	Active      msg.NodeID
-	ActiveSeq   uint64
-	ActiveWrite bool
-	Queue       []Pending
+	// requester. Queue holds the messages that arrived while busy (the
+	// paper's DIRECTORY queues at the home), each a by-value copy
+	// (msg.Message.Detached), so the interconnect recycles the delivered
+	// message the moment the handler returns.
+	Busy      bool
+	Active    msg.NodeID
+	ActiveSeq uint64
+	Queue     []msg.Message
 
 	// Tok is the home's token holding for the block (PATCH/TokenB). The
 	// home of an untouched block holds all tokens with a clean owner.
 	Tok token.State
 
 	// Commit is the pending directory update to apply when the active
-	// transaction's deactivation arrives. Kind's interpretation belongs
-	// to the protocol that recorded it (each protocol's homeDeactivate
-	// switches on its own kind constants; CommitNone means nothing is
-	// pending). A value descriptor rather than a closure, so activation
-	// allocates nothing.
+	// transaction's deactivation arrives (Deactivate); the zero value
+	// means nothing is pending. A value descriptor rather than a
+	// closure, so activation allocates nothing.
 	Commit Commit
 
 	// AwaitingWB is set when the home activates a request from the node
@@ -189,33 +176,121 @@ type Entry struct {
 	ResumeReq  msg.NodeID
 	ResumeType msg.Type
 
-	// Migratory is the migratory-sharing detector state: set once the
-	// pattern "read then write by the same core" has been observed.
-	// MigrAttempted records that the active transaction tried a
-	// migratory conversion; if the owner reports it had not actually
-	// written the block, the deactivation clears the mark.
+	// Migratory is the migratory-sharing detector state (NoteWrite,
+	// NoteRead): set once the pattern "read then write by the same
+	// core" has been observed. MigrAttempted records that the active
+	// transaction tried a migratory conversion; if the owner reports it
+	// had not actually written the block, Deactivate clears the mark.
 	MigrAttempted bool
 	Migratory     bool
 	LastReader    msg.NodeID
 	MigrArmed     bool
-	DataAtMemory  bool // memory copy is up to date (clean owner at home)
 
 	// MemVersion is the write serial number of the memory copy, updated
 	// by writebacks carrying data and served with home data responses.
 	MemVersion uint64
 }
 
-// CommitNone is the shared zero Kind meaning no commit is pending;
-// protocols define their own non-zero kind constants.
-const CommitNone uint8 = 0
+// CommitKind selects the directory update a deactivation commits.
+type CommitKind uint8
+
+// The deactivation-time commits DIRECTORY and PATCH record at
+// activation. Each installs the requester as owner.
+const (
+	// CommitRead keeps the previous owner (Prev) in the sharer
+	// superset, unless the home owned the block or the requester was
+	// the owner itself.
+	CommitRead CommitKind = iota + 1
+	// CommitMigratory is a read the home tried to convert into a
+	// migratory transfer: if the deactivation reports the conversion
+	// happened, no sharer remains; otherwise it commits as CommitRead.
+	CommitMigratory
+	// CommitWrite leaves no sharers.
+	CommitWrite
+)
 
 // Commit is a pending deactivation-time directory update (see
 // Entry.Commit). Req is the active requester; Prev the previous owner
-// captured at activation for kinds that need it.
+// captured at activation, for reads.
 type Commit struct {
-	Kind uint8
+	Kind CommitKind
 	Req  msg.NodeID
 	Prev msg.NodeID
+}
+
+// AbsorbTokens takes the tokens m brings back into the home's holding
+// (PATCH, TokenB), with the data's version when m carries data. The
+// owner token arrives clean: a dirty one travels with the data memory
+// now holds (Rule #4).
+//
+//patch:steadystate
+func (e *Entry) AbsorbTokens(m *msg.Message) {
+	e.Tok.Add(m.Tokens, m.Owner, false, m.Owner)
+	if m.HasData && m.Version > e.MemVersion {
+		e.MemVersion = m.Version
+	}
+}
+
+// NoteWrite runs the migratory detector on a write by r: a write by
+// the most recent reader is the migratory hand-off pattern; a write by
+// anyone else is write sharing and clears the mark.
+func (e *Entry) NoteWrite(r msg.NodeID) {
+	e.Migratory = e.MigrArmed && e.LastReader == r
+	e.MigrArmed = false
+}
+
+// MigratoryRead reports whether a read by r may be converted into a
+// migratory transfer: the block is marked migratory and another cache
+// owns it.
+func (e *Entry) MigratoryRead(r msg.NodeID) bool {
+	return e.Migratory && e.Owner != HomeOwner && e.Owner != r
+}
+
+// NoteRead runs the migratory detector on a read by r. convert reports
+// whether the home converts this read into a migratory transfer, which
+// Deactivate settles; otherwise two consecutive reads by different
+// cores clear the mark.
+func (e *Entry) NoteRead(r msg.NodeID, convert bool) {
+	if convert {
+		e.MigrAttempted = true
+	} else if e.MigrArmed && e.LastReader != r {
+		e.Migratory = false
+	}
+	e.LastReader = r
+	e.MigrArmed = true
+}
+
+// Deactivate applies the commit recorded at activation and settles an
+// attempted migratory conversion. migrated is the deactivation's report
+// that the conversion happened: the owner had written the block and
+// handed over the exclusive copy. An attempt that did not happen means
+// the block is not migrating, and the mark clears.
+//
+//patch:steadystate
+func (e *Entry) Deactivate(migrated bool) {
+	c := e.Commit
+	e.Commit = Commit{}
+	switch c.Kind {
+	case CommitWrite:
+		e.Owner = c.Req
+		e.Sharers.Clear()
+	case CommitRead, CommitMigratory:
+		e.Owner = c.Req
+		if c.Kind == CommitMigratory && migrated {
+			e.Sharers.Clear()
+			break
+		}
+		if c.Prev != HomeOwner && c.Prev != c.Req {
+			e.Sharers.Add(c.Prev)
+		}
+		e.Sharers.Remove(c.Req)
+	}
+	if e.MigrAttempted {
+		if !migrated {
+			e.Migratory = false
+		}
+		e.MigrAttempted = false
+	}
 }
 
 // entrySlabSize is the arena chunk size: entries are allocated in
@@ -296,11 +371,10 @@ func (d *Directory) Entry(addr msg.Addr) *Entry {
 		sh := e.Sharers.reuse(d.Enc)
 		q := e.Queue[:0]
 		*e = Entry{
-			Addr:         addr,
-			Owner:        HomeOwner,
-			Sharers:      sh,
-			Queue:        q,
-			DataAtMemory: true,
+			Addr:    addr,
+			Owner:   HomeOwner,
+			Sharers: sh,
+			Queue:   q,
 		}
 		if d.Tokens > 0 {
 			e.Tok = token.State{Count: d.Tokens, Owner: true, Dirty: false, Valid: true}
@@ -310,16 +384,16 @@ func (d *Directory) Entry(addr msg.Addr) *Entry {
 	return *p
 }
 
-// PopQueue removes and returns the head of the entry's request queue.
-// The remaining entries shift down so the backing array stays anchored:
-// a Queue[1:] re-slice would walk the array forward and force append to
+// PopQueue removes and returns the head of the entry's queue. The
+// remaining entries shift down so the backing array stays anchored: a
+// Queue[1:] re-slice would walk the array forward and force append to
 // reallocate under steady-state churn.
-func (e *Entry) PopQueue() Pending {
-	p := e.Queue[0]
+func (e *Entry) PopQueue() msg.Message {
+	m := e.Queue[0]
 	copy(e.Queue, e.Queue[1:])
-	e.Queue[len(e.Queue)-1] = Pending{}
+	e.Queue[len(e.Queue)-1] = msg.Message{}
 	e.Queue = e.Queue[:len(e.Queue)-1]
-	return p
+	return m
 }
 
 // TokenHoldings implements token.Holder for conservation checks.

@@ -138,7 +138,7 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 func TestEntryInitialTokenState(t *testing.T) {
 	d := New(0, FullMap(16), 16)
 	e := d.Entry(0x1000)
-	if e.Owner != HomeOwner || !e.DataAtMemory {
+	if e.Owner != HomeOwner {
 		t.Fatal("fresh entry should be memory-owned")
 	}
 	if e.Tok.Count != 16 || !e.Tok.Owner || e.Tok.Dirty {
@@ -174,5 +174,122 @@ func TestTokenHoldings(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatalf("reported %d holdings, want 1 (empty entries skipped)", count)
+	}
+}
+
+// TestRemoveKeepsCoarseBit: under a coarse encoding a sharer's bit
+// also stands for the rest of its group, so removing one core leaves
+// the whole group in the superset.
+func TestRemoveKeepsCoarseBit(t *testing.T) {
+	s := NewSharerSet(Encoding{Cores: 64, Coarseness: 4})
+	s.Add(4)
+	s.Remove(5)
+	if !s.Contains(4) || !s.Contains(5) {
+		t.Fatal("Remove cleared a coarse group bit")
+	}
+}
+
+// TestMigratoryDetector: a read then a write by the same core marks
+// the block migratory; a read by another core of a marked block may
+// convert while the block is owned elsewhere; two reads by different
+// cores, or a write by a core other than the last reader, clear the
+// mark.
+func TestMigratoryDetector(t *testing.T) {
+	d := New(0, FullMap(8), 0)
+	e := d.Entry(0x40)
+	e.NoteRead(1, false)
+	e.NoteWrite(1)
+	if !e.Migratory {
+		t.Fatal("read then write by core 1 not detected")
+	}
+	e.Owner = 1
+	if !e.MigratoryRead(2) || e.MigratoryRead(1) {
+		t.Fatal("MigratoryRead must hold for another core's read only")
+	}
+	e.NoteRead(2, false)
+	e.NoteRead(3, false)
+	if e.Migratory {
+		t.Fatal("reads by two cores left the mark set")
+	}
+	e.Migratory = true
+	e.NoteRead(2, false)
+	e.NoteWrite(3)
+	if e.Migratory {
+		t.Fatal("a write by a core other than the last reader left the mark set")
+	}
+}
+
+// TestDeactivate covers the commit a deactivation applies and the
+// settling of an attempted migratory conversion.
+func TestDeactivate(t *testing.T) {
+	fresh := func(enc Encoding) *Entry {
+		e := New(0, enc, 0).Entry(0x40)
+		e.Owner = 2
+		e.Sharers.Add(1)
+		e.Sharers.Add(3)
+		return e
+	}
+	exact := FullMap(8)
+
+	e := fresh(exact)
+	e.Commit = Commit{Kind: CommitWrite, Req: 3}
+	e.Deactivate(false)
+	if e.Owner != 3 || e.Sharers.Count() != 0 || e.Commit != (Commit{}) {
+		t.Fatalf("write commit: owner %d, %d sharers, commit %+v", e.Owner, e.Sharers.Count(), e.Commit)
+	}
+
+	e = fresh(exact)
+	e.Commit = Commit{Kind: CommitRead, Req: 3, Prev: 2}
+	e.Deactivate(false)
+	if e.Owner != 3 || !e.Sharers.Contains(1) || !e.Sharers.Contains(2) || e.Sharers.Contains(3) {
+		t.Fatalf("read commit: owner %d, sharers %v", e.Owner, e.Sharers.AppendMembers(nil, -2))
+	}
+
+	e = fresh(exact)
+	e.Commit = Commit{Kind: CommitRead, Req: 3, Prev: HomeOwner}
+	e.Deactivate(false)
+	if got := e.Sharers.AppendMembers(nil, -2); e.Owner != 3 || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("read of a home-owned block: owner %d, sharers %v", e.Owner, got)
+	}
+
+	// Under a coarse encoding Remove keeps the requester's group, so an
+	// Add of the requester would show: the previous owner joins the
+	// sharers only when it is not the requester itself.
+	e = New(0, Encoding{Cores: 8, Coarseness: 2}, 0).Entry(0x40)
+	e.Owner = 6
+	e.Commit = Commit{Kind: CommitRead, Req: 6, Prev: 6}
+	e.Deactivate(false)
+	if e.Owner != 6 || e.Sharers.Count() != 0 {
+		t.Fatalf("owner's own read: owner %d, %d sharers", e.Owner, e.Sharers.Count())
+	}
+
+	for _, migrated := range []bool{true, false} {
+		e = fresh(exact)
+		e.Migratory = true
+		e.NoteRead(3, true)
+		e.Commit = Commit{Kind: CommitMigratory, Req: 3, Prev: 2}
+		e.Deactivate(migrated)
+		if e.Owner != 3 || e.MigrAttempted || e.Migratory != migrated {
+			t.Fatalf("migratory commit (migrated %v): owner %d, attempted %v, migratory %v",
+				migrated, e.Owner, e.MigrAttempted, e.Migratory)
+		}
+		got := e.Sharers.AppendMembers(nil, -2)
+		if migrated && len(got) != 0 {
+			t.Fatalf("a conversion that happened left sharers %v", got)
+		}
+		if !migrated && (len(got) != 2 || got[0] != 1 || got[1] != 2) {
+			t.Fatalf("a conversion that did not happen left sharers %v, want [1 2]", got)
+		}
+	}
+
+	// PATCH commits a migratory conversion as a read; the attempt still
+	// settles.
+	e = fresh(exact)
+	e.Migratory = true
+	e.NoteRead(3, true)
+	e.Commit = Commit{Kind: CommitRead, Req: 3, Prev: 2}
+	e.Deactivate(false)
+	if e.Migratory || e.MigrAttempted || !e.Sharers.Contains(2) {
+		t.Fatal("an attempted conversion that did not happen must clear the mark")
 	}
 }

@@ -79,6 +79,120 @@ func (b *Base) TokensSuffice(l *cache.Line, isWrite bool) bool {
 	return l.Tok.CanRead()
 }
 
+// ReceiveTokens folds the tokens m carries into the block's L2 line,
+// installing it if absent, and takes the data's version when m carries
+// data. It returns the line.
+//
+//patch:steadystate
+func (b *Base) ReceiveTokens(m *msg.Message) *cache.Line {
+	line := b.InstallLine(m.Addr)
+	line.Tok.Add(m.Tokens, m.Owner, m.OwnerDirty, m.HasData)
+	if m.HasData && m.Version > line.Version {
+		line.Version = m.Version
+	}
+	return line
+}
+
+// NoteResponse accounts a token response m to the outstanding miss ms:
+// the first response's round trip feeds the adaptive timeout, and the
+// first data response classifies the miss as served by memory (the
+// home) or by another cache. Time to first response measures
+// uncontended service latency: a contended miss whose requests were
+// ignored draws no response at all, so the estimate has no contention
+// feedback loop.
+//
+//patch:steadystate
+func (b *Base) NoteResponse(ms *MSHR, now event.Time, m *msg.Message) {
+	if !ms.sawResp {
+		ms.sawResp = true
+		b.ObserveRTT(now - ms.Issued)
+	}
+	if m.HasData && !ms.classified {
+		ms.classified = true
+		if m.Src == b.Env.HomeOf(m.Addr) {
+			b.St.MemoryMisses++
+		} else {
+			b.St.SharingMisses++
+		}
+	}
+}
+
+// PerformMiss performs the access that opened ms once the line's tokens
+// suffice: a store marks the owner token dirty (Rule #2) and bumps the
+// version, the perform is reported, the line's MOESI state follows its
+// tokens, the L1 is filled and the miss latency charged. The caller
+// then releases the core (MSHR.Done).
+//
+//patch:steadystate
+func (b *Base) PerformMiss(ms *MSHR, line *cache.Line, now event.Time) {
+	if ms.IsWrite {
+		line.Tok.Dirty = true
+		line.Written = true
+		line.Version++
+	}
+	b.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
+	line.MOESI = line.Tok.ToMOESI(b.Env.Tokens)
+	b.TouchL1(ms.Addr)
+	b.St.MissLatencySum += uint64(now - ms.Issued)
+}
+
+// GiveTokens answers a request from the line's holding by the
+// token-counting response rules, filling in resp's type, tokens, data
+// and version. The line must hold tokens and, for a read, the owner
+// token.
+//
+//   - A write takes the whole holding, with data if the owner token is
+//     in it.
+//   - A read marked migratory, reaching an owner that wrote the block
+//     and holds all T tokens, takes everything too: the reader's next
+//     write then hits locally. resp is marked Migratory.
+//   - Any other read moves ownership: the owner token, data and all
+//     but one token go, so the previous owner stays a sharer when it
+//     can (successive readers of a chain each keep an S copy).
+//
+// A line left without tokens is dropped from both cache levels.
+//
+//patch:steadystate
+func (b *Base) GiveTokens(line *cache.Line, resp *msg.Message, write, migratory bool) {
+	resp.Version = line.Version
+	switch {
+	case write:
+		tokens, owner, dirty := line.Tok.TakeAll()
+		resp.Type = msg.Ack
+		if owner {
+			resp.Type = msg.Data
+		}
+		token.Attach(resp, tokens, owner, dirty, owner)
+		b.DropLine(line)
+	case migratory && line.Written && line.Tok.Count == b.Env.Tokens:
+		tokens, owner, dirty := line.Tok.TakeAll()
+		resp.Type = msg.Data
+		resp.Migratory = true
+		token.Attach(resp, tokens, owner, dirty, true)
+		b.DropLine(line)
+	default:
+		dirty := line.Tok.TakeOwner()
+		keep := min(line.Tok.Count, 1)
+		give := 1 + line.Tok.TakeNonOwner(line.Tok.Count-keep)
+		resp.Type = msg.Data
+		token.Attach(resp, give, true, dirty, true)
+		if keep == 0 {
+			b.DropLine(line)
+		} else {
+			line.MOESI = token.S
+		}
+	}
+}
+
+// DropLine removes the block from both cache levels. Dropping zeroes
+// the line, so callers read what they need from it first.
+//
+//patch:steadystate
+func (b *Base) DropLine(line *cache.Line) {
+	b.InvalidateL1(line.Addr)
+	b.L2.Drop(line)
+}
+
 // InstallLine allocates the block in the L2, never displacing a line
 // with an outstanding miss, and hands a copy of a displaced victim to
 // the backend's writeback (Bind) — evictions are never silent for

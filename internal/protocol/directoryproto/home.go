@@ -23,15 +23,13 @@ func (n *Node) homeReceive(now event.Time, m *msg.Message) {
 				n.homeService(now, e, e.ResumeReq, e.ResumeType)
 				return
 			}
-			e.Queue = append(e.Queue, directory.Pending{Req: m.Src, Transient: m.Detached()})
+			e.Queue = append(e.Queue, m.Detached())
 			return
 		}
 		n.homeWriteback(e, m)
 	default:
 		if e.Busy {
-			e.Queue = append(e.Queue, directory.Pending{
-				Req: m.Requester, IsWrite: m.IsWrite, Upgrade: m.Type == msg.Upg, Transient: m.Detached(),
-			})
+			e.Queue = append(e.Queue, m.Detached())
 			return
 		}
 		n.homeActivate(now, e, m)
@@ -45,13 +43,10 @@ func (n *Node) homeWriteback(e *directory.Entry, m *msg.Message) {
 	stale := e.Owner != m.Src
 	if !stale {
 		e.Owner = directory.HomeOwner
-		e.DataAtMemory = true
 		if m.HasData && m.Version > e.MemVersion {
 			e.MemVersion = m.Version
 		}
-		if fm := n.Home().Enc.Coarseness == 1; fm {
-			e.Sharers.Remove(m.Src)
-		}
+		e.Sharers.Remove(m.Src)
 	}
 	n.Send(n.Msg(msg.Message{Type: msg.PutAck, Addr: m.Addr, Dst: m.Src, Requester: m.Src, Stale: stale}))
 }
@@ -61,7 +56,6 @@ func (n *Node) homeWriteback(e *directory.Entry, m *msg.Message) {
 func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) {
 	e.Busy = true
 	e.Active = m.Requester
-	e.ActiveWrite = m.IsWrite
 	r := m.Requester
 
 	// If the home still believes the requester owns the block (and this
@@ -71,7 +65,7 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 	// the entry records the request's fields (not the pooled message).
 	if e.Owner == r && m.Type != msg.Upg {
 		if wb, ok := n.takeQueuedWriteback(e, r); ok {
-			n.homeWriteback(e, &wb.Transient)
+			n.homeWriteback(e, &wb)
 			n.homeService(now, e, r, m.Type)
 			return
 		}
@@ -104,48 +98,29 @@ func (n *Node) homeService(now event.Time, e *directory.Entry, r msg.NodeID, req
 }
 
 // takeQueuedWriteback removes and returns a queued writeback from src.
-func (n *Node) takeQueuedWriteback(e *directory.Entry, src msg.NodeID) (directory.Pending, bool) {
-	for i := range e.Queue {
-		t := &e.Queue[i].Transient
-		if (t.Type == msg.PutM || t.Type == msg.PutClean) && t.Src == src {
-			p := e.Queue[i]
+func (n *Node) takeQueuedWriteback(e *directory.Entry, src msg.NodeID) (msg.Message, bool) {
+	for i, q := range e.Queue {
+		if (q.Type == msg.PutM || q.Type == msg.PutClean) && q.Src == src {
 			e.Queue = append(e.Queue[:i], e.Queue[i+1:]...)
-			return p, true
+			return q, true
 		}
 	}
-	return directory.Pending{}, false
+	return msg.Message{}, false
 }
 
-// Deactivation-time directory commits (see directory.Entry.Commit).
-const (
-	// commitReadHome installs the reader as owner of a formerly
-	// home-owned block.
-	commitReadHome uint8 = iota + 1
-	// commitRead installs the reader as owner; the previous owner (Prev)
-	// joins the sharer set.
-	commitRead
-	// commitMigratory is the outcome-dependent migratory-read commit:
-	// the deactivation reports whether the conversion happened.
-	commitMigratory
-	// commitWrite installs the writer as owner with no sharers.
-	commitWrite
-)
-
 func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
-	// Migratory detection bookkeeping: remember the most recent reader;
-	// two distinct readers without an intervening write clear the mark.
-	migratory := e.Migratory && e.Owner != directory.HomeOwner && e.Owner != r && len(n.InvalidationTargets(e, r)) == 0
+	// Migratory detection. Unlike PATCH, a conversion also needs the
+	// owner to hold the only recorded copy: the exclusive transfer
+	// invalidates no sharer.
+	migratory := e.MigratoryRead(r) && len(n.InvalidationTargets(e, r)) == 0
 	if migratory {
 		n.St.MigratoryUpgrades++
-	} else if e.MigrArmed && e.LastReader != r {
-		e.Migratory = false
 	}
-	e.LastReader = r
-	e.MigrArmed = true
+	e.NoteRead(r, migratory)
 
 	if e.Owner == directory.HomeOwner {
 		excl := e.Sharers.Count() == 0
-		e.Commit = directory.Commit{Kind: commitReadHome, Req: r}
+		e.Commit = directory.Commit{Kind: directory.CommitRead, Req: r, Prev: directory.HomeOwner}
 		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
 			HasData: true, Owner: true, Exclusive: excl, AcksExpected: 0,
@@ -158,15 +133,14 @@ func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 		// Migratory optimisation: ask the owner for an exclusive dirty
 		// copy. The owner declines if it never wrote the block, keeping
 		// an S copy, so the commit depends on the reported outcome.
-		e.MigrAttempted = true
-		e.Commit = directory.Commit{Kind: commitMigratory, Req: r, Prev: e.Owner}
+		e.Commit = directory.Commit{Kind: directory.CommitMigratory, Req: r, Prev: e.Owner}
 		n.Send(n.Msg(msg.Message{
 			Type: msg.Fwd, Addr: e.Addr, Dst: owner, Requester: r,
 			ToOwner: true, Migratory: true, AcksExpected: 0,
 		}))
 		return
 	}
-	e.Commit = directory.Commit{Kind: commitRead, Req: r, Prev: e.Owner}
+	e.Commit = directory.Commit{Kind: directory.CommitRead, Req: r, Prev: e.Owner}
 	n.Send(n.Msg(msg.Message{
 		Type: msg.Fwd, Addr: e.Addr, Dst: owner, Requester: r,
 		ToOwner: true, AcksExpected: 0,
@@ -174,14 +148,10 @@ func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 }
 
 func (n *Node) homeGetM(e *directory.Entry, r msg.NodeID) {
-	// A write by the most recent reader is the migratory hand-off
-	// pattern; a write by anyone else is write sharing.
-	e.Migratory = e.MigrArmed && e.LastReader == r
-	e.MigrArmed = false
-
+	e.NoteWrite(r)
 	sharers := n.InvalidationTargets(e, r)
 	acks := len(sharers)
-	e.Commit = directory.Commit{Kind: commitWrite, Req: r}
+	e.Commit = directory.Commit{Kind: directory.CommitWrite, Req: r}
 	if e.Owner == directory.HomeOwner {
 		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
@@ -205,52 +175,15 @@ func (n *Node) homeUpg(e *directory.Entry, r msg.NodeID) {
 	// The migratory hand-off usually reaches the home as an upgrade
 	// (ownership moved to the reader with its GetS), so the detector
 	// runs here as well as in homeGetM.
-	e.Migratory = e.MigrArmed && e.LastReader == r
-	e.MigrArmed = false
-
+	e.NoteWrite(r)
 	sharers := n.InvalidationTargets(e, r)
 	acks := len(sharers)
-	e.Commit = directory.Commit{Kind: commitWrite, Req: r}
+	e.Commit = directory.Commit{Kind: directory.CommitWrite, Req: r}
 	n.Send(n.Msg(msg.Message{Type: msg.AckCount, Addr: e.Addr, Dst: r, Requester: r, AcksExpected: acks}))
 	if acks > 0 {
 		n.Multicast(n.Msg(msg.Message{
 			Type: msg.Fwd, Addr: e.Addr, Requester: r, IsWrite: true,
 		}), sharers)
-	}
-}
-
-// applyCommit performs the deactivation-time directory update recorded
-// at activation (the former OnDeactivate closure, as data).
-//
-//patch:steadystate
-func (n *Node) applyCommit(e *directory.Entry, deact *msg.Message) {
-	c := e.Commit
-	e.Commit = directory.Commit{}
-	switch c.Kind {
-	case commitReadHome:
-		e.Owner = c.Req
-		if n.Home().Enc.Coarseness == 1 {
-			e.Sharers.Remove(c.Req)
-		}
-	case commitRead:
-		e.Owner = c.Req
-		e.Sharers.Add(c.Prev)
-		if n.Home().Enc.Coarseness == 1 {
-			e.Sharers.Remove(c.Req)
-		}
-	case commitMigratory:
-		e.Owner = c.Req
-		if deact.Migratory {
-			e.Sharers.Clear()
-		} else {
-			e.Sharers.Add(c.Prev)
-			if n.Home().Enc.Coarseness == 1 {
-				e.Sharers.Remove(c.Req)
-			}
-		}
-	case commitWrite:
-		e.Owner = c.Req
-		e.Sharers.Clear()
 	}
 }
 
@@ -261,18 +194,9 @@ func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
 	if !e.Busy || e.Active != m.Requester {
 		panic(fmt.Sprintf("directoryproto: home %d: spurious deactivate %v", n.ID, m))
 	}
-	n.applyCommit(e, m)
-	if e.MigrAttempted {
-		// The owner reported (via the requester) whether the conversion
-		// actually happened; an unwritten block is not migrating.
-		if !m.Migratory {
-			e.Migratory = false
-		}
-		e.MigrAttempted = false
-	}
-	if e.Owner != directory.HomeOwner {
-		e.DataAtMemory = false
-	}
+	// The owner reported, via the requester, whether a migratory
+	// conversion actually happened.
+	e.Deactivate(m.Migratory)
 	e.Busy = false
 	e.Active = 0
 	n.drainQueue(now, e)
@@ -280,12 +204,12 @@ func (n *Node) homeDeactivate(now event.Time, m *msg.Message) {
 
 func (n *Node) drainQueue(now event.Time, e *directory.Entry) {
 	for len(e.Queue) > 0 && !e.Busy {
-		p := e.PopQueue()
-		switch p.Transient.Type {
+		next := e.PopQueue()
+		switch next.Type {
 		case msg.PutM, msg.PutClean:
-			n.homeWriteback(e, &p.Transient)
+			n.homeWriteback(e, &next)
 		default:
-			n.homeActivate(now, e, &p.Transient)
+			n.homeActivate(now, e, &next)
 		}
 	}
 }

@@ -256,9 +256,7 @@ func (n *Node) cacheFwd(now event.Time, m *msg.Message) {
 		// Invalidation to a (possibly stale) sharer: DIRECTORY sharers
 		// always acknowledge, present or not (§7's scalability cost).
 		if line != nil {
-			line.MOESI = token.I
-			n.L2.Drop(line)
-			n.InvalidateL1(m.Addr)
+			n.DropLine(line)
 		}
 		n.Send(n.Msg(msg.Message{Type: msg.Ack, Addr: m.Addr, Dst: m.Requester, Requester: m.Requester}))
 		return
@@ -290,10 +288,8 @@ func (n *Node) cacheFwd(now event.Time, m *msg.Message) {
 		resp.Exclusive = true
 		resp.Migratory = m.Migratory
 		if line != nil {
-			line.MOESI = token.I
-			n.L2.Drop(line)
+			n.DropLine(line)
 		}
-		n.InvalidateL1(m.Addr)
 	} else if line != nil {
 		line.MOESI = token.S // ownership moves to the reader
 	}

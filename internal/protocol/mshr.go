@@ -16,6 +16,11 @@ type MSHR struct {
 	IsWrite bool
 	Issued  event.Time
 
+	// sawResp and classified record NoteResponse's first-response
+	// timing and memory-vs-sharing classification.
+	sawResp    bool
+	classified bool
+
 	done    func()   // releases the core whose access opened the miss
 	waiters []waiter // later accesses to the block, replayed at Release
 }

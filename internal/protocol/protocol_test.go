@@ -7,6 +7,7 @@ import (
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
+	"patch/internal/token"
 )
 
 func testEnv(n int) *Env {
@@ -127,5 +128,70 @@ func TestDefaultEnvPaperParameters(t *testing.T) {
 	}
 	if env.Tokens != 64 {
 		t.Fatal("token count must match core count")
+	}
+}
+
+// TestGiveTokens covers a holder's answer to a request: a write takes
+// the whole holding, a migratory read everything from an owner that
+// wrote the block and holds all T tokens, any other read the owner
+// token, data and all but one token.
+func TestGiveTokens(t *testing.T) {
+	const a = msg.Addr(0x40)
+	cases := []struct {
+		name             string
+		held             token.State
+		written          bool
+		write, migratory bool
+
+		typ      msg.Type
+		tokens   int
+		owner    bool
+		dirty    bool
+		data     bool
+		migrated bool
+		left     token.State // zero: the line is dropped
+	}{
+		{name: "write takes the holding with data",
+			held: token.State{Count: 3, Owner: true, Dirty: true, Valid: true}, write: true,
+			typ: msg.Data, tokens: 3, owner: true, dirty: true, data: true},
+		{name: "write takes a sharer's tokens without data",
+			held: token.State{Count: 2, Valid: true}, write: true,
+			typ: msg.Ack, tokens: 2},
+		{name: "migratory hand-off takes everything",
+			held: token.State{Count: 4, Owner: true, Dirty: true, Valid: true}, written: true, migratory: true,
+			typ: msg.Data, tokens: 4, owner: true, dirty: true, data: true, migrated: true},
+		{name: "migratory read of an unwritten block moves ownership",
+			held: token.State{Count: 4, Owner: true, Valid: true}, migratory: true,
+			typ: msg.Data, tokens: 3, owner: true, data: true, left: token.State{Count: 1, Valid: true}},
+		{name: "ownership move keeps one token",
+			held: token.State{Count: 3, Owner: true, Dirty: true, Valid: true}, written: true,
+			typ: msg.Data, tokens: 2, owner: true, dirty: true, data: true, left: token.State{Count: 1, Valid: true}},
+		{name: "last-token owner drops the line",
+			held: token.State{Count: 1, Owner: true, Valid: true},
+			typ:  msg.Data, tokens: 1, owner: true, data: true},
+	}
+	for _, c := range cases {
+		env := testEnv(4)
+		b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
+		line, _ := b.L2.Allocate(a)
+		line.Tok, line.Written, line.Version = c.held, c.written, 7
+		b.TouchL1(a)
+		resp := &msg.Message{}
+		b.GiveTokens(line, resp, c.write, c.migratory)
+		if resp.Type != c.typ || resp.Tokens != c.tokens || resp.Owner != c.owner ||
+			resp.OwnerDirty != c.dirty || resp.HasData != c.data || resp.Migratory != c.migrated || resp.Version != 7 {
+			t.Errorf("%s: response %+v", c.name, *resp)
+		}
+		l := b.L2.Lookup(a)
+		switch {
+		case c.left.Zero():
+			if l != nil || b.InL1(a) {
+				t.Errorf("%s: emptied line not dropped from both levels", c.name)
+			}
+		case l == nil:
+			t.Errorf("%s: line dropped, want %+v left", c.name, c.left)
+		case l.Tok != c.left || l.MOESI != token.S:
+			t.Errorf("%s: left %+v in %v, want %+v in S", c.name, l.Tok, l.MOESI, c.left)
+		}
 	}
 }

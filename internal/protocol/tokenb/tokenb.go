@@ -27,8 +27,6 @@ type mshr struct {
 	protocol.MSHR
 	retries    int
 	persistent bool // escalated; awaiting persistent completion
-	classified bool
-	sawResp    bool
 	timer      event.Handle
 
 	// n backs the Fire method: the mshr doubles as its reissue timer's
@@ -217,58 +215,19 @@ func (n *Node) transient(now event.Time, m *msg.Message) {
 	n.respondFromLine(line, m.Requester, m.IsWrite)
 }
 
-// respondFromLine transfers tokens to a requester per the TokenB rules:
-// writes take everything, reads take the owner token plus data.
+// respondFromLine transfers tokens to a requester by the shared
+// response rules (protocol.Base.GiveTokens): a write takes everything
+// and a read moves ownership, except that an owner that wrote the
+// block and holds every token hands a reader everything (migratory
+// support, as in GEMS TokenB), so the reader's next write hits locally.
 func (n *Node) respondFromLine(line *cache.Line, r msg.NodeID, isWrite bool) {
 	if !isWrite && !line.Tok.Owner {
 		// Non-owner sharers stay silent on reads; checked before the pool
 		// acquisition so the hot broadcast path allocates nothing here.
 		return
 	}
-	resp := n.Msg(msg.Message{Addr: line.Addr, Dst: r, Requester: r, Version: line.Version})
-	if isWrite {
-		tokens, owner, dirty := line.Tok.TakeAll()
-		resp.Type = msg.Ack
-		if owner {
-			resp.Type = msg.Data
-		}
-		token.Attach(resp, tokens, owner, dirty, owner)
-		line.MOESI = token.I
-		n.InvalidateL1(line.Addr)
-		n.L2.Drop(line)
-	} else {
-		if line.Tok.Count == n.Env.Tokens && line.Written {
-			// Migratory support (as in GEMS TokenB): an M-state owner
-			// that wrote the block answers a read with everything, so
-			// the reader's subsequent write hits locally.
-			tokens, owner, dirty := line.Tok.TakeAll()
-			resp.Type = msg.Data
-			token.Attach(resp, tokens, owner, dirty, true)
-			line.MOESI = token.I
-			n.InvalidateL1(line.Addr)
-			n.L2.Drop(line)
-			n.Send(resp)
-			return
-		}
-		// Ownership moves to the reader; keep one token to stay a
-		// sharer and pass the rest of the pool along (see the PATCH
-		// read-response policy in internal/core).
-		dirty := line.Tok.TakeOwner()
-		keep := 0
-		if line.Tok.Count >= 1 {
-			keep = 1
-		}
-		give := 1 + line.Tok.TakeNonOwner(line.Tok.Count-keep)
-		resp.Type = msg.Data
-		token.Attach(resp, give, true, dirty, true)
-		if keep == 0 {
-			line.MOESI = token.I
-			n.InvalidateL1(line.Addr)
-			n.L2.Drop(line)
-		} else {
-			line.MOESI = token.S
-		}
-	}
+	resp := n.Msg(msg.Message{Addr: line.Addr, Dst: r, Requester: r})
+	n.GiveTokens(line, resp, isWrite, true)
 	n.Send(resp)
 }
 
@@ -284,37 +243,17 @@ func (n *Node) memRespond(m *msg.Message) {
 	if r, ok := n.persistentTable[m.Addr]; ok && r != m.Requester {
 		return
 	}
-	resp := n.Msg(msg.Message{Addr: m.Addr, Dst: m.Requester, Requester: m.Requester, Version: e.MemVersion})
-	switch {
-	case m.IsWrite:
-		tokens, owner, _ := e.Tok.TakeAll()
-		resp.Type = msg.Ack
-		if owner {
-			resp.Type = msg.Data
-		}
-		token.Attach(resp, tokens, owner, false, owner)
-	case e.Tok.Owner && e.Tok.Count == n.Env.Tokens:
-		// Unshared block: grant everything (the E-grant equivalent).
-		tokens, owner, _ := e.Tok.TakeAll()
-		resp.Type = msg.Data
-		token.Attach(resp, tokens, owner, false, true)
-	case e.Tok.Owner:
-		// Shared block: owner token, data, and one pooled spare (keeps
-		// read chains in S when ownership migrates on).
-		spare := e.Tok.TakeNonOwner(1)
-		e.Tok.TakeOwner()
-		resp.Type = msg.Data
-		token.Attach(resp, 1+spare, true, false, true)
-	default:
-		// Read of a block owned by a cache: hand out one pooled spare.
-		spare := e.Tok.TakeNonOwner(1)
-		if spare == 0 {
-			n.Env.Net.Release(resp) // nothing to send; recycle immediately
-			return
-		}
-		resp.Type = msg.Ack
-		token.Attach(resp, spare, false, false, false)
+	// An unshared block (the home holds every token) is granted whole:
+	// the E-grant equivalent.
+	tokens, owner := e.Tok.Grant(m.IsWrite, e.Tok.Count == n.Env.Tokens)
+	if tokens == 0 {
+		return
 	}
+	resp := n.Msg(msg.Message{Type: msg.Ack, Addr: m.Addr, Dst: m.Requester, Requester: m.Requester, Version: e.MemVersion})
+	if owner {
+		resp.Type = msg.Data
+	}
+	token.Attach(resp, tokens, owner, false, owner)
 	lat := event.Time(n.Home().LookupLatency)
 	if resp.HasData {
 		lat += event.Time(n.Home().DRAMLatency)
@@ -336,43 +275,15 @@ func (n *Node) response(now event.Time, m *msg.Message) {
 	if m.Tokens == 0 && !m.Owner {
 		return
 	}
-	line := n.InstallLine(m.Addr)
-	line.Tok.Add(m.Tokens, m.Owner, m.OwnerDirty, m.HasData)
-	if m.HasData && m.Version > line.Version {
-		line.Version = m.Version
-	}
+	line := n.ReceiveTokens(m)
 	if ms == nil {
 		return // late straggler; the line simply keeps the tokens
 	}
-	if !ms.sawResp {
-		// Time-to-first-response measures uncontended service latency;
-		// contended misses (whose transients were ignored) produce no
-		// response at all, so the estimate feeds the reissue timeout
-		// without a contention feedback loop.
-		ms.sawResp = true
-		n.ObserveRTT(now - ms.Issued)
-	}
-	if m.HasData && !ms.classified {
-		ms.classified = true
-		if m.Src == n.Env.HomeOf(m.Addr) {
-			n.St.MemoryMisses++
-		} else {
-			n.St.SharingMisses++
-		}
-	}
+	n.NoteResponse(&ms.MSHR, now, m)
 	if !n.TokensSuffice(line, ms.IsWrite) {
 		return
 	}
-	// Complete.
-	if ms.IsWrite {
-		line.Tok.Dirty = true
-		line.Written = true
-		line.Version++
-	}
-	n.ObservePerform(ms.Addr, ms.IsWrite, line.Version)
-	line.MOESI = line.Tok.ToMOESI(n.Env.Tokens)
-	n.TouchL1(ms.Addr)
-	n.St.MissLatencySum += uint64(now - ms.Issued)
+	n.PerformMiss(&ms.MSHR, line, now)
 	ms.timer.Cancel()
 	// Deactivate the persistent request only if our activation has
 	// arrived; if it is still in flight, the activation handler notices
@@ -405,11 +316,7 @@ func (n *Node) memTokens(now event.Time, m *msg.Message) {
 		n.Send(fwd)
 		return
 	}
-	e := n.Home().Entry(m.Addr)
-	e.Tok.Add(m.Tokens, m.Owner, false, m.Owner)
-	if m.HasData && m.Version > e.MemVersion {
-		e.MemVersion = m.Version
-	}
+	n.Home().Entry(m.Addr).AbsorbTokens(m)
 }
 
 // ---------------------------------------------------------------------------

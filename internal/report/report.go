@@ -104,64 +104,3 @@ func (b BarChart) Render(w io.Writer, labels []string, values []float64) {
 		fmt.Fprintf(w, "  %-*s %s %.3f\n", maxL, labels[i], strings.Repeat("#", n), v)
 	}
 }
-
-// LineChart renders an x/y series as a compact ASCII plot (one row per
-// x value, bar-style), for the bandwidth/scalability sweeps.
-type LineChart struct {
-	Title  string
-	Width  int
-	Series []string // series names, len == columns of each row
-}
-
-// Render draws rows of grouped values; each x label gets one line per
-// series.
-func (l LineChart) Render(w io.Writer, xLabels []string, rows [][]float64) {
-	width := l.Width
-	if width <= 0 {
-		width = 36
-	}
-	if l.Title != "" {
-		fmt.Fprintf(w, "%s\n", l.Title)
-	}
-	maxV := 0.0
-	for _, row := range rows {
-		for _, v := range row {
-			maxV = math.Max(maxV, v)
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	marks := []byte{'#', '*', 'o', '+', 'x'}
-	for i, x := range xLabels {
-		for si, v := range rows[i] {
-			n := int(math.Round(v / maxV * float64(width)))
-			mark := marks[si%len(marks)]
-			fmt.Fprintf(w, "  %-8s %-14s %s %.3f\n", x, l.Series[si], strings.Repeat(string(mark), n), v)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// Sparkline returns a compact single-line rendering of a series using
-// eighth-block characters.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	var sb strings.Builder
-	for _, v := range values {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		sb.WriteRune(blocks[idx])
-	}
-	return sb.String()
-}

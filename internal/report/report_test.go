@@ -63,31 +63,3 @@ func TestBarChartZeroSafe(t *testing.T) {
 		t.Fatal("zero value not rendered")
 	}
 }
-
-func TestLineChart(t *testing.T) {
-	var buf bytes.Buffer
-	LineChart{Title: "sweep", Series: []string{"Dir", "NA", "BE"}, Width: 12}.Render(&buf,
-		[]string{"300", "900"},
-		[][]float64{{1, 1.3, 0.95}, {1, 1.1, 0.9}})
-	out := buf.String()
-	if !strings.Contains(out, "300") || !strings.Contains(out, "NA") {
-		t.Fatalf("line chart output:\n%s", out)
-	}
-	if !strings.Contains(out, "*") {
-		t.Fatal("second series marker missing")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("sparkline %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty series must render empty")
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	if len([]rune(flat)) != 3 {
-		t.Fatalf("flat sparkline %q", flat)
-	}
-}

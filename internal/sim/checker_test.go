@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"patch/internal/cache"
+	"patch/internal/msg"
 	"patch/internal/predictor"
 	"patch/internal/token"
 )
@@ -109,5 +111,61 @@ func TestCheckerCatchesUnquiescedNode(t *testing.T) {
 	e.Busy = true
 	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "quiesced") {
 		t.Fatalf("stuck home entry not caught: %v", err)
+	}
+}
+
+// TestSingleWriterNamesSmallestBlock forges violations on two blocks,
+// the larger address walked first: two writable copies of one, a
+// writable copy beside a shared one of the other. The check must name
+// the smaller address.
+func TestSingleWriterNamesSmallestBlock(t *testing.T) {
+	s := runToCompletion(t)
+	hi, lo := msg.Addr(0x7fff_f000), msg.Addr(0x7fff_e000)
+	forge := func(node int, a msg.Addr, st token.State) {
+		l, _ := s.Nodes[node].Shared().L2.Allocate(a)
+		l.Tok = st
+	}
+	m := token.State{Count: s.Env.Tokens, Owner: true, Dirty: true, Valid: true}
+	forge(0, hi, m)
+	forge(1, hi, m)
+	forge(2, lo, m)
+	forge(3, lo, token.State{Count: 1, Valid: true})
+	err := s.checkSingleWriter()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("writable copy of %#x coexists", uint64(lo))) {
+		t.Fatalf("got %v, want the writable copy of %#x named", err, uint64(lo))
+	}
+}
+
+// BenchmarkCheckInvariants prices the end-of-run checks (the mid-run
+// audit's list plus quiescence, in-flight tokens and write
+// serialisation) on a 64-core oltp system run once with checks on.
+func BenchmarkCheckInvariants(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Directory", Config{Protocol: Directory}},
+		{"PATCH-All", Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true}},
+		{"TokenB", Config{Protocol: TokenB}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg
+			cfg.Cores, cfg.OpsPerCore, cfg.WarmupOps, cfg.Workload, cfg.Seed = 64, 50, 125, "oltp", 1
+			s, err := NewSystem(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.CheckInvariants(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

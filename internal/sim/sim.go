@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"patch/internal/addrmap"
@@ -713,15 +712,13 @@ func (s *System) checkWriteSerialization() error {
 }
 
 // checkSingleWriter validates MOESI compatibility across all caches:
-// at most one writer (M/E), and never a writer coexisting with any other
-// copy.
+// at most one writer (M/E), never a writer coexisting with any other
+// copy, and at most one owner. Of several violating blocks it reports
+// the one with the smallest address, so the error does not depend on
+// the order the caches are walked in.
 func (s *System) checkSingleWriter() error {
-	type blockView struct {
-		writers int
-		holders int
-		owners  int
-	}
-	views := make(map[msg.Addr]*blockView)
+	type blockView struct{ writers, holders, owners int }
+	var views addrmap.Map[blockView]
 	for _, n := range s.Nodes {
 		n.Shared().L2.ForEach(func(l *cache.Line) {
 			st := l.MOESI
@@ -731,41 +728,34 @@ func (s *System) checkSingleWriter() error {
 			if st == token.I {
 				return
 			}
-			v := views[l.Addr]
-			if v == nil {
-				v = &blockView{}
-				views[l.Addr] = v
-			}
+			v := views.Ptr(l.Addr)
 			v.holders++
 			switch st {
 			case token.M, token.E:
 				v.writers++
-			}
-			switch st {
-			case token.M, token.E, token.O, token.F:
+				v.owners++
+			case token.O, token.F:
 				v.owners++
 			}
 		})
 	}
-	// Check blocks in address order: with several violations present,
-	// map-range order would otherwise pick which error is reported run
-	// to run.
-	addrs := make([]msg.Addr, 0, len(views))
-	for a := range views {
-		addrs = append(addrs, a)
+	var bad blockView
+	var badAddr msg.Addr
+	found := false
+	views.ForEach(func(a msg.Addr, v *blockView) {
+		violates := v.writers > 1 || v.writers == 1 && v.holders > 1 || v.owners > 1
+		if violates && (!found || a < badAddr) {
+			bad, badAddr, found = *v, a, true
+		}
+	})
+	switch {
+	case !found:
+		return nil
+	case bad.writers > 1:
+		return fmt.Errorf("sim: %d writable copies of %#x", bad.writers, uint64(badAddr))
+	case bad.writers == 1 && bad.holders > 1:
+		return fmt.Errorf("sim: writable copy of %#x coexists with %d other copies", uint64(badAddr), bad.holders-1)
+	default:
+		return fmt.Errorf("sim: %d owners of %#x", bad.owners, uint64(badAddr))
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		v := views[a]
-		if v.writers > 1 {
-			return fmt.Errorf("sim: %d writable copies of %#x", v.writers, uint64(a))
-		}
-		if v.writers == 1 && v.holders > 1 {
-			return fmt.Errorf("sim: writable copy of %#x coexists with %d other copies", uint64(a), v.holders-1)
-		}
-		if v.owners > 1 {
-			return fmt.Errorf("sim: %d owners of %#x", v.owners, uint64(a))
-		}
-	}
-	return nil
 }

@@ -86,13 +86,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Normalize divides each sample by the baseline mean, yielding the
-// paper's "normalized runtime/traffic" form.
-func Normalize(xs []float64, baseline Summary) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = Ratio(x, baseline.Mean)
-	}
-	return out
-}

@@ -82,14 +82,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	base := Summarize([]float64{10, 10})
-	got := Normalize([]float64{5, 20}, base)
-	if got[0] != 0.5 || got[1] != 2 {
-		t.Fatalf("normalize = %v", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	if s := Summarize([]float64{1}).String(); s != "1" {
 		t.Fatalf("single-sample string %q", s)

@@ -145,6 +145,28 @@ func (s *State) TakeNonOwner(n int) int {
 	return n
 }
 
+// Grant removes the home's answer to a request from its holding s. A
+// write takes everything, as does a read the caller calls exclusive
+// (no cache holds a copy: the E grant that spares the reader an upgrade
+// miss). Otherwise the home hands out the owner token with one spare,
+// or one spare if it lacks the owner token; the spare lets a reader
+// that later passes ownership on keep an S copy. The home's owner token
+// is always clean, and it travels with data.
+//
+//patch:steadystate
+func (s *State) Grant(write, exclusive bool) (tokens int, owner bool) {
+	if write || exclusive {
+		tokens, owner, _ = s.TakeAll()
+		return tokens, owner
+	}
+	spare := s.TakeNonOwner(1)
+	if !s.Owner {
+		return spare, false
+	}
+	s.TakeOwner()
+	return 1 + spare, true
+}
+
 // Attach places a token transfer onto a message, enforcing Rule #4: a
 // dirty owner token must travel with data.
 func Attach(m *msg.Message, tokens int, owner, dirty, withData bool) {

@@ -149,6 +149,36 @@ func TestTakeNonOwnerRespectsOwner(t *testing.T) {
 	}
 }
 
+// TestGrant covers the home's answer to a request: everything for a
+// write or an exclusive read, else the owner token plus one spare, or
+// one spare alone.
+func TestGrant(t *testing.T) {
+	full := State{Count: total, Owner: true, Valid: true}
+	cases := []struct {
+		name             string
+		held             State
+		write, exclusive bool
+		tokens           int
+		owner            bool
+		left             State
+	}{
+		{"write takes everything", full, true, false, total, true, State{}},
+		{"exclusive read takes everything", full, false, true, total, true, State{}},
+		{"shared read takes owner and one spare", full, false, false, 2, true, State{Count: total - 2, Valid: true}},
+		{"read without the owner takes one spare", State{Count: 3, Valid: true}, false, false, 1, false, State{Count: 2, Valid: true}},
+		{"owner alone is all a read gets", State{Count: 1, Owner: true, Valid: true}, false, false, 1, true, State{}},
+		{"empty holding grants nothing", State{}, false, false, 0, false, State{}},
+	}
+	for _, c := range cases {
+		s := c.held
+		tokens, owner := s.Grant(c.write, c.exclusive)
+		if tokens != c.tokens || owner != c.owner || s != c.left {
+			t.Errorf("%s: Grant = %d,%v leaving %+v; want %d,%v leaving %+v",
+				c.name, tokens, owner, s, c.tokens, c.owner, c.left)
+		}
+	}
+}
+
 type mapHolder map[msg.Addr]State
 
 func (h mapHolder) TokenHoldings(fn func(addr msg.Addr, count int, owner bool)) {
