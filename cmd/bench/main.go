@@ -192,60 +192,45 @@ func sweepScenario(name string, m patch.Matrix, workers int) scenario {
 	}}
 }
 
-// traceScenarios measures replay startup (open + one op per core) for
-// the two recorded-trace formats: the text parser materializes the
-// whole trace up front, the binary streamer reads fixed per-core
-// windows. Recording both keeps the O(window)-startup property of
-// streaming replay in the committed perf trajectory.
+// traceScenarios measures replay startup (open + one op per core) of a
+// recorded trace: the streamer reads fixed per-core windows, so its
+// cost stays O(cores x window) however long the trace. Recording it
+// keeps that property in the committed perf trajectory.
 func traceScenarios(dir string, quick bool) ([]scenario, error) {
 	cores, ops := 16, 20000
 	if quick {
 		ops = 4000
 	}
-	textPath := filepath.Join(dir, "bench.trace")
-	binPath := filepath.Join(dir, "bench.bin")
-	for _, tr := range []struct {
-		path   string
-		record func(f *os.File, g workload.Generator) error
-	}{
-		{textPath, func(f *os.File, g workload.Generator) error { return workload.Record(f, g, cores, ops) }},
-		{binPath, func(f *os.File, g workload.Generator) error { return workload.RecordBinary(f, g, cores, ops) }},
-	} {
-		g, err := workload.Named("oltp", cores, 1)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Create(tr.path)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.record(f, g); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
+	path := filepath.Join(dir, "bench.bin")
+	g, err := workload.Named("oltp", cores, 1)
+	if err != nil {
+		return nil, err
 	}
-	startup := func(path string) func(b *testing.B) float64 {
-		return func(b *testing.B) float64 {
-			for i := 0; i < b.N; i++ {
-				r, err := workload.OpenTrace(path, cores)
-				if err != nil {
-					fail(b, err)
-				}
-				for c := 0; c < cores; c++ {
-					r.Next(c)
-				}
-				r.Close()
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := workload.RecordBinary(f, g, cores, ops); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	startup := func(b *testing.B) float64 {
+		for i := 0; i < b.N; i++ {
+			r, err := workload.OpenTrace(path, cores)
+			if err != nil {
+				fail(b, err)
 			}
-			return 0
+			for c := 0; c < cores; c++ {
+				r.Next(c)
+			}
+			r.Close()
 		}
+		return 0
 	}
-	return []scenario{
-		{name: "trace/parse-text", run: startup(textPath)},
-		{name: "trace/stream-binary", run: startup(binPath)},
-	}, nil
+	return []scenario{{name: "trace/stream-binary", run: startup}}, nil
 }
 
 func main() {

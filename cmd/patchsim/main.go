@@ -1,12 +1,16 @@
 // Command patchsim runs a single simulation of one protocol
 // configuration and prints its statistics: runtime, miss profile, and
-// the paper-style traffic breakdown.
+// the paper-style traffic breakdown. It also records a workload's
+// reference stream to a binary trace (-record) and replays one in
+// place of a named workload (-replay); cmd/tracecvt inspects a trace.
 //
 // Examples:
 //
 //	patchsim -protocol patch -variant all -workload oltp -cores 64
 //	patchsim -protocol directory -workload micro -cores 128 -coarseness 16
 //	patchsim -protocol tokenb -workload barnes -seeds 5 -workers 4
+//	patchsim -workload oltp -cores 16 -ops 200 -record oltp.bin
+//	patchsim -workload oltp -cores 16 -ops 200 -replay oltp.bin
 package main
 
 import (
@@ -37,9 +41,8 @@ func main() {
 	unbounded := flag.Bool("unbounded", false, "disable link bandwidth modelling")
 	coarseness := flag.Int("coarseness", 1, "sharer-encoding coarseness K (1 = full map)")
 	traceBlock := flag.Uint64("trace", 0, "dump the message trace for one block address (hex ok with 0x)")
-	record := flag.String("record", "", "record the reference trace to a text file instead of simulating")
-	recordBinary := flag.String("record-binary", "", "record the reference trace to a streamable binary file instead of simulating")
-	replay := flag.String("replay", "", "replay a recorded reference trace (text or binary, detected by content) instead of a named workload")
+	record := flag.String("record", "", "record the reference trace (warmup plus measured ops) to a binary trace file instead of simulating")
+	replay := flag.String("replay", "", "replay a recorded reference trace instead of a named workload")
 	flag.Parse()
 
 	opts := []patch.Option{
@@ -87,17 +90,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *record != "" || *recordBinary != "" {
-		path, binary := *record, false
-		if *recordBinary != "" {
-			path, binary = *recordBinary, true
-		}
-		if err := recordTrace(path, cfg, binary); err != nil {
+	if *record != "" {
+		n, err := recordTrace(*record, cfg)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("recorded %d ops/core of %s for %d cores to %s\n",
-			cfg.OpsPerCore+max(cfg.WarmupOps, 0), cfg.Workload, cfg.Cores, path)
+		fmt.Printf("recorded %d ops/core of %s for %d cores to %s\n", n, cfg.Workload, cfg.Cores, *record)
 		return
 	}
 
@@ -156,31 +155,31 @@ func main() {
 	}
 }
 
-// recordTrace dumps the workload's reference stream (warmup plus
-// measured ops) to a trace file for later replay, in the text format or
-// the streamable binary format.
-func recordTrace(path string, cfg patch.Config, binary bool) error {
+// recordTrace writes the workload's reference stream to a binary trace
+// file for later replay: exactly the ops per core a replay of cfg
+// consumes, warmup plus measured, which it returns.
+func recordTrace(path string, cfg patch.Config) (int, error) {
 	g, err := workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	warm := cfg.WarmupOps // 0: one warmup op per measured op; -1: none
+	switch {
+	case warm == 0:
+		warm = cfg.OpsPerCore
+	case warm < 0:
+		warm = 0
+	}
+	n := warm + cfg.OpsPerCore
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	warm := cfg.WarmupOps
-	if warm <= 0 {
-		warm = cfg.OpsPerCore
-	}
-	if binary {
-		err = workload.RecordBinary(f, g, cfg.Cores, cfg.OpsPerCore+warm)
-	} else {
-		err = workload.Record(f, g, cfg.Cores, cfg.OpsPerCore+warm)
-	}
+	err = workload.RecordBinary(f, g, cfg.Cores, n)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return err
+	return n, err
 }
 
 // runTraced executes the simulation with a per-block message tracer and

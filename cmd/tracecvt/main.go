@@ -1,188 +1,51 @@
-// Command tracecvt converts recorded reference traces between the text
-// and binary formats and prints trace statistics. The input format is
-// detected by content (the binary magic header), so the tool always
-// converts to the other format.
+// Command tracecvt prints the statistics of a recorded reference trace
+// (patchsim -record): core count, ops per core, read/write mix, block
+// footprint, mean think time and file size. It streams the trace once,
+// so its memory stays O(cores x window) however large the file.
 //
 // Usage:
 //
-//	tracecvt trace.trace              # text -> trace.bin
-//	tracecvt trace.bin                # binary -> trace.trace
-//	tracecvt -o out.bin trace.trace   # explicit output path
-//	tracecvt -stats trace.bin         # ops/core, footprint, R/W mix
+//	tracecvt trace.bin
 //
-// The core count of a binary trace is read from its header; for a text
-// trace it is inferred by scanning (override with -cores, e.g. to keep
-// trailing idle cores that never issued an operation).
+// A file that is not a binary trace, such as a line-per-op text trace,
+// fails at open with a bad-magic error; re-record it with patchsim
+// -record.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
 	"patch/internal/addrmap"
 	"patch/internal/workload"
 )
 
 func main() {
-	out := flag.String("o", "", "output path (default: input with its extension swapped to .bin or .trace)")
-	cores := flag.Int("cores", 0, "core count of a text trace (default: inferred by scanning)")
-	stats := flag.Bool("stats", false, "print trace statistics instead of converting")
+	flag.Usage = func() { fmt.Fprintln(os.Stderr, "usage: tracecvt <trace>") }
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecvt [-o FILE] [-cores N] [-stats] <trace>")
+		flag.Usage()
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
-	if err := run(path, *out, *cores, *stats); err != nil {
+	if err := printStats(os.Stdout, flag.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(path, out string, cores int, stats bool) error {
-	isBinary, err := sniffBinary(path)
-	if err != nil {
-		return err
-	}
-	var replay workload.Replay
-	var n int
-	if isBinary {
-		s, err := workload.OpenBinaryTrace(path, cores)
-		if err != nil {
-			return err
-		}
-		replay, n = s, s.Cores()
-	} else {
-		if cores == 0 {
-			if cores, err = inferCores(path); err != nil {
-				return err
-			}
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		t, perr := workload.ParseTrace(f, cores)
-		f.Close()
-		if perr != nil {
-			return fmt.Errorf("%s: %w", path, perr)
-		}
-		replay, n = t, cores
-	}
-	defer replay.Close()
-
-	if stats {
-		return printStats(os.Stdout, path, isBinary, replay, n)
-	}
-	if out == "" {
-		out = strings.TrimSuffix(path, filepath.Ext(path)) + map[bool]string{true: ".trace", false: ".bin"}[isBinary]
-	}
-	if filepath.Clean(out) == filepath.Clean(path) {
-		return fmt.Errorf("tracecvt: output %s would overwrite the input; use -o", out)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if isBinary {
-		err = writeText(f, path, replay, n)
-	} else {
-		err = workload.WriteBinary(f, replay.(*workload.TraceReplay))
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	total := 0
-	for c := 0; c < n; c++ {
-		total += replay.CoreLen(c)
-	}
-	fmt.Printf("wrote %s: %d cores, %d ops\n", out, n, total)
-	return nil
-}
-
-// sniffBinary reads just the magic bytes.
-func sniffBinary(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false, nil // too short for the header: treat as text
-	}
-	return workload.IsBinaryTrace(magic[:]), nil
-}
-
-// inferCores scans a text trace for its highest core number.
-func inferCores(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	max := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		field, _, _ := strings.Cut(line, " ")
-		c, err := strconv.ParseUint(field, 10, 32)
-		if err == nil && int(c) > max {
-			max = int(c)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	if max < 0 {
-		return 0, fmt.Errorf("%s: no trace records found", path)
-	}
-	return max + 1, nil
-}
-
-// writeText emits the trace in the text format, core by core (line
-// order within a core is what the format specifies; ordering across
-// cores is immaterial).
-func writeText(w io.Writer, src string, replay workload.Replay, n int) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "# converted from %s, %d cores\n", filepath.Base(src), n)
-	for c := 0; c < n; c++ {
-		for i, ops := 0, replay.CoreLen(c); i < ops; i++ {
-			op := replay.Next(c)
-			kind := "R"
-			if op.Write {
-				kind = "W"
-			}
-			fmt.Fprintf(bw, "%d %s %x %d\n", c, kind, uint64(op.Addr), op.Think)
-		}
-		// A decode failure poisons the replay into serving repeats of
-		// the last good op; converting those would silently fabricate
-		// trace content.
-		if err := replay.Err(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // printStats streams through the whole trace once and reports its
 // shape: per-core lengths, read/write mix, block footprint, think time.
-func printStats(w io.Writer, path string, isBinary bool, replay workload.Replay, n int) error {
+func printStats(w io.Writer, path string) error {
+	replay, err := workload.OpenTrace(path, 0)
+	if err != nil {
+		return err
+	}
+	defer replay.Close()
 	var blocks addrmap.Map[struct{}]
 	var reads, writes, thinkSum uint64
+	n := replay.Cores()
 	minOps, maxOps, total := -1, 0, 0
 	for c := 0; c < n; c++ {
 		ops := replay.CoreLen(c)
@@ -206,28 +69,21 @@ func printStats(w io.Writer, path string, isBinary bool, replay workload.Replay,
 		// Statistics over a poisoned stream would count repeats of the
 		// last good op as real records.
 		if err := replay.Err(); err != nil {
-			return err
+			return fmt.Errorf("%s: %w", path, err)
 		}
-	}
-	format := "text"
-	if isBinary {
-		format = "binary (streamed)"
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "format:    %s\n", format)
 	fmt.Fprintf(w, "cores:     %d\n", n)
 	fmt.Fprintf(w, "ops/core:  min %d, max %d, total %d\n", minOps, maxOps, total)
-	if total > 0 {
-		fmt.Fprintf(w, "mix:       %.1f%% reads, %.1f%% writes\n",
-			100*float64(reads)/float64(total), 100*float64(writes)/float64(total))
-		fmt.Fprintf(w, "footprint: %d blocks (%s)\n", blocks.Len(),
-			humanBytes(uint64(blocks.Len())*workload.BlockSize))
-		fmt.Fprintf(w, "think:     mean %.1f cycles\n", float64(thinkSum)/float64(total))
-		fmt.Fprintf(w, "file:      %d bytes (%.1f B/op)\n", fi.Size(), float64(fi.Size())/float64(total))
-	}
+	fmt.Fprintf(w, "mix:       %.1f%% reads, %.1f%% writes\n",
+		100*float64(reads)/float64(total), 100*float64(writes)/float64(total))
+	fmt.Fprintf(w, "footprint: %d blocks (%s)\n", blocks.Len(),
+		humanBytes(uint64(blocks.Len())*workload.BlockSize))
+	fmt.Fprintf(w, "think:     mean %.1f cycles\n", float64(thinkSum)/float64(total))
+	fmt.Fprintf(w, "file:      %d bytes (%.1f B/op)\n", fi.Size(), float64(fi.Size())/float64(total))
 	return nil
 }
 

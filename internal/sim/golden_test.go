@@ -84,18 +84,36 @@ func runGolden(t *testing.T) []goldenRecord {
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		out = append(out, goldenRecord{
-			Name:         gc.name,
-			Cycles:       r.Cycles,
-			Ops:          r.Ops,
-			Misses:       r.Misses,
-			LinkBytes:    r.LinkBytes,
-			Dropped:      r.Dropped,
-			BytesByClass: r.BytesByClass,
-			Stats:        r.Stats,
-		})
+		out = append(out, goldenOf(gc.name, r))
 	}
 	return out
+}
+
+func goldenOf(name string, r *Result) goldenRecord {
+	return goldenRecord{
+		Name:         name,
+		Cycles:       r.Cycles,
+		Ops:          r.Ops,
+		Misses:       r.Misses,
+		LinkBytes:    r.LinkBytes,
+		Dropped:      r.Dropped,
+		BytesByClass: r.BytesByClass,
+		Stats:        r.Stats,
+	}
+}
+
+// loadGolden reads the pinned records in testdata/golden.json.
+func loadGolden(t *testing.T) []goldenRecord {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	var want []goldenRecord
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // TestGoldenOutputs is the differential regression gate for engine
@@ -120,14 +138,7 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Logf("wrote %s", path)
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	var want []goldenRecord
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadGolden(t)
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d records, engine produced %d (regenerate with -update)", len(want), len(got))
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"patch/internal/addrmap"
@@ -98,16 +97,14 @@ type Config struct {
 	// WarmupOps are per-core operations executed before measurement
 	// begins: caches and predictors warm up, then all statistics reset
 	// and the runtime clock starts (the paper measures warmed workloads).
-	// 0 selects OpsPerCore/2; -1 disables warmup.
+	// 0 selects OpsPerCore; -1 disables warmup.
 	WarmupOps int
 
 	// Workload is one of workload.Names() — the paper's application
 	// mixes, "micro", or a sharing-pattern scenario. TraceFile, when
-	// set, overrides it: the reference stream is replayed from a
-	// recorded trace in either supported format — the text format
-	// (workload.Record) is parsed whole, the binary format
-	// (workload.RecordBinary) is streamed in fixed per-core windows —
-	// distinguished by the binary magic header (workload.OpenTrace).
+	// set, overrides it: the reference stream is replayed from a binary
+	// trace (workload.RecordBinary), streamed in fixed per-core windows
+	// (workload.OpenTrace).
 	Workload  string
 	TraceFile string
 
@@ -273,23 +270,17 @@ type System struct {
 	// auditErr records the first violation it found.
 	auditT   *auditTask
 	auditErr error
-
-	// closer releases the trace replay's file or mapping (streaming
-	// replays keep the trace open for the whole run); Run closes it.
-	closer io.Closer
 }
 
-// Close releases any resources held by the generator (a streaming trace
-// replay's open file or mapping). Run calls it automatically; it is
-// idempotent and only needed directly when an assembled System is
-// discarded without running.
+// Close releases any resources held by the generator (a trace replay
+// keeps its file or mapping open for the whole run). Run calls it
+// automatically; it is idempotent and only needed directly when an
+// assembled System is discarded without running.
 func (s *System) Close() error {
-	if s.closer == nil {
-		return nil
+	if r, ok := s.Gen.(*workload.StreamReplay); ok {
+		return r.Close()
 	}
-	c := s.closer
-	s.closer = nil
-	return c.Close()
+	return nil
 }
 
 // AttachTracer wires a message tracer into the network's delivery hook
@@ -328,7 +319,7 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.Protocol != s.Cfg.Protocol || cfg.Cores != s.Cfg.Cores {
 		return ErrIncompatibleReset
 	}
-	gen, closer, err := open(cfg)
+	gen, err := open(cfg)
 	if err != nil {
 		return err
 	}
@@ -338,7 +329,7 @@ func (s *System) Reset(cfg Config) error {
 	for _, n := range s.Nodes {
 		n.Reset(params)
 	}
-	s.ready(cfg, gen, closer)
+	s.ready(cfg, gen)
 	return nil
 }
 
@@ -350,7 +341,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Protocol < Directory || cfg.Protocol > TokenB {
 		return nil, fmt.Errorf("sim: unknown protocol %v", cfg.Protocol)
 	}
-	gen, closer, err := open(cfg)
+	gen, err := open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -371,31 +362,29 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		net.Register(id, s.Nodes[i].Handle)
 	}
-	s.ready(cfg, gen, closer)
+	s.ready(cfg, gen)
 	return s, nil
 }
 
 // open validates cfg's sharer encoding and opens its reference stream:
-// the trace replay, sized against the run, or the named generator. The
-// closer, if any, releases the replay.
-func open(cfg Config) (workload.Generator, io.Closer, error) {
+// the trace replay, sized against the run, or the named generator.
+func open(cfg Config) (workload.Generator, error) {
 	if err := cfg.params().Enc.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if cfg.TraceFile == "" {
-		gen, err := workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
-		return gen, nil, err
+		return workload.Named(cfg.Workload, cfg.Cores, cfg.Seed)
 	}
 	replay, err := workload.OpenTrace(cfg.TraceFile, cfg.Cores)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if total := replay.Len(); cfg.WarmupOps+cfg.OpsPerCore > total {
 		replay.Close()
-		return nil, nil, fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
+		return nil, fmt.Errorf("sim: trace has %d ops/core, need %d warmup + %d measured",
 			total, cfg.WarmupOps, cfg.OpsPerCore)
 	}
-	return replay, replay, nil
+	return replay, nil
 }
 
 // ready readies an assembled system, built or just rewound, for a run
@@ -403,10 +392,10 @@ func open(cfg Config) (workload.Generator, io.Closer, error) {
 // on, the store counts, the token auditor's network hooks and the
 // per-core order checkers. The checking state is itself arena-reused:
 // a table or auditor that exists keeps its grown capacity.
-func (s *System) ready(cfg Config, gen workload.Generator, closer io.Closer) {
+func (s *System) ready(cfg Config, gen workload.Generator) {
 	s.Close() // release a replay left by an unrun assembly
 	s.Cfg = cfg
-	s.Gen, s.closer = gen, closer
+	s.Gen = gen
 	s.warming = false
 	s.warmFinished, s.finished = 0, 0
 	s.opsIssued = 0
@@ -601,7 +590,7 @@ func (s *System) Run() (*Result, error) {
 	// streams: NewSystem sizes the run to Len(), so any over-drive means
 	// repeated operations silently skewed the measurement. Checked even
 	// with SkipChecks — it invalidates the result, not just an invariant.
-	if rp, ok := s.Gen.(workload.Replay); ok {
+	if rp, ok := s.Gen.(*workload.StreamReplay); ok {
 		// A decode failure mid-stream poisoned the replay (the reader
 		// has no per-Next error path), so the ops fed after it were
 		// repeats, not the trace. Checked even with SkipChecks.

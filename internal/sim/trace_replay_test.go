@@ -11,85 +11,33 @@ import (
 	"patch/internal/workload"
 )
 
-// TestTraceReplayMatchesGenerator records a workload to a trace file and
-// verifies that replaying it produces the identical simulation result.
-func TestTraceReplayMatchesGenerator(t *testing.T) {
-	const cores, ops, warm = 8, 150, 150
-	gen, err := workload.Named("oltp", cores, 5)
+// recordTrace records ops operations per core of a named workload to a
+// binary trace file and returns its path.
+func recordTrace(t *testing.T, wl string, cores, ops int, seed int64) string {
+	t.Helper()
+	gen, err := workload.Named(wl, cores, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "oltp.trace")
+	path := filepath.Join(t.TempDir(), wl+".bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.Record(f, gen, cores, ops+warm); err != nil {
+	if err := workload.RecordBinary(f, gen, cores, ops); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	base := Config{
-		Protocol: PATCH, Policy: predictor.All, BestEffort: true,
-		Cores: cores, OpsPerCore: ops, WarmupOps: warm, Seed: 5,
-		Workload: "oltp",
-	}
-	direct, err := Run(base)
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayCfg := base
-	replayCfg.TraceFile = path
-	replayed, err := Run(replayCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Cycles != replayed.Cycles || direct.Misses != replayed.Misses || direct.LinkBytes != replayed.LinkBytes {
-		t.Fatalf("replay diverged: direct %+v vs replay %+v", direct, replayed)
-	}
+	return path
 }
 
-// TestBinaryReplayMatchesTextGolden is the format-equivalence gate: the
-// same recorded workload, fed as text and as its binary conversion, must
-// produce bit-identical simulation results (cycles, misses, and the full
-// traffic breakdown), both equal to the direct generator run.
-func TestBinaryReplayMatchesTextGolden(t *testing.T) {
+// TestTraceReplayMatchesGenerator records a workload to a trace file and
+// verifies that replaying it produces the identical simulation result:
+// cycles, misses, and the full traffic breakdown.
+func TestTraceReplayMatchesGenerator(t *testing.T) {
 	const cores, ops, warm = 8, 150, 150
-	gen, err := workload.Named("oltp", cores, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	textPath := filepath.Join(dir, "oltp.trace")
-	f, err := os.Create(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.Record(f, gen, cores, ops+warm); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Convert text -> binary the way cmd/tracecvt does.
-	tf, err := os.Open(textPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := workload.ParseTrace(tf, cores)
-	tf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	binPath := filepath.Join(dir, "oltp.bin")
-	bf, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.WriteBinary(bf, parsed); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-
 	base := Config{
 		Protocol: PATCH, Policy: predictor.All, BestEffort: true,
 		Cores: cores, OpsPerCore: ops, WarmupOps: warm, Seed: 5,
@@ -106,13 +54,32 @@ func TestBinaryReplayMatchesTextGolden(t *testing.T) {
 		return r
 	}
 	direct := run("")
-	text := run(textPath)
-	bin := run(binPath)
-	if !reflect.DeepEqual(direct, text) {
-		t.Errorf("text replay diverged from direct run:\n direct: %+v\n text:   %+v", direct, text)
+	replayed := run(recordTrace(t, "oltp", cores, ops+warm, 5))
+	if !reflect.DeepEqual(direct, replayed) {
+		t.Fatalf("replay diverged from direct run:\n direct: %+v\n replay: %+v", direct, replayed)
 	}
-	if !reflect.DeepEqual(text, bin) {
-		t.Errorf("binary replay diverged from text replay:\n text:   %+v\n binary: %+v", text, bin)
+}
+
+// TestBinaryReplayMatchesTextGolden holds a trace replay to the same
+// gate as a generator run: every golden configuration, fed from its
+// recorded binary trace, must reproduce the pinned record in
+// testdata/golden.json bit for bit, on each protocol.
+func TestBinaryReplayMatchesTextGolden(t *testing.T) {
+	want := loadGolden(t)
+	configs := goldenConfigs()
+	if len(want) != len(configs) {
+		t.Fatalf("golden has %d records, goldenConfigs has %d", len(want), len(configs))
+	}
+	for i, gc := range configs {
+		cfg := gc.cfg
+		cfg.TraceFile = recordTrace(t, cfg.Workload, cfg.Cores, cfg.OpsPerCore+cfg.WarmupOps, cfg.Seed)
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		if got := goldenOf(gc.name, r); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: replay diverged from golden\n got: %+v\nwant: %+v", gc.name, got, want[i])
+		}
 	}
 }
 
@@ -121,16 +88,7 @@ func TestBinaryReplayMatchesTextGolden(t *testing.T) {
 // of silently repeating operations.
 func TestTraceOverdriveSurfaced(t *testing.T) {
 	const cores, ops = 4, 20
-	gen, _ := workload.Named("micro", cores, 2)
-	path := filepath.Join(t.TempDir(), "od.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.Record(f, gen, cores, 2*ops); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := recordTrace(t, "micro", cores, 2*ops, 2)
 	s, err := NewSystem(Config{Protocol: Directory, Cores: cores, OpsPerCore: ops, WarmupOps: ops, TraceFile: path})
 	if err != nil {
 		t.Fatal(err)
@@ -142,13 +100,7 @@ func TestTraceOverdriveSurfaced(t *testing.T) {
 }
 
 func TestTraceReplayTooShortRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.trace")
-	gen, _ := workload.Named("micro", 4, 1)
-	f, _ := os.Create(path)
-	if err := workload.Record(f, gen, 4, 10); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := recordTrace(t, "micro", 4, 10, 1)
 	_, err := Run(Config{
 		Protocol: Directory, Cores: 4, OpsPerCore: 100, WarmupOps: 100, TraceFile: path,
 	})

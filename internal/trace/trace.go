@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"patch/internal/event"
 	"patch/internal/msg"
@@ -28,10 +29,12 @@ type Tracer struct {
 	// W, when non-nil, receives one formatted line per recorded message.
 	W io.Writer
 
-	// Keep bounds the in-memory record list (0 = unbounded).
+	// Keep bounds the in-memory record list (0 = unbounded). Once it is
+	// full, each new record overwrites the oldest.
 	Keep int
 
-	records []Record
+	records []Record // a ring once full; next is its oldest record
+	next    int
 	dropped uint64
 }
 
@@ -49,17 +52,18 @@ func (t *Tracer) Observe(now event.Time, m *msg.Message) {
 		fmt.Fprintf(t.W, "%8d  %v\n", now, m)
 	}
 	if t.Keep > 0 && len(t.records) >= t.Keep {
-		// Keep the most recent window.
-		copy(t.records, t.records[1:])
-		t.records[len(t.records)-1] = Record{now, *m}
+		t.records[t.next] = Record{now, *m}
+		t.next = (t.next + 1) % len(t.records)
 		t.dropped++
 		return
 	}
 	t.records = append(t.records, Record{now, *m})
 }
 
-// Records returns the retained records (most recent last).
-func (t *Tracer) Records() []Record { return t.records }
+// Records returns a copy of the retained records, oldest first.
+func (t *Tracer) Records() []Record {
+	return slices.Concat(t.records[t.next:], t.records[:t.next])
+}
 
 // Dropped reports how many records fell out of the retention window.
 func (t *Tracer) Dropped() uint64 { return t.dropped }
@@ -68,7 +72,7 @@ func (t *Tracer) Dropped() uint64 { return t.dropped }
 // transaction timeline.
 func (t *Tracer) History(a msg.Addr, w io.Writer) {
 	fmt.Fprintf(w, "history of block %#x:\n", uint64(a))
-	for _, r := range t.records {
+	for _, r := range t.Records() {
 		if r.Msg.Addr == a {
 			fmt.Fprintf(w, "  %8d  %v\n", r.At, &r.Msg)
 		}

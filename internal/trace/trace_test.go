@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"patch/internal/event"
 	"patch/internal/msg"
 )
 
@@ -36,17 +38,32 @@ func TestTracerFilter(t *testing.T) {
 func TestTracerRetentionWindow(t *testing.T) {
 	tr := Tracer{Keep: 3}
 	for i := 0; i < 10; i++ {
-		tr.Observe(1, &msg.Message{Type: msg.GetS, Addr: msg.Addr(i * 64)})
-	}
-	if len(tr.Records()) != 3 {
-		t.Fatalf("kept %d, want 3", len(tr.Records()))
+		tr.Observe(event.Time(i), &msg.Message{Type: msg.GetS, Addr: 0x40})
 	}
 	if tr.Dropped() != 7 {
 		t.Fatalf("dropped %d, want 7", tr.Dropped())
 	}
-	// Most recent retained.
-	if tr.Records()[2].Msg.Addr != msg.Addr(9*64) {
-		t.Fatal("retention lost the newest record")
+	// After several wraps the window holds the newest three records,
+	// oldest first, in Records and in the rendered history.
+	recs := tr.Records()
+	if len(recs) != 3 {
+		t.Fatalf("kept %d, want 3", len(recs))
+	}
+	for i, r := range recs {
+		if want := event.Time(7 + i); r.At != want {
+			t.Fatalf("record %d at t%d, want t%d", i, r.At, want)
+		}
+	}
+	var buf bytes.Buffer
+	tr.History(0x40, &buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	if len(lines) != 3 {
+		t.Fatalf("history has %d records, want 3: %q", len(lines), buf.String())
+	}
+	for i, line := range lines {
+		if at := strings.Fields(line)[0]; at != fmt.Sprint(7+i) {
+			t.Fatalf("history line %d at t%s, want t%d", i, at, 7+i)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
-// Binary trace format: the streaming counterpart to the text format in
-// tracefile.go, designed so multi-GB recorded traces open at near-zero
-// resident cost instead of being slurped into per-core []Op slices.
+// Recorded traces: a run's reference stream can be recorded and
+// replayed later, so a measured run can be reproduced exactly or
+// shared. Traces are binary, designed so multi-GB recordings open at
+// near-zero resident cost instead of being slurped into per-core []Op
+// slices.
 //
 // Layout (all integers little-endian, varints as in encoding/binary):
 //
@@ -31,7 +33,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"patch/internal/msg"
@@ -52,74 +53,6 @@ const (
 	// defaultWindow is the per-core streaming window on the pread path.
 	defaultWindow = 64 << 10
 )
-
-// IsBinaryTrace reports whether prefix begins with the binary trace
-// magic. Four bytes suffice.
-func IsBinaryTrace(prefix []byte) bool {
-	return len(prefix) >= len(binaryMagic) && string(prefix[:len(binaryMagic)]) == binaryMagic
-}
-
-// Replay is a Generator that replays a recorded trace: both the
-// in-memory text replay (TraceReplay) and the streaming binary replay
-// (StreamReplay) implement it.
-type Replay interface {
-	Generator
-	// Len returns the shortest per-core stream length (the safe
-	// ops/core); CoreLen the exact length of one core's stream.
-	Len() int
-	CoreLen(core int) int
-	// Overdriven counts Next calls made after a core's stream was
-	// exhausted (each returned a repeat of the core's last operation).
-	Overdriven() uint64
-	// Err reports a decode failure encountered while streaming.
-	// Generator.Next has no error path, so a replay that hits corrupt
-	// data poisons itself — the stream reads as exhausted — and the
-	// failure surfaces here; the simulator refuses the run's result.
-	Err() error
-	Close() error
-}
-
-var (
-	_ Replay = (*TraceReplay)(nil)
-	_ Replay = (*StreamReplay)(nil)
-)
-
-// OpenTrace opens a recorded trace for n cores in whichever format the
-// file holds, detecting the binary format by its magic bytes. Binary
-// traces are streamed (see StreamReplay); text traces are parsed whole.
-func OpenTrace(path string, n int) (Replay, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [len(binaryMagic)]byte
-	switch _, err := io.ReadFull(f, magic[:]); err {
-	case nil:
-		if IsBinaryTrace(magic[:]) {
-			f.Close()
-			r, err := OpenBinaryTrace(path, n)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			return r, nil
-		}
-	case io.EOF, io.ErrUnexpectedEOF:
-		// Shorter than the magic: legitimately a (tiny) text trace.
-	default:
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	t, err := ParseTrace(f, n)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
-}
 
 // zigzag folds a signed delta into an unsigned varint-friendly value.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -189,23 +122,10 @@ func writeBinary(w io.WriteSeeker, cores int, perCore func(c int, emit func(Op) 
 	return err
 }
 
-// WriteBinary writes a parsed trace in the binary format, preserving
-// each core's exact stream (including unequal per-core lengths).
-func WriteBinary(w io.WriteSeeker, t *TraceReplay) error {
-	return writeBinary(w, len(t.streams), func(c int, emit func(Op) error) error {
-		for _, op := range t.streams[c] {
-			if err := emit(op); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // RecordBinary captures opsPerCore operations per core from g and
 // writes them as a binary trace. Capture proceeds core by core —
 // generators produce independent per-core streams, so the result is
-// identical to the interleaved capture order of Record — which keeps
+// what the interleaving simulator would have drawn — which keeps
 // memory O(1) regardless of trace size.
 func RecordBinary(w io.WriteSeeker, g Generator, cores, opsPerCore int) error {
 	return writeBinary(w, cores, func(c int, emit func(Op) error) error {
@@ -229,11 +149,12 @@ type coreCursor struct {
 }
 
 // StreamReplay replays a binary trace by reading fixed-size per-core
-// windows on demand instead of materializing the whole trace. It
-// implements Replay; resident memory is O(cores x window) on the pread
-// path and demand-paged on the linux mmap path.
+// windows on demand instead of materializing the whole trace; resident
+// memory is O(cores x window) on the pread path and demand-paged on
+// the linux mmap path. A core that exhausts its stream repeats its
+// last operation and counts the over-drive (see Overdriven), so a
+// caller that bypasses the Len guard cannot silently skew results.
 type StreamReplay struct {
-	name       string
 	src        io.ReaderAt
 	closer     io.Closer
 	cores      []coreCursor
@@ -244,10 +165,12 @@ type StreamReplay struct {
 	err        error // first decode failure; see Err
 }
 
-// OpenBinaryTrace opens a binary trace file for n cores (0 accepts the
+// OpenTrace opens a recorded trace file for n cores (0 accepts the
 // recorded count), preferring a read-only mmap of the file on linux and
-// falling back to buffered pread windows.
-func OpenBinaryTrace(path string, n int) (*StreamReplay, error) {
+// falling back to buffered pread windows. A file that is not a binary
+// trace, such as a line-per-op text trace, fails here with the
+// bad-magic error, prefixed by its path.
+func OpenTrace(path string, n int) (*StreamReplay, error) {
 	src, closer, size, err := openReaderAt(path)
 	if err != nil {
 		return nil, err
@@ -255,7 +178,7 @@ func OpenBinaryTrace(path string, n int) (*StreamReplay, error) {
 	s, err := NewStreamReplay(src, size, n)
 	if err != nil {
 		closer.Close()
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	s.closer = closer
 	return s, nil
@@ -265,13 +188,13 @@ func OpenBinaryTrace(path string, n int) (*StreamReplay, error) {
 // trace of the given size. n must match the recorded core count; 0
 // accepts whatever the header declares (tooling that inspects a trace
 // of unknown shape). The caller keeps ownership of r unless the replay
-// was built by OpenBinaryTrace.
+// was built by OpenTrace.
 func NewStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
 	hdr := make([]byte, binaryHeaderLen)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("workload: binary trace: truncated header: %w", err)
 	}
-	if !IsBinaryTrace(hdr) {
+	if string(hdr[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("workload: binary trace: bad magic %q", hdr[:4])
 	}
 	if v := hdr[4]; v != binaryVersion {
@@ -289,7 +212,6 @@ func NewStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
 		return nil, fmt.Errorf("workload: binary trace: truncated index: %w", err)
 	}
 	s := &StreamReplay{
-		name:    "trace",
 		src:     r,
 		cores:   make([]coreCursor, cores),
 		coreOps: make([]uint64, cores),
@@ -353,7 +275,7 @@ func NewStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
 type byteSlicer interface{ slice(off, n int64) []byte }
 
 // Name implements Generator.
-func (s *StreamReplay) Name() string { return s.name }
+func (s *StreamReplay) Name() string { return "trace" }
 
 // Len returns the shortest per-core stream length (the safe ops/core).
 func (s *StreamReplay) Len() int { return s.minOps }
@@ -364,12 +286,15 @@ func (s *StreamReplay) CoreLen(core int) int { return int(s.coreOps[core]) }
 // Cores returns the recorded core count.
 func (s *StreamReplay) Cores() int { return len(s.cores) }
 
-// Overdriven implements Replay.
+// Overdriven counts Next calls made after a core's stream was already
+// exhausted. Each such call returned a repeat of the core's last
+// operation; the simulator refuses results from an over-driven replay.
 func (s *StreamReplay) Overdriven() uint64 { return s.overdriven }
 
-// Err implements Replay: it reports the first decode failure (corrupt
-// varint, truncated segment, failed read) encountered by Next. The
-// failing core's stream reads as exhausted from that point on.
+// Err reports the first decode failure (corrupt varint, truncated
+// segment, failed read) encountered by Next. Generator.Next has no
+// error path, so the failing core's stream reads as exhausted from
+// that point on, and the simulator refuses the run's result.
 func (s *StreamReplay) Err() error { return s.err }
 
 // Close releases the underlying file or mapping (if the replay owns

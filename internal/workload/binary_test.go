@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,72 +29,81 @@ func writeTempBinary(t testing.TB, g Generator, cores, ops int) string {
 	return path
 }
 
-// TestBinaryRoundTripMatchesText is the round-trip property test: for
-// several workloads, text-record -> parse -> WriteBinary -> stream must
-// be op-for-op identical to the text replay, at window sizes small
-// enough to force many refills on the pread path.
+// checkMatchesGenerator drives r through ops operations per core and
+// fails unless each one equals what a fresh generator for the workload
+// and seed produces, with no decode error and no over-drive.
+func checkMatchesGenerator(t *testing.T, how string, r *StreamReplay, wl string, cores, ops int, seed int64) {
+	t.Helper()
+	if r.Len() != ops {
+		t.Fatalf("%s %s: Len %d, want %d", wl, how, r.Len(), ops)
+	}
+	fresh, err := Named(wl, cores, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ops; i++ {
+		for c := 0; c < cores; c++ {
+			if want, got := fresh.Next(c), r.Next(c); got != want {
+				t.Fatalf("%s %s: op %d core %d: got %+v want %+v", wl, how, i, c, got, want)
+			}
+		}
+	}
+	if err := r.Err(); err != nil || r.Overdriven() != 0 {
+		t.Fatalf("%s %s: Err %v, Overdriven %d", wl, how, err, r.Overdriven())
+	}
+}
+
+// TestRecordReplayRoundTrip: for several workloads, a recorded trace
+// opened with OpenTrace (the mmap path on linux) must replay op-for-op
+// what a fresh generator with the same seed produces.
+func TestRecordReplayRoundTrip(t *testing.T) {
+	const cores, ops = 8, 400
+	for _, wl := range []string{"oltp", "ocean", "micro"} {
+		g, err := Named(wl, cores, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenTrace(writeTempBinary(t, g, cores, ops), cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesGenerator(t, "OpenTrace", r, wl, cores, ops, 42)
+		r.Close()
+	}
+}
+
+// TestBinaryRoundTripMatchesText is the round-trip property test for
+// the pread path: for several workloads, a recorded trace streamed at
+// window sizes small enough to force many refills must replay
+// op-for-op what a fresh generator with the same seed produces.
 func TestBinaryRoundTripMatchesText(t *testing.T) {
 	const cores, ops = 8, 400
 	for _, wl := range []string{"oltp", "ocean", "micro"} {
+		g, err := Named(wl, cores, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.Open(writeTempBinary(t, g, cores, ops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, _ := file.Stat()
 		for _, window := range []int{64, 256, defaultWindow} {
-			g, err := Named(wl, cores, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var text bytes.Buffer
-			if err := Record(&text, g, cores, ops); err != nil {
-				t.Fatal(err)
-			}
-			parsed, err := ParseTrace(bytes.NewReader(text.Bytes()), cores)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "rt.bin")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteBinary(f, parsed); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			// Stream through the pread path (no mmap) to exercise the
-			// windowed refills at the chosen size.
-			file, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fi, _ := file.Stat()
 			stream, err := NewStreamReplay(file, fi.Size(), cores)
 			if err != nil {
 				t.Fatal(err)
 			}
 			stream.window = window
-			want, err := ParseTrace(bytes.NewReader(text.Bytes()), cores)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stream.Len() != want.Len() {
-				t.Fatalf("%s window %d: Len %d, want %d", wl, window, stream.Len(), want.Len())
-			}
-			for i := 0; i < ops; i++ {
-				for c := 0; c < cores; c++ {
-					w, g := want.Next(c), stream.Next(c)
-					if w != g {
-						t.Fatalf("%s window %d: op %d core %d: got %+v want %+v", wl, window, i, c, g, w)
-					}
-				}
-			}
-			file.Close()
+			checkMatchesGenerator(t, fmt.Sprintf("pread window %d", window), stream, wl, cores, ops, 42)
 		}
+		file.Close()
 	}
 }
 
-// TestBinaryMmapPathMatchesText covers OpenBinaryTrace (the mmap fast
-// path on linux) end to end, including extreme address deltas the
-// zigzag encoding must survive.
-func TestBinaryMmapPathMatchesText(t *testing.T) {
+// TestBinaryMmapPathEdgeDeltas covers OpenTrace (the mmap fast path on
+// linux) end to end on per-core streams of unequal length, including
+// extreme address deltas the zigzag encoding must survive.
+func TestBinaryMmapPathEdgeDeltas(t *testing.T) {
 	const cores = 2
 	ops := []Op{
 		{Addr: 0, Write: false, Think: 0},
@@ -101,18 +111,26 @@ func TestBinaryMmapPathMatchesText(t *testing.T) {
 		{Addr: msg.Addr(BlockSize), Write: false, Think: 1 << 40},              // huge negative delta
 		{Addr: msg.Addr(5 << 36), Write: true, Think: 7},
 	}
-	tr := &TraceReplay{name: "trace", streams: [][]Op{ops, ops[:2]}, pos: make([]int, cores)}
+	streams := [][]Op{ops, ops[:2]}
 	path := filepath.Join(t.TempDir(), "edge.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(f, tr); err != nil {
+	err = writeBinary(f, cores, func(c int, emit func(Op) error) error {
+		for _, op := range streams[c] {
+			if err := emit(op); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	s, err := OpenBinaryTrace(path, cores)
+	s, err := OpenTrace(path, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,70 +145,95 @@ func TestBinaryMmapPathMatchesText(t *testing.T) {
 	}
 }
 
+// TestOpenTraceDetectsFormat: OpenTrace tells a binary trace by its
+// magic. A binary trace opens as a stream; a trace in the line-per-op
+// text format ("<core> <R|W> <hex addr> <think>") must fail at open
+// with the bad-magic error, prefixed by its path, rather than replay
+// as garbage.
 func TestOpenTraceDetectsFormat(t *testing.T) {
-	const cores, ops = 4, 30
-	dir := t.TempDir()
-
-	g, _ := Named("jbb", cores, 9)
-	textPath := filepath.Join(dir, "t.trace")
-	tf, err := os.Create(textPath)
+	g, _ := Named("jbb", 2, 9)
+	bin, err := OpenTrace(writeTempBinary(t, g, 2, 2), 2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("binary trace rejected: %v", err)
 	}
-	if err := Record(tf, g, cores, ops); err != nil {
-		t.Fatal(err)
-	}
-	tf.Close()
+	bin.Close()
 
-	g2, _ := Named("jbb", cores, 9)
-	binPath := writeTempBinary(t, g2, cores, ops)
-
-	text, err := OpenTrace(textPath, cores)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "old.trace")
+	text := "# workload jbb, 2 cores, 2 ops/core\n0 R 1000 5\n1 W 1040 0\n0 W 1000 1\n1 R 1040 2\n"
+	if err := os.WriteFile(path, []byte(text), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	defer text.Close()
-	bin, err := OpenTrace(binPath, cores)
-	if err != nil {
-		t.Fatal(err)
+	r, err := OpenTrace(path, 2)
+	if err == nil {
+		r.Close()
+		t.Fatal("text trace opened")
 	}
-	defer bin.Close()
-	if _, ok := text.(*TraceReplay); !ok {
-		t.Fatalf("text trace opened as %T", text)
-	}
-	if _, ok := bin.(*StreamReplay); !ok {
-		t.Fatalf("binary trace opened as %T", bin)
-	}
-	for i := 0; i < ops; i++ {
-		for c := 0; c < cores; c++ {
-			w, g := text.Next(c), bin.Next(c)
-			if w != g {
-				t.Fatalf("op %d core %d: text %+v binary %+v", i, c, w, g)
-			}
-		}
+	if !strings.HasPrefix(err.Error(), path+": ") || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("error = %v, want the bad-magic error prefixed by %s", err, path)
 	}
 }
 
 func TestStreamReplayOverdrive(t *testing.T) {
 	g, _ := Named("micro", 2, 3)
 	path := writeTempBinary(t, g, 2, 5)
-	s, err := OpenBinaryTrace(path, 2)
+	s, err := OpenTrace(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	var final Op
 	for i := 0; i < 5; i++ {
-		s.Next(0)
+		final = s.Next(0)
 	}
-	last := s.Next(0)
-	if s.Overdriven() != 1 {
-		t.Fatalf("Overdriven = %d, want 1", s.Overdriven())
+	if s.Overdriven() != 0 {
+		t.Fatalf("Overdriven = %d before exhaustion", s.Overdriven())
 	}
-	if again := s.Next(0); again != last {
-		t.Fatalf("over-driven ops differ: %+v vs %+v", again, last)
+	if last := s.Next(0); last != final || s.Overdriven() != 1 {
+		t.Fatalf("over-drive served %+v (Overdriven %d), want a counted repeat of %+v", last, s.Overdriven(), final)
+	}
+	if again := s.Next(0); again != final {
+		t.Fatalf("over-driven ops differ: %+v vs %+v", again, final)
 	}
 	if s.Overdriven() != 2 {
 		t.Fatalf("Overdriven = %d, want 2", s.Overdriven())
+	}
+}
+
+// TestReplayOverdrive: on the pread path, a one-op stream serves its op
+// once, then repeats it and counts each repeat; a Next on a core with
+// ops left does not touch the count.
+func TestReplayOverdrive(t *testing.T) {
+	streams := []Op{{Addr: 0x1000, Think: 1}, {Addr: 0x2000, Write: true, Think: 2}}
+	path := filepath.Join(t.TempDir(), "one.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := writeBinary(f, 2, func(c int, emit func(Op) error) error { return emit(streams[c]) }); err != nil {
+		t.Fatal(err)
+	}
+	fi, _ := f.Stat()
+	tr, err := NewStreamReplay(f, fi.Size(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := tr.Next(0)
+	if first != streams[0] || tr.Overdriven() != 0 {
+		t.Fatalf("first Next = %+v (Overdriven %d), want %+v before exhaustion", first, tr.Overdriven(), streams[0])
+	}
+	again := tr.Next(0) // stream exhausted: repeats, but is counted
+	if first != again {
+		t.Fatal("over-driven replay should repeat the last op")
+	}
+	if tr.Overdriven() != 1 {
+		t.Fatalf("Overdriven = %d, want 1", tr.Overdriven())
+	}
+	if op := tr.Next(1); op != streams[1] {
+		t.Fatalf("core 1 Next = %+v, want %+v", op, streams[1])
+	}
+	if tr.Overdriven() != 1 {
+		t.Fatalf("in-range Next bumped Overdriven to %d", tr.Overdriven())
 	}
 }
 
@@ -254,7 +297,7 @@ func TestStreamReplayStartupAllocsBounded(t *testing.T) {
 		g, _ := Named("micro", cores, 3)
 		path := writeTempBinary(t, g, cores, ops)
 		return testing.AllocsPerRun(5, func() {
-			s, err := OpenBinaryTrace(path, cores)
+			s, err := OpenTrace(path, cores)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,59 +313,22 @@ func TestStreamReplayStartupAllocsBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceReplay compares replay startup (open + first op per
-// core) for the text parser, which materializes the whole trace, against
-// the binary streamer, which reads per-core windows on demand.
+// BenchmarkTraceReplay measures replay startup (open + first op per
+// core): the streamer reads per-core windows on demand, so it does not
+// grow with the trace.
 func BenchmarkTraceReplay(b *testing.B) {
 	const cores, ops = 16, 5000
-	dir := b.TempDir()
-
 	g, _ := Named("oltp", cores, 1)
-	textPath := filepath.Join(dir, "bench.trace")
-	tf, err := os.Create(textPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := Record(tf, g, cores, ops); err != nil {
-		b.Fatal(err)
-	}
-	tf.Close()
-
-	g2, _ := Named("oltp", cores, 1)
-	binPath := filepath.Join(dir, "bench.bin")
-	bf, err := os.Create(binPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := RecordBinary(bf, g2, cores, ops); err != nil {
-		b.Fatal(err)
-	}
-	bf.Close()
-
-	b.Run("text-parse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := OpenTrace(textPath, cores)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for c := 0; c < cores; c++ {
-				r.Next(c)
-			}
-			r.Close()
+	path := writeTempBinary(b, g, cores, ops)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := OpenTrace(path, cores)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("binary-stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := OpenTrace(binPath, cores)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for c := 0; c < cores; c++ {
-				r.Next(c)
-			}
-			r.Close()
+		for c := 0; c < cores; c++ {
+			r.Next(c)
 		}
-	})
+		r.Close()
+	}
 }

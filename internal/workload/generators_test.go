@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"errors"
-	"os"
 	"testing"
 
 	"patch/internal/msg"
@@ -184,11 +182,11 @@ func TestScenarioParamGuards(t *testing.T) {
 	}
 }
 
-// TestScenarioTraceRoundTrip: a scenario generator recorded to the text
-// format, converted to binary, and streamed back must be op-for-op
-// identical to a fresh build — trace recording accepts any registered
-// generator, including the stateful ones (pipeline's toggle, convoy's
-// lock-phase machine, phased's rotation counter).
+// TestScenarioTraceRoundTrip: a scenario generator recorded to a trace
+// and streamed back must be op-for-op identical to a fresh build —
+// trace recording accepts any registered generator, including the
+// stateful ones (pipeline's toggle, convoy's lock-phase machine,
+// phased's rotation counter).
 func TestScenarioTraceRoundTrip(t *testing.T) {
 	const cores, ops = 8, 300
 	for _, name := range []string{"pipeline", "convoy", "phased"} {
@@ -196,29 +194,9 @@ func TestScenarioTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var text bytes.Buffer
-		if err := Record(&text, g, cores, ops); err != nil {
-			t.Fatalf("%s: text record: %v", name, err)
-		}
-		parsed, err := ParseTrace(bytes.NewReader(text.Bytes()), cores)
+		stream, err := OpenTrace(writeTempBinary(t, g, cores, ops), cores)
 		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
-		}
-
-		// Binary side: record the same generator fresh.
-		g2, err := Named(name, cores, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := writeTempBinary(t, g2, cores, ops)
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, _ := f.Stat()
-		stream, err := NewStreamReplay(f, fi.Size(), cores)
-		if err != nil {
-			t.Fatalf("%s: open binary: %v", name, err)
+			t.Fatalf("%s: open: %v", name, err)
 		}
 		fresh, err := Named(name, cores, 77)
 		if err != nil {
@@ -227,15 +205,12 @@ func TestScenarioTraceRoundTrip(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			for c := 0; c < cores; c++ {
 				want := fresh.Next(c)
-				if got := parsed.Next(c); got != want {
-					t.Fatalf("%s: text replay op %d core %d: got %+v want %+v", name, i, c, got, want)
-				}
 				if got := stream.Next(c); got != want {
-					t.Fatalf("%s: binary replay op %d core %d: got %+v want %+v", name, i, c, got, want)
+					t.Fatalf("%s: replay op %d core %d: got %+v want %+v", name, i, c, got, want)
 				}
 			}
 		}
-		f.Close()
+		stream.Close()
 	}
 }
 

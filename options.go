@@ -55,10 +55,9 @@ func WithCores(n int) Option { return func(c *Config) { c.Cores = n } }
 // AllWorkloads: the paper mixes, "micro", and the scenario family).
 func WithWorkload(name string) Option { return func(c *Config) { c.Workload = name } }
 
-// WithTraceFile replays a recorded reference trace instead of a named
-// workload. Text and binary traces are both accepted and detected by
-// their content (see Config.TraceFile): binary traces stream in
-// fixed-size windows, text traces load whole.
+// WithTraceFile replays a recorded binary reference trace (patchsim
+// -record) instead of a named workload; it streams in fixed-size
+// windows (see Config.TraceFile).
 func WithTraceFile(path string) Option { return func(c *Config) { c.TraceFile = path } }
 
 // WithOps sets the measured operations per core.

@@ -116,14 +116,11 @@ type Config struct {
 	// "phased") — AllWorkloads lists them all. TraceFile, when set,
 	// replays a recorded reference trace instead.
 	//
-	// The trace may be in either recorded format — the line-oriented
-	// text format (patchsim -record) or the compact binary format
-	// (patchsim -record-binary, cmd/tracecvt) — distinguished
-	// automatically by the binary magic header. Binary traces are
-	// streamed in fixed-size per-core windows (mmap-backed on linux),
-	// so multi-GB replays open at near-zero resident cost; text traces
-	// are parsed into memory whole. Validate only checks the file
-	// exists; format and content errors surface when the run opens it.
+	// The trace is a binary trace (patchsim -record), streamed in
+	// fixed-size per-core windows (mmap-backed on linux), so multi-GB
+	// replays open at near-zero resident cost. Validate only checks the
+	// file exists; header and content errors (a text trace fails on its
+	// magic) surface when the run opens it.
 	Workload   string `json:"workload,omitempty"`
 	TraceFile  string `json:"trace_file,omitempty"`
 	OpsPerCore int    `json:"ops_per_core,omitempty"`

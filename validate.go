@@ -82,9 +82,8 @@ func (c Config) Validate() error {
 	}
 	if c.TraceFile != "" {
 		// The one stat-call exception to "no building": a missing trace
-		// fails here as a typed error rather than mid-sweep, and the
-		// contract is format-agnostic — text or binary, the simulator
-		// detects which by the magic header when it opens the file.
+		// fails here as a typed error rather than mid-sweep. Its header
+		// and content are checked when the simulator opens the file.
 		fi, err := os.Stat(c.TraceFile)
 		if err != nil {
 			return fmt.Errorf("patch: %w: %v", ErrBadTraceFile, err)
