@@ -66,10 +66,14 @@ type File struct {
 // scenario is one named benchmark body; it returns the simulated cycles
 // covered by a single iteration so throughput can be derived.
 // hostDependent propagates to the record (see Record.HostDependent).
+// release, when set, drops what the body keeps between iterations, so
+// that state does not stay live and pace the garbage collector while
+// later scenarios run.
 type scenario struct {
 	name          string
 	run           func(b *testing.B) (simCycles float64)
 	hostDependent bool
+	release       func()
 }
 
 // scenarioErr carries a scenario failure out of the benchmark body:
@@ -113,7 +117,7 @@ func simScenario(name string, cfg sim.Config) scenario {
 			cycles += float64(r.Cycles)
 		}
 		return cycles / float64(b.N)
-	}}
+	}, release: func() { sys = nil }}
 }
 
 func scenarios(quick bool) []scenario {
@@ -234,7 +238,7 @@ func traceScenarios(dir string, quick bool) ([]scenario, error) {
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "smoke scale (single iteration, smaller grid)")
+	quick := flag.Bool("quick", false, "smoke scale (median of 5 single-iteration samples, smaller grid)")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
 	compare := flag.String("compare", "", "prior BENCH_*.json to diff against (default: newest committed date in cwd)")
 	gate := flag.String("gate", "", "baseline BENCH_*.json to gate against: exit non-zero on regression (CI)")
@@ -274,7 +278,7 @@ func benchMain(quick bool, out, compare, gate string, gateThreshold float64) err
 		}
 		var res testing.BenchmarkResult
 		if quick {
-			res = runBest(body, 3)
+			res = runMedian(body, 5)
 		} else {
 			res = testing.Benchmark(body)
 		}
@@ -294,6 +298,10 @@ func benchMain(quick bool, out, compare, gate string, gateThreshold float64) err
 			rec.SimCyclesPerSec = simCycles * float64(res.N) / res.T.Seconds()
 		}
 		f.Records = append(f.Records, rec)
+		if sc.release != nil {
+			sc.release()
+		}
+		runtime.GC()
 		fmt.Printf("%-24s %12.0f ns/op %10d allocs/op %12d B/op %14.0f simcycles/s\n",
 			rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, rec.SimCyclesPerSec)
 	}
@@ -394,18 +402,20 @@ func runGate(basePath string, cur File, threshold float64) error {
 	return nil
 }
 
-// runBest executes the benchmark body reps times at b.N=1 with its own
-// allocation accounting, keeping the fastest time and the lowest
-// allocation count observed — testing.Benchmark's convergence loop is
-// overkill for the CI smoke job, but a single-shot timing is too noisy
-// for the regression gate to consume (one GC or scheduler hiccup reads
-// as a 2x "regression"); the minimum over a few repetitions rejects
-// that noise while allocs, being deterministic, stay exact. The body
-// runs on its own goroutine because a failing body exits via
-// runtime.Goexit (b.Fatal); the driver then reports scenarioErr instead
-// of deadlocking.
-func runBest(body func(b *testing.B), reps int) testing.BenchmarkResult {
-	var best testing.BenchmarkResult
+// runMedian executes the benchmark body reps times at b.N=1 with its own
+// allocation accounting, and returns the median time, allocation count
+// and allocated bytes — testing.Benchmark's convergence loop is overkill
+// for the CI smoke job, but a single-shot timing is too noisy for the
+// regression gate to consume (one GC or scheduler hiccup reads as a 2x
+// "regression"). The median of five ignores up to two such samples in
+// either direction, where a minimum rewards a lucky one. Each sample
+// starts from a collected heap, and the caller releases and collects
+// each scenario's state before the next, so no sample's GC pace depends
+// on what ran before it. The body runs on its own goroutine because a
+// failing body exits via runtime.Goexit (b.Fatal); benchMain then
+// reports scenarioErr instead of deadlocking.
+func runMedian(body func(b *testing.B), reps int) testing.BenchmarkResult {
+	samples := make([]testing.BenchmarkResult, 0, reps)
 	for i := 0; i < reps; i++ {
 		var before, after runtime.MemStats
 		b := &testing.B{N: 1}
@@ -429,21 +439,17 @@ func runBest(body func(b *testing.B), reps int) testing.BenchmarkResult {
 		if scenarioErr != nil {
 			return r
 		}
-		if i == 0 {
-			best = r
-			continue
-		}
-		if r.T < best.T {
-			best.T = r.T
-		}
-		if r.MemAllocs < best.MemAllocs {
-			best.MemAllocs = r.MemAllocs
-		}
-		if r.MemBytes < best.MemBytes {
-			best.MemBytes = r.MemBytes
-		}
+		samples = append(samples, r)
 	}
-	return best
+	mid := len(samples) / 2
+	med := testing.BenchmarkResult{N: 1}
+	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
+	med.T = samples[mid].T
+	sort.Slice(samples, func(i, j int) bool { return samples[i].MemAllocs < samples[j].MemAllocs })
+	med.MemAllocs = samples[mid].MemAllocs
+	sort.Slice(samples, func(i, j int) bool { return samples[i].MemBytes < samples[j].MemBytes })
+	med.MemBytes = samples[mid].MemBytes
+	return med
 }
 
 // latestBaseline returns the comparison baseline: the BENCH_*.json

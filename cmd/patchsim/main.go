@@ -11,6 +11,8 @@
 //	patchsim -protocol tokenb -workload barnes -seeds 5 -workers 4
 //	patchsim -workload oltp -cores 16 -ops 200 -record oltp.bin
 //	patchsim -workload oltp -cores 16 -ops 200 -replay oltp.bin
+//
+// A replay's header names the trace file in place of the workload.
 package main
 
 import (
@@ -44,6 +46,12 @@ func main() {
 	record := flag.String("record", "", "record the reference trace (warmup plus measured ops) to a binary trace file instead of simulating")
 	replay := flag.String("replay", "", "replay a recorded reference trace instead of a named workload")
 	flag.Parse()
+	// patch.Config reads an OpsPerCore of 0 as the simulator's default,
+	// which the header and -record would not know.
+	if *ops < 1 {
+		fmt.Fprintln(os.Stderr, "-ops must be at least 1")
+		os.Exit(2)
+	}
 
 	opts := []patch.Option{
 		patch.WithWorkload(*workload),
@@ -104,7 +112,11 @@ func main() {
 	if cfg.Protocol == patch.PATCH {
 		name = cfg.Variant.String()
 	}
-	fmt.Printf("%s on %s, %d cores, %d ops/core\n", name, cfg.Workload, cfg.Cores, *ops)
+	source := cfg.Workload
+	if *replay != "" {
+		source = *replay
+	}
+	fmt.Printf("%s on %s, %d cores, %d ops/core\n", name, source, cfg.Cores, *ops)
 
 	if *traceBlock != 0 {
 		runTraced(cfg, msg.Addr(*traceBlock))
