@@ -10,7 +10,8 @@
 //	bench -out FILE       # override the output path
 //	bench -compare FILE   # print an old-vs-new table against a prior record
 //	bench -gate FILE      # CI regression gate: exit non-zero on a >2x
-//	                      # ns/op, allocs/op or bytes/op regression vs FILE
+//	                      # ns/op, allocs/op or bytes/op regression vs FILE,
+//	                      # measured at FILE's GOMAXPROCS
 //
 // Without -compare, the comparison baseline is the BENCH_*.json in the
 // working directory with the newest JSON date field (filename breaks
@@ -258,6 +259,13 @@ func benchMain(quick bool, out, compare, gate string, gateThreshold float64) err
 	if path == "" {
 		path = fmt.Sprintf("BENCH_%s.json", date)
 	}
+	var base File
+	if gate != "" {
+		var err error
+		if base, err = gateBaseline(gate, quick); err != nil {
+			return err
+		}
+	}
 
 	traceDir, err := os.MkdirTemp("", "bench-trace")
 	if err != nil {
@@ -326,9 +334,41 @@ func benchMain(quick bool, out, compare, gate string, gateThreshold float64) err
 	}
 
 	if gate != "" {
-		return runGate(gate, f, gateThreshold)
+		return runGate(gate, base, f, gateThreshold)
 	}
 	return nil
+}
+
+// gateBaseline reads the gate's baseline before anything is measured,
+// refuses one at the other scale (it would compare different grids),
+// and sets GOMAXPROCS to the baseline's: ns/op measured at another
+// core count compares the runners, not the code.
+func gateBaseline(path string, quick bool) (File, error) {
+	base, err := readFile(path)
+	if err != nil {
+		return File{}, fmt.Errorf("gate: %w", err)
+	}
+	if base.Quick != quick {
+		return File{}, fmt.Errorf("gate: scale mismatch: baseline %s has quick=%v, this run quick=%v (regenerate the baseline at the gated scale)",
+			path, base.Quick, quick)
+	}
+	if base.GOMAXPROCS > 0 {
+		runtime.GOMAXPROCS(base.GOMAXPROCS)
+	}
+	return base, nil
+}
+
+// readFile reads one BENCH_*.json record.
+func readFile(path string) (File, error) {
+	var f File
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return f, err
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return f, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, nil
 }
 
 // printShardSpeedup derives the replica-sharding wall-clock speedup
@@ -349,23 +389,10 @@ func printShardSpeedup(records []Record) {
 }
 
 // runGate is the CI regression gate: it diffs the current record
-// against the committed baseline and fails (non-zero exit) when any
-// shared scenario regressed by more than threshold in ns/op, allocs/op
-// or bytes/op. Scales must match — gating a quick run against a full
-// baseline (or vice versa) would compare different grids.
-func runGate(basePath string, cur File, threshold float64) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return fmt.Errorf("gate: %w", err)
-	}
-	var base File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("gate: %s: %w", basePath, err)
-	}
-	if base.Quick != cur.Quick {
-		return fmt.Errorf("gate: scale mismatch: baseline %s has quick=%v, this run quick=%v (regenerate the baseline at the gated scale)",
-			basePath, base.Quick, cur.Quick)
-	}
+// against the baseline gateBaseline read from basePath and fails
+// (non-zero exit) when any shared scenario regressed by more than
+// threshold in ns/op, allocs/op or bytes/op.
+func runGate(basePath string, base, cur File, threshold float64) error {
 	old := make(map[string]Record, len(base.Records))
 	for _, r := range base.Records {
 		old[r.Name] = r
@@ -474,12 +501,8 @@ func latestBaseline(exclude string, quick bool) string {
 			strings.HasSuffix(m, "_before.json") {
 			continue
 		}
-		data, err := os.ReadFile(m)
-		if err != nil {
-			continue
-		}
-		var f File
-		if err := json.Unmarshal(data, &f); err != nil || f.Date == "" {
+		f, err := readFile(m)
+		if err != nil || f.Date == "" {
 			continue
 		}
 		cands = append(cands, candidate{path: m, date: f.Date, quick: f.Quick})
@@ -505,14 +528,9 @@ func latestBaseline(exclude string, quick bool) string {
 }
 
 func printComparison(basePath string, cur File) {
-	data, err := os.ReadFile(basePath)
+	base, err := readFile(basePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-		return
-	}
-	var base File
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %s: %v\n", basePath, err)
 		return
 	}
 	old := make(map[string]Record, len(base.Records))

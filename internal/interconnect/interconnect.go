@@ -18,12 +18,18 @@
 // direct requests consume only leftover bandwidth and never delay other
 // messages (§6).
 //
-// Hot path. The network performs no steady-state allocation: link
-// horizons are dense slices indexed by topology.LinkIndex, dimension-
-// order routes are computed once per (src, dst) pair and cached, hop and
-// delivery events are pooled event.Tasks rather than closures, multicast
-// walks reuse scratch bitsets and child tables, and in-flight messages
-// come from a per-network msg.Pool released back after delivery.
+// Hot path. The network performs no steady-state allocation. Link
+// horizons are dense slices indexed by topology.LinkIndex. Each (src,
+// dst) pair's dimension-order route is computed once and cached as hops
+// that carry their link's index, so crossing a link never recomputes it.
+// A full broadcast (every node but the source, in ascending order: the
+// list TokenB's and PATCH-All's requests go to) walks its source's
+// fan-out tree, built on that source's first broadcast and kept for the
+// network's lifetime; any other destination list builds its own tree per
+// walk. Hop and delivery events are pooled event.Tasks rather than
+// closures, multicast walks reuse scratch bitsets and child tables, and
+// in-flight messages come from a per-network msg.Pool released back
+// after delivery.
 package interconnect
 
 import (
@@ -104,7 +110,11 @@ type Network struct {
 
 	// routes caches dimension-order routes, indexed src*N+dst and filled
 	// lazily; a cached route is immutable and shared by every message.
-	routes [][]topology.Link
+	routes [][]hop
+	// bcast[src] is src's full-broadcast tree (see broadcastTree), built
+	// on src's first broadcast. Like routes it depends only on the torus,
+	// so Reset keeps it.
+	bcast []tree
 
 	taskFree []*netTask
 	walkFree []*mcastWalk
@@ -139,18 +149,19 @@ func New(eng *event.Engine, n int, cfg Config) *Network {
 		nodes:         make([]Handler, n),
 		normalHorizon: make([]event.Time, topo.NumLinks()),
 		beHorizon:     make([]event.Time, topo.NumLinks()),
-		routes:        make([][]topology.Link, n*n),
+		routes:        make([][]hop, n*n),
+		bcast:         make([]tree, n),
 	}
 	net.Reset(cfg)
 	return net
 }
 
 // Reset returns the network to its initial state under cfg, retaining
-// the route cache, the pooled tasks and multicast walks, and the
-// message pool (none of which affect behaviour). The node count is
-// fixed at construction; handler registrations survive, observability
-// hooks are cleared. Reset must only be called when no messages are in
-// flight (a completed, quiesced simulation).
+// the route and broadcast-tree caches, the pooled tasks and multicast
+// walks, and the message pool (none of which affect behaviour). The
+// node count is fixed at construction; handler registrations survive,
+// observability hooks are cleared. Reset must only be called when no
+// messages are in flight (a completed, quiesced simulation).
 func (n *Network) Reset(cfg Config) {
 	n.cfg = cfg
 	clear(n.normalHorizon)
@@ -201,12 +212,24 @@ func (n *Network) Retain(m *msg.Message) { n.pool.Retain(m) }
 // built outside the pool).
 func (n *Network) Release(m *msg.Message) { n.pool.Release(m) }
 
-// route returns the cached dimension-order route from src to dst.
-func (n *Network) route(src, dst int) []topology.Link {
+// hop is one link of a cached route or tree: the node the link enters
+// and the link's dense topology.LinkIndex, computed once when the route
+// is cached rather than at every crossing.
+type hop struct {
+	to, li int32
+}
+
+// route returns the cached dimension-order route from src to dst
+// (src != dst).
+func (n *Network) route(src, dst int) []hop {
 	i := src*len(n.nodes) + dst
 	r := n.routes[i]
 	if r == nil {
-		r = n.topo.Route(src, dst)
+		links := n.topo.Route(src, dst)
+		r = make([]hop, len(links))
+		for j, l := range links {
+			r[j] = hop{to: int32(l.To), li: int32(n.topo.LinkIndex(l))}
+		}
 		n.routes[i] = r
 	}
 	return r
@@ -221,11 +244,10 @@ func (n *Network) serialization(bytes int) event.Time {
 	return event.Time((bytes*1000 + n.cfg.BytesPerKiloCycle - 1) / n.cfg.BytesPerKiloCycle)
 }
 
-// traverse crosses one link at the current time (the message has
+// traverse crosses link li at the current time (the message has
 // physically arrived at the switch), returning the arrival time at the
 // far side or ok=false when a best-effort message must be dropped.
-func (n *Network) traverse(l topology.Link, now event.Time, ser event.Time, bestEffort bool) (event.Time, bool) {
-	li := n.topo.LinkIndex(l)
+func (n *Network) traverse(li int, now event.Time, ser event.Time, bestEffort bool) (event.Time, bool) {
 	var extra event.Time
 	if n.inj != nil {
 		extra = event.Time(n.inj.Delay(li, uint64(now), uint64(n.cfg.HopLatency)))
@@ -294,7 +316,7 @@ type netTask struct {
 	net   *Network
 	kind  uint8
 	m     *msg.Message
-	route []topology.Link
+	route []hop
 	idx   int
 	ser   event.Time
 	walk  *mcastWalk
@@ -408,7 +430,7 @@ func (n *Network) sendRouted(m *msg.Message) {
 //
 //patch:steadystate
 func (n *Network) fireHop(t *netTask, now event.Time) {
-	next, ok := n.traverse(t.route[t.idx], now, t.ser, t.m.BestEffort)
+	next, ok := n.traverse(int(t.route[t.idx].li), now, t.ser, t.m.BestEffort)
 	if !ok {
 		n.Stats.Dropped++
 		n.pool.Release(t.m)
@@ -426,23 +448,45 @@ func (n *Network) fireHop(t *netTask, now event.Time) {
 	n.eng.At(next, t)
 }
 
-// mcastWalk is the pooled per-multicast state: the fan-out tree as a
-// per-node child table, the destination set and deduplicated tree links
+// tree is a fan-out multicast tree in flat form: the links leaving node
+// v are kids[first[v]:first[v+1]], in the order a walk crosses them.
+type tree struct {
+	first []int32
+	kids  []hop
+}
+
+// mcastWalk is the pooled per-multicast state: the fan-out tree (the
+// source's cached broadcast tree, or one built for this walk as a
+// per-node child table), the destination set and deduplicated tree links
 // as scratch bitsets, and a reference count of outstanding fan-out
 // events. The walk owns one reference to the multicast's master message
 // until the last fan-out event has fired.
 type mcastWalk struct {
 	m           *msg.Message
 	ser         event.Time
-	children    [][]topology.Link
+	bcast       *tree    // the broadcast tree walked, or nil for a built one
+	children    [][]hop  // the built tree's child lists
 	touched     []int32  // nodes with non-empty child lists, for O(tree) reset
-	want        []uint64 // destination-node bitset
+	want        []uint64 // destination-node bitset of a built tree
 	seen        []uint64 // tree-link bitset over topology.LinkIndex
 	outstanding int
 }
 
-func (w *mcastWalk) setWant(node int)       { w.want[node/64] |= 1 << (node % 64) }
-func (w *mcastWalk) isWanted(node int) bool { return w.want[node/64]&(1<<(node%64)) != 0 }
+func (w *mcastWalk) setWant(node int) { w.want[node/64] |= 1 << (node % 64) }
+
+// kids returns the tree links leaving node, in walk order.
+func (w *mcastWalk) kids(node int) []hop {
+	if t := w.bcast; t != nil {
+		return t.kids[t.first[node]:t.first[node+1]]
+	}
+	return w.children[node]
+}
+
+// wants reports whether node is a destination; a broadcast wants every
+// node its tree reaches.
+func (w *mcastWalk) wants(node int) bool {
+	return w.bcast != nil || w.want[node/64]&(1<<(node%64)) != 0
+}
 
 func (n *Network) newWalk(m *msg.Message, ser event.Time) *mcastWalk {
 	var w *mcastWalk
@@ -450,11 +494,20 @@ func (n *Network) newWalk(m *msg.Message, ser event.Time) *mcastWalk {
 		w = n.walkFree[l-1]
 		n.walkFree = n.walkFree[:l-1]
 	} else {
-		nodes := len(n.nodes)
+		nodes, links := len(n.nodes), n.topo.NumLinks()
 		w = &mcastWalk{
-			children: make([][]topology.Link, nodes),
+			children: make([][]hop, nodes),
 			want:     make([]uint64, (nodes+63)/64),
-			seen:     make([]uint64, (n.topo.NumLinks()+63)/64),
+			seen:     make([]uint64, (links+63)/64),
+		}
+		// A tree holds each link once, and topology.LinkIndex gives each
+		// node's outgoing links links/nodes indices of their own, so
+		// each child list gets that many slots of one array and building
+		// a tree never allocates.
+		per := links / nodes
+		kids := make([]hop, links)
+		for v := range w.children {
+			w.children[v] = kids[v*per : v*per : (v+1)*per]
 		}
 	}
 	w.m = m
@@ -474,43 +527,86 @@ func (n *Network) walkDone(w *mcastWalk) {
 		w.children[node] = w.children[node][:0]
 	}
 	w.touched = w.touched[:0]
-	for i := range w.want {
-		w.want[i] = 0
-	}
-	for i := range w.seen {
-		w.seen[i] = 0
-	}
+	clear(w.want)
+	clear(w.seen)
 	w.m = nil
+	w.bcast = nil
 	n.walkFree = append(n.walkFree, w)
 }
 
 // buildTree unions the cached dimension-order routes from src to every
-// destination, deduplicated so each tree link appears once — the same
-// tree topology.MulticastTree computes, built without maps.
+// destination into the walk's child table, deduplicated so each tree
+// link appears once: the tree topology.MulticastTree computes, with the
+// same child order, built without maps. A node's child list follows the
+// order in which the destinations' routes first cross its links.
 func (n *Network) buildTree(w *mcastWalk, src int, dsts []msg.NodeID) {
 	for _, d := range dsts {
 		if int(d) == src {
 			continue
 		}
-		for _, l := range n.route(src, int(d)) {
-			li := n.topo.LinkIndex(l)
-			if w.seen[li/64]&(1<<(li%64)) != 0 {
-				continue
+		from := src
+		for _, h := range n.route(src, int(d)) {
+			if w.seen[h.li/64]&(1<<(h.li%64)) == 0 {
+				w.seen[h.li/64] |= 1 << (h.li % 64)
+				if len(w.children[from]) == 0 {
+					w.touched = append(w.touched, int32(from))
+				}
+				w.children[from] = append(w.children[from], h)
 			}
-			w.seen[li/64] |= 1 << (li % 64)
-			if len(w.children[l.From]) == 0 {
-				w.touched = append(w.touched, int32(l.From))
-			}
-			w.children[l.From] = append(w.children[l.From], l)
+			from = int(h.to)
 		}
 	}
 }
 
+// isBroadcast reports whether dsts is every node but src in ascending
+// order: the list protocol.Base.OthersExcept builds.
+func (n *Network) isBroadcast(src msg.NodeID, dsts []msg.NodeID) bool {
+	if len(dsts) != len(n.nodes)-1 {
+		return false
+	}
+	for i, d := range dsts {
+		want := msg.NodeID(i)
+		if want >= src {
+			want++
+		}
+		if d != want {
+			return false
+		}
+	}
+	return true
+}
+
+// broadcastTree returns src's full-broadcast tree, building it on src's
+// first broadcast: buildTree's tree for dsts, the ascending all-but-src
+// list, frozen into flat child lists in the same order, so walking it
+// fires every event as walking a per-multicast tree would.
+func (n *Network) broadcastTree(w *mcastWalk, src int, dsts []msg.NodeID) *tree {
+	t := &n.bcast[src]
+	if t.first != nil {
+		return t
+	}
+	n.buildTree(w, src, dsts)
+	links := 0
+	for _, v := range w.touched {
+		links += len(w.children[v])
+	}
+	t.first = make([]int32, len(n.nodes)+1)
+	t.kids = make([]hop, 0, links)
+	for v, c := range w.children {
+		t.first[v] = int32(len(t.kids))
+		t.kids = append(t.kids, c...)
+	}
+	t.first[len(n.nodes)] = int32(len(t.kids))
+	return t
+}
+
 // Multicast transmits copies of m to every destination in dsts using a
 // fan-out multicast tree: each tree link is charged once. Per-destination
-// copies of the message are created with Dst set. Best-effort multicasts
-// prune any subtree whose entry link is congested past the drop
-// threshold. Multicast consumes the caller's reference to a pooled m.
+// copies of the message are created with Dst set. A full broadcast (see
+// isBroadcast) walks its source's cached tree; any other list builds its
+// own. Best-effort multicasts prune any subtree whose entry link is
+// congested past the drop threshold. Multicast consumes the caller's
+// reference to a pooled m.
 func (n *Network) Multicast(m *msg.Message, dsts []msg.NodeID) {
 	if len(dsts) == 0 {
 		n.pool.Release(m)
@@ -529,17 +625,21 @@ func (n *Network) Multicast(m *msg.Message, dsts []msg.NodeID) {
 	now := n.eng.Now()
 	ser := n.serialization(m.Bytes())
 	w := n.newWalk(m, ser)
-	for _, d := range dsts {
-		if d == m.Src {
-			c := n.pool.New(*m)
-			c.Dst = d
-			n.account(c, 0)
-			n.deliver(now+1, c)
-			continue
+	if n.isBroadcast(m.Src, dsts) {
+		w.bcast = n.broadcastTree(w, int(m.Src), dsts)
+	} else {
+		for _, d := range dsts {
+			if d == m.Src {
+				c := n.pool.New(*m)
+				c.Dst = d
+				n.account(c, 0)
+				n.deliver(now+1, c)
+				continue
+			}
+			w.setWant(int(d))
 		}
-		w.setWant(int(d))
+		n.buildTree(w, int(m.Src), dsts)
 	}
-	n.buildTree(w, int(m.Src), dsts)
 	n.Stats.MsgsByClass[m.TrafficClass()]++
 	n.walkFrom(w, int(m.Src), now+event.Time(n.cfg.RouteOverhead))
 	n.walkDone(w)
@@ -549,25 +649,25 @@ func (n *Network) Multicast(m *msg.Message, dsts []msg.NodeID) {
 // per switch arrival under contention, synchronous recursion when links
 // are unbounded.
 func (n *Network) walkFrom(w *mcastWalk, node int, arrive event.Time) {
-	if len(w.children[node]) == 0 {
+	kids := w.kids(node)
+	if len(kids) == 0 {
 		return
 	}
 	if n.cfg.Unbounded {
 		// No contention state to serialise on: propagate directly.
-		for _, l := range w.children[node] {
+		for _, h := range kids {
 			t := arrive + event.Time(n.cfg.HopLatency)
 			if n.inj != nil {
-				li := n.topo.LinkIndex(l)
-				t += event.Time(n.inj.Delay(li, uint64(arrive), uint64(n.cfg.HopLatency)))
-				t = n.faultArrive(li, t)
+				t += event.Time(n.inj.Delay(int(h.li), uint64(arrive), uint64(n.cfg.HopLatency)))
+				t = n.faultArrive(int(h.li), t)
 			}
 			n.accountBytes(w.m, 1)
-			if w.isWanted(l.To) {
+			if w.wants(int(h.to)) {
 				c := n.pool.New(*w.m)
-				c.Dst = msg.NodeID(l.To)
+				c.Dst = msg.NodeID(h.to)
 				n.deliver(t, c)
 			}
-			n.walkFrom(w, l.To, t)
+			n.walkFrom(w, int(h.to), t)
 		}
 		return
 	}
@@ -587,19 +687,19 @@ func (n *Network) fireFanout(t *netTask, now event.Time) {
 	w := t.walk
 	node := t.node
 	n.freeTask(t)
-	for _, l := range w.children[node] {
-		arr, ok := n.traverse(l, now, w.ser, w.m.BestEffort)
+	for _, h := range w.kids(node) {
+		arr, ok := n.traverse(int(h.li), now, w.ser, w.m.BestEffort)
 		if !ok {
 			n.Stats.Dropped++ // whole subtree dropped
 			continue
 		}
 		n.accountBytes(w.m, 1)
-		if w.isWanted(l.To) {
+		if w.wants(int(h.to)) {
 			c := n.pool.New(*w.m)
-			c.Dst = msg.NodeID(l.To)
+			c.Dst = msg.NodeID(h.to)
 			n.deliver(arr, c)
 		}
-		n.walkFrom(w, l.To, arr)
+		n.walkFrom(w, int(h.to), arr)
 	}
 	n.walkDone(w)
 }

@@ -143,7 +143,10 @@ func TestMulticastTreeCheaperThanUnicasts(t *testing.T) {
 	for i := 1; i < 64; i++ {
 		dsts = append(dsts, i)
 	}
-	treeLinks := tor.TreeLinkCount(0, dsts)
+	treeLinks := 0
+	for _, ls := range tor.MulticastTree(0, dsts) {
+		treeLinks += len(ls)
+	}
 	unicastLinks := 0
 	for _, d := range dsts {
 		unicastLinks += tor.Distance(0, d)
