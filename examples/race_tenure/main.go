@@ -37,7 +37,7 @@ func main() {
 	// Pick a block homed at node 1, so P1's indirect request reaches the
 	// home (its own node) before P2's.
 	var addr msg.Addr
-	for a := msg.Addr(0x10000); ; a += msg.Addr(env.BlockSize) {
+	for a := msg.Addr(0x10000); ; a += msg.BlockBytes {
 		if env.HomeOf(a) == 1 {
 			addr = a
 			break

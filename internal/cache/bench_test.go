@@ -19,10 +19,12 @@ var sinkCache *Cache
 
 // heldL2 returns an L2 holding heldBlocks blocks drawn below block
 // 1<<20 by a generator seeded with seed, and their addresses in a
-// shuffled order.
-func heldL2(seed int64) (*Cache, []msg.Addr) {
+// shuffled order. A non-nil h is the holder index the L2 joins first,
+// under node id seed.
+func heldL2(seed int64, h *Holders) (*Cache, []msg.Addr) {
 	r := rand.New(rand.NewSource(seed))
 	c := New(l2Config)
+	c.Join(h, int(seed))
 	for i := 0; i < heldBlocks; i++ {
 		c.Allocate(msg.Addr(r.Intn(1<<20) * l2Config.BlockSize))
 	}
@@ -32,13 +34,21 @@ func heldL2(seed int64) (*Cache, []msg.Addr) {
 	return c, held
 }
 
-// BenchmarkProbeAbsent probes 64 L2s, each holding a few hundred blocks,
-// for a block none of them holds: the recipient L2 checks of one
-// broadcast on the paper's 64-core system. One op is 64 probes.
-func BenchmarkProbeAbsent(b *testing.B) {
+// BenchmarkProbeAbsent looks up, in 64 L2s each holding a few hundred
+// blocks, a block none of them holds: the recipient L2 checks of one
+// broadcast on the paper's 64-core system. One op is 64 lookups. The
+// L2s join no holder index, so each lookup probes its tags.
+func BenchmarkProbeAbsent(b *testing.B) { benchProbeAbsent(b, nil) }
+
+// BenchmarkProbeAbsentIndexed is BenchmarkProbeAbsent with the 64 L2s
+// joined to one holder index, as the token-counting backends' L2s are:
+// each lookup reads the block's shared index entry and probes no tags.
+func BenchmarkProbeAbsentIndexed(b *testing.B) { benchProbeAbsent(b, NewHolders(64)) }
+
+func benchProbeAbsent(b *testing.B, h *Holders) {
 	caches := make([]*Cache, 64)
 	for i := range caches {
-		caches[i], _ = heldL2(int64(i))
+		caches[i], _ = heldL2(int64(i), h)
 	}
 	// Blocks at 1<<20 and above are never held.
 	r := rand.New(rand.NewSource(64))
@@ -46,6 +56,7 @@ func BenchmarkProbeAbsent(b *testing.B) {
 	for i := range probes {
 		probes[i] = msg.Addr((1<<20 + r.Intn(1<<20)) * l2Config.BlockSize)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := probes[i%len(probes)]
@@ -59,7 +70,7 @@ func BenchmarkProbeAbsent(b *testing.B) {
 
 // BenchmarkAccessHit accesses the blocks an L2 holds, in turn.
 func BenchmarkAccessHit(b *testing.B) {
-	c, held := heldL2(1)
+	c, held := heldL2(1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if c.Access(held[i%len(held)]) == nil {
@@ -100,7 +111,7 @@ func BenchmarkNew(b *testing.B) {
 // BenchmarkReset empties an L2 that held a few hundred blocks; Reset's
 // cost does not depend on what the cache holds.
 func BenchmarkReset(b *testing.B) {
-	c, _ := heldL2(1)
+	c, _ := heldL2(1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Reset()

@@ -56,13 +56,20 @@ const chunkLines = 64
 // Cache is a set-associative array. It stores coherence state only; data
 // values are not simulated (timing-directed simulation, as in GEMS).
 //
-// Lookups read only the dense tag array, so probing for an absent block
-// (the common case at the recipients of a broadcast) touches one set's
-// tags and no line state. A way receives its Line, from fixed-size
-// chunks, the first time it holds a block and keeps it from then on.
+// Lookups read the dense tag array and no line state. A cache that
+// joined a holder index (Join) first asks the index, so a lookup for a
+// block it does not hold, the common case at the recipients of a
+// broadcast, reads the one index entry every recipient shares and not
+// its own tags. A way receives its Line, from fixed-size chunks, the
+// first time it holds a block and keeps it from then on.
 type Cache struct {
 	cfg   Config
 	nsets int
+
+	// holders, when set by Join, is the index this cache keeps its
+	// blocks in under node id.
+	holders *Holders
+	id      int
 
 	// tags holds one entry per way, set-major: the block number + 1 of
 	// the block the way holds, or 0 if the way is empty.
@@ -72,6 +79,7 @@ type Cache struct {
 	slots  []int32
 	chunks []*[chunkLines]Line
 	nlines int32 // lines handed out from chunks
+	held   int   // ways holding a block
 	clock  uint64
 
 	// Stats.
@@ -91,6 +99,17 @@ func New(cfg Config) *Cache {
 		slots: make([]int32, nsets*cfg.Ways),
 	}
 }
+
+// Join makes h the cache's holder index, under node id: every later
+// fill, eviction and Drop updates id's bits, and Lookup asks h before
+// probing. Only an empty cache may join, since blocks it already held
+// would lack their bits. A nil h leaves the cache unindexed.
+func (c *Cache) Join(h *Holders, id int) {
+	c.holders, c.id = h, id
+}
+
+// Holders returns the holder index the cache joined, or nil.
+func (c *Cache) Holders() *Holders { return c.holders }
 
 // probe scans addr's set in the tag array. It returns the index of the
 // set's first way, the tag addr carries, and the way holding addr (-1
@@ -116,9 +135,14 @@ func (c *Cache) line(way int) *Line {
 }
 
 // Lookup returns the line holding addr, or nil. It does not update LRU.
+// A joined cache answers nil from its holder index alone when its bit
+// for addr is clear.
 //
 //patch:steadystate
 func (c *Cache) Lookup(addr msg.Addr) *Line {
+	if c.holders != nil && !c.holders.holds(addr, c.id) {
+		return nil
+	}
 	if _, _, way := c.probe(addr); way >= 0 {
 		return c.line(way)
 	}
@@ -168,10 +192,19 @@ func (c *Cache) AllocateAvoid(addr msg.Addr, avoid func(msg.Addr) bool) (l *Line
 	if c.tags[way] != 0 {
 		evicted = *c.line(way)
 		c.Evictions++
-	} else if c.slots[way] == 0 {
-		c.slots[way] = c.newLine()
+		if c.holders != nil {
+			c.holders.remove(evicted.Addr, c.id)
+		}
+	} else {
+		c.held++
+		if c.slots[way] == 0 {
+			c.slots[way] = c.newLine()
+		}
 	}
 	c.tags[way] = tag
+	if c.holders != nil {
+		c.holders.add(addr, c.id)
+	}
 	l = c.line(way)
 	*l = Line{Addr: addr, Present: true}
 	c.Touch(l)
@@ -223,10 +256,17 @@ func (c *Cache) Drop(l *Line) {
 	if l.Present {
 		if _, _, way := c.probe(l.Addr); way >= 0 {
 			c.tags[way] = 0
+			c.held--
+			if c.holders != nil {
+				c.holders.remove(l.Addr, c.id)
+			}
 		}
 	}
 	*l = Line{}
 }
+
+// Len returns the number of blocks the cache holds.
+func (c *Cache) Len() int { return c.held }
 
 // ResetCounters clears the hit/miss/eviction statistics (used when a
 // measurement phase begins after warmup) without touching contents.
@@ -235,11 +275,14 @@ func (c *Cache) ResetCounters() { c.Hits, c.Misses, c.Evictions = 0, 0, 0 }
 // Reset empties the cache and rewinds the LRU clock and statistics: a
 // reset cache behaves exactly like a freshly constructed one of the
 // same geometry. It clears the tags and slots only; the chunks stay as
-// capacity for later fills, each of which overwrites its whole line.
+// capacity for later fills, each of which overwrites its whole line. A
+// joined cache stays joined, and its bits stay set in the holder index
+// until the index is cleared (Holders.Clear).
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.slots)
 	c.nlines = 0
+	c.held = 0
 	c.clock = 0
 	c.ResetCounters()
 }

@@ -416,36 +416,56 @@ const (
 	opKinds
 )
 
+// holderIDs are the node ids runOps' two caches join their holder
+// index under: they sit in different words of an index sized for
+// holderNodes caches, so a bit written into the wrong word shows.
+var holderIDs = [2]int{3, 64}
+
+const holderNodes = 70
+
 type holding struct {
 	addr  msg.Addr
 	count int
 	owner bool
 }
 
-// runOps drives a Cache and the reference model with the same op stream
-// and fails at the first divergence: in the line an op returns, the
-// evicted copy, the counters, or the ForEach and TokenHoldings visit
-// sequences. data[0] picks the geometry; each op is then three bytes:
-// its kind, a block number, and a byte that both sets the state written
-// into installed and hit lines and, for AllocateAvoid, names the
-// protected blocks (block b is protected if bit b%8 is set).
+// runOps drives two Caches and a reference model of each with the same
+// op stream and fails at the first divergence: in the line an op
+// returns, the evicted copy, the counters, or the ForEach and
+// TokenHoldings visit sequences. Both caches join one holder index,
+// which must report each cache as holding a block exactly when that
+// cache's ForEach visits it, for every block of the stream, and set no
+// other bit. data[0] picks the geometry; each op is then three bytes:
+// its kind (the byte modulo opKinds; the low bit of the byte divided by
+// opKinds picks the cache it acts on), a block number, and a byte that
+// both sets the state written into installed and hit lines and, for
+// AllocateAvoid, names the protected blocks (block b is protected if
+// bit b%8 is set). opReset resets both caches and clears their index.
 func runOps(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
 	}
 	cfg := refGeometries[int(data[0])%len(refGeometries)]
 	data = data[1:]
-	c, ref := New(cfg), newRef(cfg)
+	h := NewHolders(holderNodes)
+	var cs [2]*Cache
+	var refs [2]*refCache
+	for k := range cs {
+		cs[k], refs[k] = New(cfg), newRef(cfg)
+		cs[k].Join(h, holderIDs[k])
+	}
 	var gotLines, wantLines []Line
 	var gotHold, wantHold []holding
 	bs := uint64(cfg.BlockSize)
 	// Four blocks per way keep every set contended.
 	nblocks := 4 * cfg.SizeBytes / cfg.BlockSize
+	held := [2][]bool{make([]bool, nblocks), make([]bool, nblocks)}
 	for i := 0; len(data) >= 3; i++ {
-		kind, arg := data[0]%opKinds, data[2]
+		kind, which, arg := data[0]%opKinds, int(data[0]/opKinds)&1, data[2]
 		a := msg.Addr(uint64(int(data[1])%nblocks) * bs)
 		data = data[3:]
 		avoid := func(x msg.Addr) bool { return arg>>(uint64(x)/bs%8)&1 == 1 }
+		c, ref := cs[which], refs[which]
 
 		var got, want *Line
 		var gotEv, wantEv Line
@@ -476,17 +496,20 @@ func runOps(t *testing.T, data []byte) {
 			c.ResetCounters()
 			ref.Hits, ref.Misses, ref.Evictions = 0, 0, 0
 		case opReset:
-			c.Reset()
-			ref.reset()
+			for k := range cs {
+				cs[k].Reset()
+				refs[k].reset()
+			}
+			h.Clear()
 		}
 		if (got == nil) != (want == nil) {
-			t.Fatalf("op %d (kind %d, %#x): returned %v, reference %v", i, kind, uint64(a), got, want)
+			t.Fatalf("op %d (kind %d, cache %d, %#x): returned %v, reference %v", i, kind, which, uint64(a), got, want)
 		}
 		if got != nil && *got != *want {
-			t.Fatalf("op %d (kind %d, %#x): line %+v, reference %+v", i, kind, uint64(a), *got, *want)
+			t.Fatalf("op %d (kind %d, cache %d, %#x): line %+v, reference %+v", i, kind, which, uint64(a), *got, *want)
 		}
 		if gotEv != wantEv {
-			t.Fatalf("op %d (kind %d, %#x): evicted %+v, reference %+v", i, kind, uint64(a), gotEv, wantEv)
+			t.Fatalf("op %d (kind %d, cache %d, %#x): evicted %+v, reference %+v", i, kind, which, uint64(a), gotEv, wantEv)
 		}
 		if got != nil && kind != opDrop {
 			// Give the line state both models must carry along; Count
@@ -500,27 +523,56 @@ func runOps(t *testing.T, data []byte) {
 				l.Version++
 			}
 		}
-		if c.Hits != ref.Hits || c.Misses != ref.Misses || c.Evictions != ref.Evictions {
-			t.Fatalf("op %d (kind %d): counters %d/%d/%d, reference %d/%d/%d", i, kind,
-				c.Hits, c.Misses, c.Evictions, ref.Hits, ref.Misses, ref.Evictions)
+		wantBits := 0
+		for k, c := range cs {
+			ref := refs[k]
+			if c.Hits != ref.Hits || c.Misses != ref.Misses || c.Evictions != ref.Evictions {
+				t.Fatalf("op %d (kind %d): cache %d counters %d/%d/%d, reference %d/%d/%d", i, kind, k,
+					c.Hits, c.Misses, c.Evictions, ref.Hits, ref.Misses, ref.Evictions)
+			}
+			gotLines, wantLines = gotLines[:0], wantLines[:0]
+			c.ForEach(func(l *Line) { gotLines = append(gotLines, *l) })
+			ref.forEach(func(l *Line) { wantLines = append(wantLines, *l) })
+			if !slices.Equal(gotLines, wantLines) {
+				t.Fatalf("op %d (kind %d): cache %d ForEach visited %+v, reference %+v", i, kind, k, gotLines, wantLines)
+			}
+			gotHold, wantHold = gotHold[:0], wantHold[:0]
+			c.TokenHoldings(func(a msg.Addr, n int, o bool) { gotHold = append(gotHold, holding{a, n, o}) })
+			ref.tokenHoldings(func(a msg.Addr, n int, o bool) { wantHold = append(wantHold, holding{a, n, o}) })
+			if !slices.Equal(gotHold, wantHold) {
+				t.Fatalf("op %d (kind %d): cache %d TokenHoldings visited %+v, reference %+v", i, kind, k, gotHold, wantHold)
+			}
+			if c.Len() != len(gotLines) {
+				t.Fatalf("op %d (kind %d): cache %d Len %d, ForEach visited %d lines", i, kind, k, c.Len(), len(gotLines))
+			}
+			clear(held[k])
+			for _, l := range gotLines {
+				held[k][uint64(l.Addr)/bs] = true
+			}
+			for b, want := range held[k] {
+				if got := h.holds(msg.Addr(uint64(b)*bs), holderIDs[k]); got != want {
+					t.Fatalf("op %d (kind %d): index reports cache %d holding block %d: %v, ForEach: %v", i, kind, k, b, got, want)
+				}
+			}
+			wantBits += len(gotLines)
 		}
-		gotLines, wantLines = gotLines[:0], wantLines[:0]
-		c.ForEach(func(l *Line) { gotLines = append(gotLines, *l) })
-		ref.forEach(func(l *Line) { wantLines = append(wantLines, *l) })
-		if !slices.Equal(gotLines, wantLines) {
-			t.Fatalf("op %d (kind %d): ForEach visited %+v, reference %+v", i, kind, gotLines, wantLines)
-		}
-		gotHold, wantHold = gotHold[:0], wantHold[:0]
-		c.TokenHoldings(func(a msg.Addr, n int, o bool) { gotHold = append(gotHold, holding{a, n, o}) })
-		ref.tokenHoldings(func(a msg.Addr, n int, o bool) { wantHold = append(wantHold, holding{a, n, o}) })
-		if !slices.Equal(gotHold, wantHold) {
-			t.Fatalf("op %d (kind %d): TokenHoldings visited %+v, reference %+v", i, kind, gotHold, wantHold)
+		bitsSet := 0
+		h.ForEach(func(a msg.Addr, id int) {
+			bitsSet++
+			k := slices.Index(holderIDs[:], id)
+			if k < 0 || !held[k][uint64(a)/bs] {
+				t.Fatalf("op %d (kind %d): index ForEach visited block %#x for id %d, which does not hold it", i, kind, uint64(a), id)
+			}
+		})
+		if bitsSet != wantBits {
+			t.Fatalf("op %d (kind %d): index ForEach visited %d bits, the caches hold %d lines", i, kind, bitsSet, wantBits)
 		}
 	}
 }
 
 // randomOps returns a seeded op stream for runOps at geometry geom:
-// installs dominate, so sets fill and evict, and a Reset is rare.
+// installs dominate, so sets fill and evict, and a Reset is rare. Each
+// op acts on either cache with even odds.
 func randomOps(r *rand.Rand, geom, n int) []byte {
 	kinds := []byte{opLookup, opAccess, opAccess, opAllocate, opAllocate,
 		opAllocateAvoid, opAllocateAvoid, opAllocateAvoid, opDrop, opTouch, opResetCounters}
@@ -531,6 +583,7 @@ func randomOps(r *rand.Rand, geom, n int) []byte {
 		if r.Intn(150) == 0 {
 			kind = opReset
 		}
+		kind += opKinds * byte(r.Intn(2))
 		data = append(data, kind, byte(r.Intn(256)), byte(r.Intn(256)))
 	}
 	return data
@@ -550,6 +603,7 @@ func TestMatchesReference(t *testing.T) {
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, opAllocate, 1, 0, opAllocate, 5, 0, opDrop, 1, 0, opAllocate, 9, 0, opReset, 0, 0, opLookup, 5, 0})
+	f.Add([]byte{0, opAllocate, 1, 0, opKinds + opAllocate, 1, 0, opKinds + opDrop, 1, 0, opLookup, 1, 0, opKinds + opLookup, 1, 0})
 	r := rand.New(rand.NewSource(16))
 	for geom := range refGeometries {
 		f.Add(randomOps(r, geom, 200))

@@ -79,6 +79,7 @@ func New(id msg.NodeID, env *protocol.Env, p protocol.Params) *Node {
 		ignoreDirectUntil: make(map[msg.Addr]event.Time),
 		tenureTimers:      make(map[msg.Addr]event.Handle),
 	}
+	n.L2.Join(env.Holders, int(id))
 	n.Bind(n, &n.mshrs, n.EvictTokens, n.homeLookup)
 	return n
 }
@@ -339,6 +340,16 @@ func (n *Node) cacheFwd(now event.Time, m *msg.Message) {
 // post-deactivation window.
 func (n *Node) cacheDirect(now event.Time, m *msg.Message) {
 	n.pred.ObserveRequest(m.Addr, m.Requester, m.IsWrite || m.Type == msg.DirectGetM)
+	// Holding is tested first: most recipients of a broadcast hold
+	// nothing, and their L2 answers that from the system's holder index
+	// without probing its tags. Every check it overtakes ends in the
+	// same ignore; the one thing skipped is the lazy delete of an
+	// expired ignore-window entry, which acts as an absent one.
+	line := n.L2.Lookup(m.Addr)
+	if line == nil || line.Tok.Zero() || line.Untenured {
+		n.St.DirectIgnored++
+		return
+	}
 	if n.mshrs.Get(m.Addr) != nil {
 		n.St.DirectIgnored++
 		return
@@ -349,11 +360,6 @@ func (n *Node) cacheDirect(now event.Time, m *msg.Message) {
 			return
 		}
 		delete(n.ignoreDirectUntil, m.Addr)
-	}
-	line := n.L2.Lookup(m.Addr)
-	if line == nil || line.Tok.Zero() || line.Untenured {
-		n.St.DirectIgnored++
-		return
 	}
 	n.St.DirectResponded++
 	n.respondToRequest(line, m, false)

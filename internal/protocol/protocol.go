@@ -55,7 +55,9 @@ type Node interface {
 	// index, side tables, MSHR and task free-lists). It must only be
 	// called on a quiesced node of a drained system (engine and network
 	// already reset); behaviour after a reset is indistinguishable from
-	// a new node's built with p.
+	// a new node's built with p. It leaves the node's bits in the
+	// system's holder index (Env.Holders), which the system clears once
+	// for all its nodes.
 	Reset(p Params)
 }
 
@@ -99,12 +101,19 @@ type MSHRDiag struct {
 }
 
 // Env is the environment shared by all nodes of one simulated system.
+// Blocks are msg.BlockBytes long.
 type Env struct {
 	Eng *event.Engine
 	Net *interconnect.Network
 	N   int // number of cores
 
-	BlockSize   int
+	// Holders is the system's L2 holder index (cache.Holders). The L2s
+	// of the token-counting backends, whose broadcast recipients mostly
+	// hold nothing, join it; DIRECTORY's do not. Whoever resets every
+	// node clears it once (sim.System.Reset). A nil index leaves every
+	// L2 unindexed.
+	Holders *cache.Holders
+
 	L1Latency   int
 	L2Latency   int
 	DirLatency  int
@@ -125,7 +134,7 @@ type Env struct {
 func DefaultEnv(eng *event.Engine, net *interconnect.Network, n int) *Env {
 	return &Env{
 		Eng: eng, Net: net, N: n,
-		BlockSize:   msg.BlockBytes,
+		Holders:     cache.NewHolders(n),
 		L1Latency:   1,
 		L2Latency:   12,
 		DirLatency:  16,
@@ -138,7 +147,7 @@ func DefaultEnv(eng *event.Engine, net *interconnect.Network, n int) *Env {
 
 // HomeOf maps a block address to its home node by block interleaving.
 func (e *Env) HomeOf(a msg.Addr) msg.NodeID {
-	return msg.NodeID((uint64(a) / uint64(e.BlockSize)) % uint64(e.N))
+	return msg.NodeID((uint64(a) / msg.BlockBytes) % uint64(e.N))
 }
 
 // Stats collects the per-node performance counters the experiments
@@ -258,8 +267,8 @@ func NewBase(id msg.NodeID, env *Env, enc directory.Encoding, tokens int) Base {
 	b := Base{
 		ID:     id,
 		Env:    env,
-		L1:     cache.New(cache.Config{SizeBytes: l1, Ways: 4, BlockSize: env.BlockSize}),
-		L2:     cache.New(cache.Config{SizeBytes: l2, Ways: 4, BlockSize: env.BlockSize}),
+		L1:     cache.New(cache.Config{SizeBytes: l1, Ways: 4, BlockSize: msg.BlockBytes}),
+		L2:     cache.New(cache.Config{SizeBytes: l2, Ways: 4, BlockSize: msg.BlockBytes}),
 		home:   directory.New(id, enc, tokens),
 		avgRTT: 100,
 	}

@@ -20,7 +20,7 @@ func TestHomeOfInterleaving(t *testing.T) {
 	env := testEnv(16)
 	// Consecutive blocks interleave round-robin across nodes.
 	for i := 0; i < 64; i++ {
-		a := msg.Addr(i * env.BlockSize)
+		a := msg.Addr(i * msg.BlockBytes)
 		want := msg.NodeID(i % 16)
 		if got := env.HomeOf(a); got != want {
 			t.Fatalf("HomeOf(%#x) = %v, want %v", uint64(a), got, want)
@@ -123,7 +123,7 @@ func TestDefaultEnvPaperParameters(t *testing.T) {
 	if env.L1Bytes != 64<<10 || env.L2Bytes != 1<<20 {
 		t.Fatalf("cache sizes diverge from §8.1: %+v", env)
 	}
-	if env.BlockSize != 64 {
+	if msg.BlockBytes != 64 {
 		t.Fatal("block size must be 64 bytes")
 	}
 	if env.Tokens != 64 {

@@ -71,6 +71,7 @@ func New(id msg.NodeID, env *protocol.Env, _ protocol.Params) *Node {
 		Base:            protocol.NewBase(id, env, directory.FullMap(env.N), env.Tokens),
 		persistentTable: make(map[msg.Addr]msg.NodeID),
 	}
+	n.L2.Join(env.Holders, int(id))
 	n.Bind(n, &n.mshrs, n.EvictTokens, nil)
 	return n
 }
@@ -198,19 +199,25 @@ func (n *Node) Handle(now event.Time, m *msg.Message) {
 // transient services an incoming broadcast request: nodes with a miss
 // outstanding to the block ignore it (the source of reissues), others
 // respond by the token-counting rules.
+//
+// The cache side tests holding first. Most recipients hold nothing, and
+// their L2 answers that from the system's holder index without probing
+// its tags. The order changes nothing: a node without tokens returns
+// whatever its MSHR and persistent table say, and those two lookups
+// have no side effects.
 func (n *Node) transient(now event.Time, m *msg.Message) {
 	if n.Env.HomeOf(m.Addr) == n.ID {
 		n.memRespond(m)
+	}
+	line := n.L2.Lookup(m.Addr)
+	if line == nil || line.Tok.Zero() {
+		return
 	}
 	if n.mshrs.Get(m.Addr) != nil {
 		return
 	}
 	if r, ok := n.persistentTable[m.Addr]; ok && r != m.Requester {
 		return // a persistent request outranks transient traffic
-	}
-	line := n.L2.Lookup(m.Addr)
-	if line == nil || line.Tok.Zero() {
-		return
 	}
 	n.respondFromLine(line, m.Requester, m.IsWrite)
 }

@@ -74,7 +74,7 @@ func (c *cluster) checkQuiesced(t *testing.T) {
 }
 
 func addrHomedAt(env *protocol.Env, home int) msg.Addr {
-	for a := msg.Addr(0x10000); ; a += msg.Addr(env.BlockSize) {
+	for a := msg.Addr(0x10000); ; a += msg.BlockBytes {
 		if env.HomeOf(a) == msg.NodeID(home) {
 			return a
 		}

@@ -114,6 +114,30 @@ func TestCheckerCatchesUnquiescedNode(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesHolderIndexDrift breaks the L2 holder index both
+// ways the end-of-run check must see: lines whose bits are missing, and
+// a bit naming a node whose L2 does not hold the block.
+func TestCheckerCatchesHolderIndexDrift(t *testing.T) {
+	s := runToCompletion(t)
+	s.Env.Holders.Clear()
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "holder index sets 0 bits") {
+		t.Fatalf("missing holder bits not caught: %v", err)
+	}
+
+	s = runToCompletion(t)
+	l2 := s.Nodes[0].Shared().L2
+	a := msg.Addr(0x7fff_f000)
+	if l2.Lookup(a) != nil {
+		t.Fatalf("node 0 already holds %#x", uint64(a))
+	}
+	stray := cache.New(cache.Config{SizeBytes: 1 << 10, Ways: 2, BlockSize: msg.BlockBytes})
+	stray.Join(s.Env.Holders, 0)
+	stray.Allocate(a)
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "holder index names node 0") {
+		t.Fatalf("stray holder bit not caught: %v", err)
+	}
+}
+
 // TestSingleWriterNamesSmallestBlock forges violations on two blocks,
 // the larger address walked first: two writable copies of one, a
 // writable copy beside a shared one of the other. The check must name

@@ -325,6 +325,7 @@ func (s *System) Reset(cfg Config) error {
 	}
 	s.Eng.Reset()
 	s.Net.Reset(cfg.Net)
+	s.Env.Holders.Clear()
 	params := cfg.params()
 	for _, n := range s.Nodes {
 		n.Reset(params)
@@ -651,7 +652,8 @@ func addStats(dst *protocol.Stats, src protocol.Stats) {
 // quiesced, the invariants that hold at any instant (checkAnyInstant:
 // token-flow errors, token conservation including owner tokens,
 // single-writer/many-readers, the home-queue bound), no tokens left in
-// flight, per-core coherence order, and write serialisation.
+// flight, per-core coherence order, write serialisation, and the L2
+// holder index.
 func (s *System) CheckInvariants() error {
 	for i, n := range s.Nodes {
 		if !n.Quiesced() {
@@ -667,7 +669,39 @@ func (s *System) CheckInvariants() error {
 	if s.orderViolation != nil {
 		return s.orderViolation
 	}
-	return s.checkWriteSerialization()
+	if err := s.checkWriteSerialization(); err != nil {
+		return err
+	}
+	return s.checkHolders()
+}
+
+// checkHolders verifies the L2 holder index against the L2s that joined
+// it: every bit it sets names a node whose L2 holds the block, and it
+// sets as many bits as those L2s hold lines, so no line lacks its bit.
+// A missing bit would let a holder ignore a request it must answer.
+func (s *System) checkHolders() error {
+	h := s.Env.Holders
+	lines := 0
+	for _, n := range s.Nodes {
+		if l2 := n.Shared().L2; l2.Holders() == h {
+			lines += l2.Len()
+		}
+	}
+	set := 0
+	var err error
+	h.ForEach(func(a msg.Addr, id int) {
+		set++
+		if err == nil && s.Nodes[id].Shared().L2.Lookup(a) == nil {
+			err = fmt.Errorf("sim: holder index names node %d for %#x, which its L2 does not hold", id, uint64(a))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if set != lines {
+		return fmt.Errorf("sim: holder index sets %d bits, its L2s hold %d lines", set, lines)
+	}
+	return nil
 }
 
 // checkWriteSerialization verifies end to end that no store was lost or
