@@ -13,6 +13,10 @@
 //	                      # ns/op, allocs/op or bytes/op regression vs FILE,
 //	                      # measured at FILE's GOMAXPROCS
 //
+// Each record is the median, per iteration, of five samples of its
+// scenario: testing.Benchmark runs in full mode, single iterations in
+// quick mode.
+//
 // Without -compare, the comparison baseline is the BENCH_*.json in the
 // working directory with the newest JSON date field (filename breaks
 // ties; `*_before.json` snapshots, the file being written, and records
@@ -256,7 +260,7 @@ func traceScenarios(dir string, quick bool) ([]scenario, error) {
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "smoke scale (median of 5 single-iteration samples, smaller grid)")
+	quick := flag.Bool("quick", false, "smoke scale (single-iteration samples, smaller grid)")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
 	compare := flag.String("compare", "", "prior BENCH_*.json to diff against (default: newest committed date in cwd)")
 	gate := flag.String("gate", "", "baseline BENCH_*.json to gate against: exit non-zero on regression (CI)")
@@ -301,26 +305,25 @@ func benchMain(quick bool, out, compare, gate string, gateThreshold float64) err
 			b.ReportAllocs()
 			simCycles = sc.run(b)
 		}
-		var res testing.BenchmarkResult
+		sample := testing.Benchmark
 		if quick {
-			res = runMedian(body, 5)
-		} else {
-			res = testing.Benchmark(body)
+			sample = runOnce
 		}
-		if scenarioErr != nil {
-			return fmt.Errorf("%s: %w", sc.name, scenarioErr)
+		med, err := runMedian(body, sample, 5)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sc.name, err)
 		}
 		rec := Record{
 			Name:           sc.name,
-			NsPerOp:        float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp:    res.AllocsPerOp(),
-			BytesPerOp:     res.AllocedBytesPerOp(),
+			NsPerOp:        med.ns,
+			AllocsPerOp:    int64(med.allocs),
+			BytesPerOp:     int64(med.bytes),
 			SimCyclesPerOp: simCycles,
-			Iterations:     res.N,
+			Iterations:     med.n,
 			HostDependent:  sc.hostDependent,
 		}
-		if res.T > 0 {
-			rec.SimCyclesPerSec = simCycles * float64(res.N) / res.T.Seconds()
+		if med.ns > 0 {
+			rec.SimCyclesPerSec = simCycles / med.ns * 1e9
 		}
 		f.Records = append(f.Records, rec)
 		if sc.release != nil {
@@ -446,54 +449,77 @@ func runGate(basePath string, base, cur File, threshold float64) error {
 	return nil
 }
 
-// runMedian executes the benchmark body reps times at b.N=1 with its own
-// allocation accounting, and returns the median time, allocation count
-// and allocated bytes — testing.Benchmark's convergence loop is overkill
-// for the CI smoke job, but a single-shot timing is too noisy for the
-// regression gate to consume (one GC or scheduler hiccup reads as a 2x
-// "regression"). The median of five ignores up to two such samples in
-// either direction, where a minimum rewards a lucky one. Each sample
-// starts from a collected heap, and the caller releases and collects
-// each scenario's state before the next, so no sample's GC pace depends
-// on what ran before it. The body runs on its own goroutine because a
-// failing body exits via runtime.Goexit (b.Fatal); benchMain then
-// reports scenarioErr instead of deadlocking.
-func runMedian(body func(b *testing.B), reps int) testing.BenchmarkResult {
-	samples := make([]testing.BenchmarkResult, 0, reps)
+// perOp is one scenario's cost per iteration; n is the iteration count
+// of the sample it was read from.
+type perOp struct {
+	ns, allocs, bytes float64
+	n                 int
+}
+
+// runMedian takes reps samples of the benchmark body and returns the
+// median time, allocation count and allocated bytes per iteration,
+// each taken on its own. A single sample is too noisy for a committed
+// record or the regression gate to consume (one GC or scheduler hiccup
+// reads as a 2x "regression"); the median of five ignores up to two
+// such samples in either direction, where a minimum rewards a lucky
+// one. Quick mode samples with runOnce, full mode with
+// testing.Benchmark, whose samples each ramp to their own N, so the
+// medians are taken over per-iteration values; n is the N of the
+// sample with the median time.
+func runMedian(body func(b *testing.B), sample func(func(b *testing.B)) testing.BenchmarkResult, reps int) (perOp, error) {
+	samples := make([]perOp, 0, reps)
 	for i := 0; i < reps; i++ {
-		var before, after runtime.MemStats
-		b := &testing.B{N: 1}
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			body(b)
-		}()
-		<-done
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		r := testing.BenchmarkResult{
-			N:         1,
-			T:         elapsed,
-			MemAllocs: after.Mallocs - before.Mallocs,
-			MemBytes:  after.TotalAlloc - before.TotalAlloc,
-		}
+		r := sample(body)
 		if scenarioErr != nil {
-			return r
+			return perOp{}, scenarioErr
 		}
-		samples = append(samples, r)
+		n := float64(r.N)
+		samples = append(samples, perOp{
+			ns:     float64(r.T.Nanoseconds()) / n,
+			allocs: float64(r.MemAllocs) / n,
+			bytes:  float64(r.MemBytes) / n,
+			n:      r.N,
+		})
 	}
+	var med perOp
 	mid := len(samples) / 2
-	med := testing.BenchmarkResult{N: 1}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
-	med.T = samples[mid].T
-	sort.Slice(samples, func(i, j int) bool { return samples[i].MemAllocs < samples[j].MemAllocs })
-	med.MemAllocs = samples[mid].MemAllocs
-	sort.Slice(samples, func(i, j int) bool { return samples[i].MemBytes < samples[j].MemBytes })
-	med.MemBytes = samples[mid].MemBytes
-	return med
+	sort.Slice(samples, func(i, j int) bool { return samples[i].ns < samples[j].ns })
+	med.ns, med.n = samples[mid].ns, samples[mid].n
+	sort.Slice(samples, func(i, j int) bool { return samples[i].allocs < samples[j].allocs })
+	med.allocs = samples[mid].allocs
+	sort.Slice(samples, func(i, j int) bool { return samples[i].bytes < samples[j].bytes })
+	med.bytes = samples[mid].bytes
+	return med, nil
+}
+
+// runOnce executes the benchmark body once at b.N=1 with its own
+// allocation accounting: testing.Benchmark's convergence loop is
+// overkill for the CI smoke job. Each sample starts from a collected
+// heap, and the caller releases and collects each scenario's state
+// before the next, so no sample's GC pace depends on what ran before
+// it. The body runs on its own goroutine because a failing body exits
+// via runtime.Goexit (b.Fatal); runMedian then reports the failure
+// instead of deadlocking.
+func runOnce(body func(b *testing.B)) testing.BenchmarkResult {
+	var before, after runtime.MemStats
+	b := &testing.B{N: 1}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body(b)
+	}()
+	<-done
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return testing.BenchmarkResult{
+		N:         1,
+		T:         elapsed,
+		MemAllocs: after.Mallocs - before.Mallocs,
+		MemBytes:  after.TotalAlloc - before.TotalAlloc,
+	}
 }
 
 // latestBaseline returns the comparison baseline: the BENCH_*.json

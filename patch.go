@@ -160,8 +160,8 @@ type Config struct {
 }
 
 // Result is the outcome of one run. Like Config it is a wire type
-// (the sweep service's remote workers post Results back, and the
-// result cache persists them), so field names are explicit JSON.
+// (the sweep service's result cache and job journal persist it), so
+// field names are explicit JSON.
 type Result struct {
 	// Cycles is the measured-phase runtime.
 	Cycles uint64 `json:"cycles"`

@@ -13,7 +13,7 @@ import (
 )
 
 // Client is a thin typed wrapper over the sweepd HTTP API, used by the
-// CLI, the remote worker loop, and the end-to-end tests.
+// end-to-end tests and the benchmark harness.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -79,9 +79,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return errNoContent
-	}
 	if resp.StatusCode/100 != 2 {
 		se := &StatusError{Method: method, Path: path, Code: resp.StatusCode, Status: resp.Status}
 		var e struct {
@@ -98,12 +95,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-var errNoContent = fmt.Errorf("service: no content")
-
 // StatusError is a non-2xx response from the server. Carrying the
-// numeric code lets callers classify failures: the worker loop retries
-// conditions the server may recover from and fails fast on
-// deterministic rejections (bad request, auth).
+// numeric code lets callers tell, say, a refused submission (400) from
+// a missing job (404).
 type StatusError struct {
 	// Method and Path identify the request that failed.
 	Method, Path string
@@ -119,12 +113,6 @@ func (e *StatusError) Error() string {
 		return fmt.Sprintf("%s %s: %s (%s)", e.Method, e.Path, e.Message, e.Status)
 	}
 	return fmt.Sprintf("%s %s: %s", e.Method, e.Path, e.Status)
-}
-
-// Temporary reports whether the status indicates a condition worth
-// retrying: server-side errors and throttling.
-func (e *StatusError) Temporary() bool {
-	return e.Code >= 500 || e.Code == http.StatusTooManyRequests
 }
 
 // Submit posts a JobSpec and returns the created job's status.
@@ -230,34 +218,4 @@ func (c *Client) Progress(ctx context.Context, id string, fn func(ProgressEvent)
 		}
 	}
 	return sc.Err()
-}
-
-// Claim asks the server for up to max replicas. ok is false when the
-// server has nothing claimable right now (HTTP 204).
-func (c *Client) Claim(ctx context.Context, max int) (ClaimBatch, bool, error) {
-	var batch ClaimBatch
-	err := c.do(ctx, http.MethodPost, "/claim", map[string]int{"max": max}, &batch)
-	if err == errNoContent {
-		return batch, false, nil
-	}
-	if err != nil {
-		return batch, false, err
-	}
-	return batch, true, nil
-}
-
-// PostResults uploads completed replicas for a job.
-func (c *Client) PostResults(ctx context.Context, jobID string, results []ReplicaResult) error {
-	return c.do(ctx, http.MethodPost, "/jobs/"+jobID+"/results", results, nil)
-}
-
-// Heartbeat extends the leases on claimed replica indices, returning
-// how many the server extended.
-func (c *Client) Heartbeat(ctx context.Context, jobID string, indices []int) (int, error) {
-	var resp struct {
-		Extended int `json:"extended"`
-	}
-	err := c.do(ctx, http.MethodPost, "/jobs/"+jobID+"/heartbeat",
-		map[string][]int{"indices": indices}, &resp)
-	return resp.Extended, err
 }

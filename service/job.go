@@ -2,10 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"patch"
 )
@@ -16,7 +16,7 @@ type State string
 const (
 	// StateQueued: admitted but waiting for a concurrent-job slot.
 	StateQueued State = "queued"
-	// StateRunning: replicas are being claimed and executed.
+	// StateRunning: the job's sweep is running.
 	StateRunning State = "running"
 	// StateDone: every replica completed; results are downloadable.
 	StateDone State = "done"
@@ -36,13 +36,8 @@ func (s State) Finished() bool {
 type JobSpec struct {
 	Matrix patch.Matrix `json:"matrix"`
 
-	// RemoteOnly leaves every replica for remote workers; the server
-	// runs no local pool for this job (cache hits still fill
-	// instantly).
-	RemoteOnly bool `json:"remote_only,omitempty"`
-
-	// Workers bounds the server-local pool for this job; 0 selects the
-	// server default.
+	// Workers bounds the job's worker pool; 0 selects the server
+	// default.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -73,46 +68,8 @@ type ProgressEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ReplicaClaim hands one replica to a worker: its stable index in the
-// job's work-list and its fully expanded configuration.
-type ReplicaClaim struct {
-	Index  int          `json:"index"`
-	Config patch.Config `json:"config"`
-}
-
-// ClaimBatch is the POST /claim response: a range of replicas of one
-// job, plus the lease the claims were issued under so the worker can
-// heartbeat well inside it.
-type ClaimBatch struct {
-	Job      string         `json:"job"`
-	Replicas []ReplicaClaim `json:"replicas"`
-	// LeaseMillis is how long the claims stay held without a
-	// heartbeat; 0 means held until completion.
-	LeaseMillis int64 `json:"lease_ms,omitempty"`
-}
-
-// ReplicaResult is one element of the POST /jobs/{id}/results body.
-type ReplicaResult struct {
-	Index  int           `json:"index"`
-	Result *patch.Result `json:"result"`
-}
-
-// claimState tracks one replica's scheduling. A replica is runnable
-// when it is not done and either unclaimed or past its lease deadline
-// (a remote worker that claimed it is presumed dead; the determinism
-// contract makes re-execution harmless — a late duplicate result is
-// byte-identical and dropped by idempotent completion).
-type claimState struct {
-	claimed  bool
-	deadline time.Time // zero: held until completion (local workers)
-}
-
-func (c claimState) expired(now time.Time) bool {
-	return c.claimed && !c.deadline.IsZero() && now.After(c.deadline)
-}
-
-// job is one submitted sweep: the expanded plan, the claim table, the
-// position-indexed result slots, and the progress fan-out.
+// job is one submitted sweep: the expanded plan, the position-indexed
+// result slots, and the progress fan-out.
 type job struct {
 	id        string
 	principal string
@@ -130,10 +87,15 @@ type job struct {
 	persist         func(index int, r *patch.Result)
 	persistTerminal func(s State, errMsg string)
 
+	// restored maps the fingerprint of each replica a restart read
+	// back from the journal to its result, so the job's runners serve
+	// it instead of simulating it again. restore fills it for a job
+	// that will run; it is read-only after that.
+	restored map[string]*patch.Result
+
 	mu        sync.Mutex
 	state     State
 	err       error
-	claims    []claimState
 	results   []*patch.Result
 	done      int
 	cellDone  []int
@@ -156,7 +118,6 @@ func newJob(id string, spec JobSpec) (*job, error) {
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     StateQueued,
-		claims:    make([]claimState, plan.NumReplicas()),
 		results:   make([]*patch.Result, plan.NumReplicas()),
 		cellDone:  make([]int, plan.NumCells()),
 		summaries: make([]*patch.Summary, plan.NumCells()),
@@ -179,50 +140,20 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// claim hands out up to max runnable replicas, leasing each until
-// now+lease (lease 0: until completion). Returns nil when nothing is
-// claimable right now — which does not mean the job is finished:
-// everything may simply be claimed or done.
-func (j *job) claim(max int, lease time.Duration, now time.Time) []ReplicaClaim {
+// complete records replica i's result: it journals the result, folds
+// it into its cell, streams it to subscribers, and finishes the job
+// with its last replica. A replica already recorded (one a restart
+// read back from the journal) is dropped, and so is any result that
+// arrives after the job left the running state, so nothing is
+// journaled after a terminal marker.
+func (j *job) complete(i int, r *patch.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || max <= 0 {
-		return nil
-	}
-	deadline := time.Time{}
-	if lease > 0 {
-		deadline = now.Add(lease)
-	}
-	var out []ReplicaClaim
-	for i := range j.claims {
-		if len(out) >= max {
-			break
-		}
-		if j.results[i] != nil || (j.claims[i].claimed && !j.claims[i].expired(now)) {
-			continue
-		}
-		j.claims[i] = claimState{claimed: true, deadline: deadline}
-		out = append(out, ReplicaClaim{Index: i, Config: j.plan.ReplicaConfig(i)})
-	}
-	return out
-}
-
-// complete records replica i's result. Idempotent: duplicate
-// completions (an expired lease raced its original worker) are
-// dropped — determinism guarantees the duplicate was byte-identical
-// anyway. Returns false when the result was dropped (duplicate, out of
-// range, or the job already left the running state).
-func (j *job) complete(i int, r *patch.Result, fromCache bool) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning || i < 0 || i >= len(j.results) || j.results[i] != nil || r == nil {
-		return false
+	if j.state != StateRunning || j.results[i] != nil {
+		return
 	}
 	j.results[i] = r
 	j.done++
-	if fromCache {
-		j.cacheHits++
-	}
 	if j.persist != nil {
 		j.persist(i, r)
 	}
@@ -241,61 +172,56 @@ func (j *job) complete(i int, r *patch.Result, fromCache bool) bool {
 	if j.done == len(j.results) {
 		j.finishLocked(StateDone, nil)
 	}
-	return true
 }
 
-// heartbeat extends the lease of each still-claimed, still-incomplete
-// index to now+lease, returning how many were extended. Local claims
-// (zero deadline: held until completion) need no extension and get
-// none; indices whose lease already expired are extended anyway if no
-// one has re-claimed them — the original worker is evidently alive.
-func (j *job) heartbeat(indices []int, lease time.Duration, now time.Time) int {
+// countHit counts one replica served from the result cache, while the
+// job runs.
+func (j *job) countHit() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || lease <= 0 {
-		return 0
+	if j.state == StateRunning {
+		j.cacheHits++
 	}
-	extended := 0
-	for _, i := range indices {
-		if i < 0 || i >= len(j.claims) || j.results[i] != nil {
-			continue
-		}
-		c := &j.claims[i]
-		if !c.claimed || c.deadline.IsZero() {
-			continue
-		}
-		c.deadline = now.Add(lease)
-		extended++
-	}
-	return extended
 }
 
-// restore replays journaled results into a freshly rebuilt job (server
-// restart). The job is temporarily moved to running so complete()
-// accepts the replay — which rebuilds done counts, per-cell summaries,
-// and, if every replica was journaled, the done terminal state — then
-// returned to queued if unfinished. Runs before the job is visible to
-// any other goroutine, and with persist unset (the records being
-// replayed are already on disk).
-func (j *job) restore(results []ReplicaResult) {
+// restore rebuilds a job a restart read back: it replays the journaled
+// results, which rebuilds the done counts, the per-cell summaries and,
+// when every replica was journaled, the done state; it applies a
+// failed or cancelled marker; and it returns any other job to queued,
+// keeping its journaled results by fingerprint for its runners. Runs
+// before the job is visible to any other goroutine, and with persist
+// unset (the records being replayed are already on disk).
+func (j *job) restore(rec RestoredJob) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.mu.Unlock()
-	for _, rr := range results {
-		if rr.Result == nil || rr.Index < 0 || rr.Index >= j.plan.NumReplicas() {
-			continue
+	for _, rr := range rec.Results {
+		if rr.Index >= 0 && rr.Index < len(j.results) {
+			j.complete(rr.Index, rr.Result)
 		}
-		j.complete(rr.Index, rr.Result, false)
 	}
 	j.mu.Lock()
-	if !j.state.Finished() {
+	defer j.mu.Unlock()
+	switch {
+	case j.state.Finished():
+	case rec.Terminal == StateFailed || rec.Terminal == StateCancelled:
+		var err error
+		if rec.TerminalError != "" {
+			err = errors.New(rec.TerminalError)
+		}
+		j.finishLocked(rec.Terminal, err)
+	default:
 		j.state = StateQueued
+		j.restored = make(map[string]*patch.Result, j.done)
+		for i, r := range j.results {
+			if r != nil {
+				j.restored[j.plan.ReplicaConfig(i).Fingerprint()] = r
+			}
+		}
 	}
-	j.mu.Unlock()
 }
 
-// fail moves the job to failed on the first replica error and cancels
-// the rest.
+// fail moves the job to failed on a replica error.
 func (j *job) fail(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -305,7 +231,7 @@ func (j *job) fail(err error) {
 }
 
 // cancelJob moves the job to cancelled (client DELETE or server
-// shutdown); in-flight replicas stop at the next claim boundary.
+// shutdown); its sweep stops between replicas.
 func (j *job) cancelJob() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -383,69 +309,35 @@ func (j *job) subscribe() (ch chan ProgressEvent, unsubscribe func()) {
 	}
 }
 
-// prefill completes every replica already present in the result cache
-// before any simulation is scheduled — the warm-cache fast path. With
-// a fully warm cache the job finishes here without touching a worker.
-func (j *job) prefill(cache *ResultCache) {
-	n := j.plan.NumReplicas()
-	for i := 0; i < n; i++ {
-		j.mu.Lock()
-		st := j.state
-		taken := j.results[i] != nil
-		j.mu.Unlock()
-		if st != StateRunning {
-			return
-		}
-		if taken {
-			continue
-		}
-		if r, ok := cache.Get(j.plan.ReplicaConfig(i).Fingerprint()); ok {
-			j.complete(i, r, true)
-		}
-	}
+// jobRunner is one pool worker's runner for a job. It serves a
+// replica the journal already held at restart, then one the result
+// cache holds, and simulates only the rest, writing each simulated
+// result through to the cache. The fingerprint is computed once per
+// replica.
+type jobRunner struct {
+	j     *job
+	cache *ResultCache
+	sim   patch.Runner
 }
 
-// runLocal drives the job with the server's local worker pool: each
-// worker holds one reuse-aware patch.Runner and claims replicas (held,
-// no lease) until none are claimable. It returns when local work is
-// exhausted; outstanding remote claims may still be in flight.
-func (j *job) runLocal(cache *ResultCache, workers int) {
-	j.mu.Lock()
-	remaining := len(j.results) - j.done
-	j.mu.Unlock()
-	if workers > remaining {
-		workers = remaining
+func (r *jobRunner) RunReplica(cfg patch.Config) (*patch.Result, error) {
+	key := cfg.Fingerprint()
+	if res, ok := r.j.restored[key]; ok {
+		return res, nil
 	}
-	if workers <= 0 {
-		return
+	if res, ok := r.cache.Get(key); ok {
+		r.j.countHit()
+		return res, nil
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := patch.NewRunner()
-			defer runner.Close()
-			for j.ctx.Err() == nil {
-				claims := j.claim(1, 0, time.Now())
-				if len(claims) == 0 {
-					return
-				}
-				c := claims[0]
-				key := c.Config.Fingerprint()
-				r, err := runner.RunReplica(c.Config)
-				if err != nil {
-					j.fail(fmt.Errorf("service: job %s: %s seed %d: %w",
-						j.id, j.plan.CellLabel(j.plan.ReplicaCell(c.Index)), c.Config.Seed, err))
-					return
-				}
-				cache.Put(key, r)
-				j.complete(c.Index, r, false)
-			}
-		}()
+	res, err := r.sim.RunReplica(cfg)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
+	r.cache.Put(key, res)
+	return res, nil
 }
+
+func (r *jobRunner) Close() { r.sim.Close() }
 
 // render replays the finished job through a fresh emitter, in matrix
 // cell order — byte-identical to running the same Matrix through

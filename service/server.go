@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"patch"
 )
@@ -25,34 +24,24 @@ type Config struct {
 	// MaxJobs bounds concurrently running jobs; excess submissions
 	// wait in one FIFO queue. <=0 selects 2.
 	MaxJobs int
-	// Workers is the default local pool size per job (JobSpec.Workers
+	// Workers is the default worker-pool size per job (JobSpec.Workers
 	// overrides per job). <=0 selects GOMAXPROCS.
 	Workers int
 	// Cache is the shared result cache; nil gets a fresh memory-only
 	// cache.
 	Cache *ResultCache
-	// Lease bounds how long a remote worker may sit on a claimed
-	// replica without heartbeating before it becomes claimable again.
-	// <=0 selects 2m. Workers heartbeat at a fraction of the lease
-	// (the claim response carries it), so the exact value is no longer
-	// a per-deployment tuning knob — it only bounds how long a dead
-	// worker's claims stay stuck.
-	Lease time.Duration
 	// Store persists job specs and completed replicas so a restarted
 	// server resumes unfinished jobs (call Restore after New). nil
 	// keeps jobs in memory only.
 	Store *JobStore
 	// Token, when non-empty, requires "Authorization: Bearer <Token>"
-	// on the mutating endpoints: submit, claim, results, heartbeat,
-	// and delete. Reads (status, progress, result, healthz) stay open.
+	// on the mutating endpoints: submit and delete. Reads (status,
+	// progress, result, healthz) stay open.
 	Token string
-	// Now is the clock used for leases; nil selects time.Now. Tests
-	// inject a fake to drive lease expiry without sleeping.
-	Now func() time.Time
 }
 
-// Server is the sweep-as-a-service farm: a job store plus the HTTP API
-// over it. It is an http.Handler; mount it on any listener.
+// Server is the sweep service: a job store plus the HTTP API over it.
+// It is an http.Handler; mount it on any listener.
 //
 //	POST   /jobs                  submit a JobSpec        -> 201 JobStatus
 //	GET    /jobs                  list                    -> 200 []JobStatus
@@ -60,9 +49,6 @@ type Config struct {
 //	DELETE /jobs/{id}             cancel (or forget)      -> 200 JobStatus
 //	GET    /jobs/{id}/progress    replica progress stream -> 200 NDJSON
 //	GET    /jobs/{id}/result      emitter output          -> 200 ?format=csv|json|...
-//	POST   /claim                 worker claims replicas  -> 200 ClaimBatch | 204
-//	POST   /jobs/{id}/results     worker posts results    -> 200 {"accepted":n}
-//	POST   /jobs/{id}/heartbeat   worker extends leases   -> 200 {"extended":n}
 //	GET    /healthz               liveness + counters     -> 200
 //
 // A submission's X-Sweep-Principal header (empty: "anonymous") only
@@ -73,9 +59,14 @@ type Server struct {
 	cache *ResultCache
 	mux   *http.ServeMux
 
+	// newRunner builds the simulating runner behind each pool worker
+	// of a job, given the job's context; tests replace it to hold a
+	// job mid-run.
+	newRunner func(ctx context.Context) patch.Runner
+
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // submission order, for /claim scans and listing
+	order    []string // submission order, for listing
 	queue    []*job   // admitted but waiting for a running slot, FIFO
 	running  int
 	draining bool
@@ -93,16 +84,14 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Lease <= 0 {
-		cfg.Lease = 2 * time.Minute
-	}
 	if cfg.Cache == nil {
 		cfg.Cache, _ = NewResultCache("")
 	}
 	s := &Server{
-		cfg:   cfg,
-		cache: cfg.Cache,
-		jobs:  make(map[string]*job),
+		cfg:       cfg,
+		cache:     cfg.Cache,
+		newRunner: func(context.Context) patch.Runner { return patch.NewRunner() },
+		jobs:      make(map[string]*job),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -111,9 +100,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleDelete)
 	mux.HandleFunc("GET /jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /claim", s.handleClaim)
-	mux.HandleFunc("POST /jobs/{id}/results", s.handleResults)
-	mux.HandleFunc("POST /jobs/{id}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux = mux
 	return s
@@ -121,13 +107,6 @@ func New(cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-func (s *Server) now() time.Time {
-	if s.cfg.Now != nil {
-		return s.cfg.Now()
-	}
-	return time.Now()
 }
 
 // Restore reloads every persisted job from the configured store:
@@ -169,18 +148,7 @@ func (s *Server) Restore() (int, error) {
 			continue
 		}
 		j.principal = rec.Principal
-		j.restore(rec.Results)
-		if rec.Terminal == StateFailed || rec.Terminal == StateCancelled {
-			j.mu.Lock()
-			if !j.state.Finished() {
-				var terr error
-				if rec.TerminalError != "" {
-					terr = errors.New(rec.TerminalError)
-				}
-				j.finishLocked(rec.Terminal, terr)
-			}
-			j.mu.Unlock()
-		}
+		j.restore(rec)
 		s.mu.Lock()
 		s.attachPersistenceLocked(j)
 		s.jobs[rec.ID] = j
@@ -279,22 +247,28 @@ func (s *Server) startLocked(j *job) {
 	go s.runJob(j)
 }
 
-// runJob drives one job to a terminal state: cache prefill, then the
-// local pool (unless remote-only), then waiting out any remote claims,
-// and finally handing the slot to the oldest queued job.
+// runJob drives one job to a terminal state as one patch.Sweep on the
+// job's context, then hands the slot to the oldest queued job. Each
+// pool worker's runner serves journaled and cached replicas before it
+// simulates, and every completion is journaled, counted and streamed
+// as it lands; the last one finishes the job.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
-	j.prefill(s.cache)
-	if !j.spec.RemoteOnly {
-		workers := j.spec.Workers
-		if workers <= 0 {
-			workers = s.cfg.Workers
-		}
-		j.runLocal(s.cache, workers)
+	workers := j.spec.Workers
+	if workers <= 0 {
+		workers = s.cfg.Workers
 	}
-	// Local work is exhausted (or skipped); remaining replicas belong
-	// to remote workers. finished closes on done/failed/cancelled.
-	<-j.finished
+	_, err := patch.Sweep(j.ctx, j.spec.Matrix, patch.Workers(workers),
+		patch.WithRunnerFactory(func() patch.Runner {
+			return &jobRunner{j: j, cache: s.cache, sim: s.newRunner(j.ctx)}
+		}),
+		patch.OnProgress(func(p patch.Progress) { j.complete(p.Replica, p.Result) }))
+	if err != nil {
+		// A replica failed. A job that is already finished (done,
+		// whose last completion cancelled the sweep's context, or
+		// cancelled) keeps its state.
+		j.fail(fmt.Errorf("service: job %s: %w", j.id, err))
+	}
 	s.mu.Lock()
 	s.running--
 	for s.running < s.cfg.MaxJobs && len(s.queue) > 0 {
@@ -504,98 +478,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", f.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_ = j.render(w, f.New)
-}
-
-// handleClaim hands a worker up to max replicas from the oldest
-// running job with claimable work. 204 means nothing is claimable
-// right now — the worker should poll again, not exit: work reappears
-// when a job starts or a lease expires.
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if !s.authorize(w, r) {
-		return
-	}
-	var req struct {
-		Max int `json:"max"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad claim request: %v", err)
-		return
-	}
-	if req.Max <= 0 {
-		req.Max = 1
-	}
-	s.mu.Lock()
-	ordered := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	now := s.now()
-	for _, id := range ordered {
-		j, ok := s.job(id)
-		if !ok {
-			continue
-		}
-		if claims := j.claim(req.Max, s.cfg.Lease, now); len(claims) > 0 {
-			writeJSON(w, http.StatusOK, ClaimBatch{
-				Job: id, Replicas: claims,
-				LeaseMillis: s.cfg.Lease.Milliseconds(),
-			})
-			return
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleResults accepts completed replicas from a worker. Results are
-// written through to the shared cache under the server-computed
-// fingerprint, so a remote replica warms the cache exactly like a
-// local one.
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	if !s.authorize(w, r) {
-		return
-	}
-	j, ok := s.job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	var batch []ReplicaResult
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&batch); err != nil {
-		httpError(w, http.StatusBadRequest, "bad results: %v", err)
-		return
-	}
-	accepted := 0
-	for _, rr := range batch {
-		if rr.Result == nil || rr.Index < 0 || rr.Index >= j.plan.NumReplicas() {
-			continue
-		}
-		s.cache.Put(j.plan.ReplicaConfig(rr.Index).Fingerprint(), rr.Result)
-		if j.complete(rr.Index, rr.Result, false) {
-			accepted++
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
-}
-
-// handleHeartbeat extends the leases of a worker's claimed replicas,
-// so a healthy worker keeps its claims however long a replica takes,
-// while a dead worker's claims return to the pool after one lease.
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !s.authorize(w, r) {
-		return
-	}
-	j, ok := s.job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	var req struct {
-		Indices []int `json:"indices"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
-		return
-	}
-	extended := j.heartbeat(req.Indices, s.cfg.Lease, s.now())
-	writeJSON(w, http.StatusOK, map[string]int{"extended": extended})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

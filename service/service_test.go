@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,8 +62,8 @@ func runJob(t *testing.T, c *service.Client, spec service.JobSpec) service.JobSt
 	return st
 }
 
-// fakeClock is the injected time source for lease and eviction tests:
-// expiry is driven by Advance, never by sleeping.
+// fakeClock is the injected time source for eviction tests: access
+// order is driven by Advance, never by sleeping.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -93,10 +94,84 @@ func download(t *testing.T, c *service.Client, id, format string) []byte {
 	return buf.Bytes()
 }
 
+// followStream follows job id's progress stream on its own goroutine
+// and returns once the stream is live (its snapshot event arrived).
+// final waits for the stream to end and returns its last event.
+func followStream(t *testing.T, c *service.Client, id string) (final func() service.ProgressEvent) {
+	t.Helper()
+	var ev service.ProgressEvent
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	var once sync.Once
+	go func() {
+		done <- c.Progress(context.Background(), id, func(e service.ProgressEvent) bool {
+			ev = e
+			once.Do(func() { close(started) })
+			return true
+		})
+	}()
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("progress stream of %s ended before its first event: %v", id, err)
+	}
+	return func() service.ProgressEvent {
+		t.Helper()
+		if err := <-done; err != nil {
+			t.Fatalf("progress stream of %s: %v", id, err)
+		}
+		return ev
+	}
+}
+
+// gate holds jobs mid-run. Installed on a server by hold, it lets the
+// first pass replicas that reach the simulator through and holds each
+// later one until release is closed, or until the replica's job is
+// cancelled, which fails the replica unless finish is set: then it
+// runs to its result, as a simulation already under way would. sims
+// counts the replicas simulated.
+type gate struct {
+	pass    int64
+	finish  bool
+	release chan struct{}
+	arrived atomic.Int64
+	sims    atomic.Int64
+}
+
+// hold installs a gate on srv; call it before srv runs any job.
+func hold(srv *service.Server, pass int) *gate {
+	g := &gate{pass: int64(pass), release: make(chan struct{})}
+	service.SetRunnerFactory(srv, func(ctx context.Context) patch.Runner {
+		return &heldRunner{Runner: patch.NewRunner(), g: g, ctx: ctx}
+	})
+	return g
+}
+
+// heldRunner is a real simulator behind a gate; ctx is its job's.
+type heldRunner struct {
+	patch.Runner
+	g   *gate
+	ctx context.Context
+}
+
+func (r *heldRunner) RunReplica(cfg patch.Config) (*patch.Result, error) {
+	if r.g.arrived.Add(1) > r.g.pass {
+		select {
+		case <-r.g.release:
+		case <-r.ctx.Done():
+			if !r.g.finish {
+				return nil, r.ctx.Err()
+			}
+		}
+	}
+	r.g.sims.Add(1)
+	return r.Runner.RunReplica(cfg)
+}
+
 // TestServedSweepMatchesLocal is the acceptance gate: the CSV served
-// by the farm is byte-identical to a local Sweep of the same matrix in
-// all three modes — cold cache, warm cache (including across a server
-// restart on the same disk cache), and remote-worker execution.
+// by the service is byte-identical to a local Sweep of the same matrix
+// on a cold cache and on a warm one (including across a server restart
+// on the same disk cache), and so is the JSON.
 func TestServedSweepMatchesLocal(t *testing.T) {
 	m := smokeMatrix()
 	want := localCSV(t, m)
@@ -146,36 +221,6 @@ func TestServedSweepMatchesLocal(t *testing.T) {
 		t.Errorf("post-restart served CSV differs from local sweep")
 	}
 
-	// Remote workers: a remote-only job on a cold server, executed by
-	// two workers over the claim/post API, merges position-indexed to
-	// the same bytes.
-	ts3 := httptest.NewServer(service.New(service.Config{}))
-	defer ts3.Close()
-	c3 := &service.Client{Base: ts3.URL}
-	st, err = c3.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = service.RunWorker(wctx, c3, service.WorkerConfig{Batch: 1})
-		}()
-	}
-	st, err = c3.Wait(ctx, st.ID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatalf("remote wait: %v", err)
-	}
-	wcancel()
-	wg.Wait()
-	if got := download(t, c3, st.ID, "csv"); !bytes.Equal(got, want) {
-		t.Errorf("remote-worker served CSV differs from local sweep")
-	}
-
 	// Other formats stay consistent with their local emitters too.
 	var wantJSON bytes.Buffer
 	if _, err := patch.Sweep(ctx, m, patch.EmitTo(&patch.JSONEmitter{W: &wantJSON})); err != nil {
@@ -191,6 +236,67 @@ func TestServedSweepMatchesLocal(t *testing.T) {
 func st2ID(t *testing.T, c *service.Client, m patch.Matrix) string {
 	t.Helper()
 	return runJob(t, c, service.JobSpec{Matrix: m}).ID
+}
+
+// TestDuplicateCells: two cells with one Config (the same protocol
+// listed twice under two labels) share fingerprints but not replica
+// indices. The served CSV matches a local sweep cold, warm, and after a
+// mid-job restart.
+func TestDuplicateCells(t *testing.T) {
+	m := smokeMatrix()
+	m.Protocols = []patch.ProtoVariant{
+		{Protocol: patch.Directory},
+		{Protocol: patch.Directory, Label: "Directory-2"},
+	}
+	want := localCSV(t, m)
+	ctx := context.Background()
+
+	ts := httptest.NewServer(service.New(service.Config{Workers: 2, Cache: memCache(t)}))
+	defer ts.Close()
+	c := &service.Client{Base: ts.URL}
+	for _, phase := range []string{"cold", "warm"} {
+		st := runJob(t, c, service.JobSpec{Matrix: m})
+		if phase == "warm" && st.CacheHits != st.Total {
+			t.Errorf("warm run: %d/%d cache hits", st.CacheHits, st.Total)
+		}
+		if got := download(t, c, st.ID, "csv"); !bytes.Equal(got, want) {
+			t.Errorf("%s served CSV differs from local sweep:\n got: %q\nwant: %q", phase, got, want)
+		}
+	}
+
+	// One worker simulates replica 0 and is held at replica 1 when the
+	// server is abandoned.
+	dir := t.TempDir()
+	srv1 := service.New(service.Config{Workers: 1, Cache: memCache(t), Store: openStore(t, dir)})
+	hold(srv1, 1)
+	ts1 := httptest.NewServer(srv1)
+	c1 := &service.Client{Base: ts1.URL}
+	st, err := c1.Submit(ctx, service.JobSpec{Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, c1, st.ID, "1 replica done", func(st service.JobStatus) bool { return st.Done == 1 })
+	ts1.Close()
+
+	// Restarted with one worker, the server serves replica 0 and its
+	// duplicate, replica 2, from the journal, simulates replica 1, and
+	// serves its duplicate, replica 3, from the cache.
+	srv2 := service.New(service.Config{Workers: 1, Cache: memCache(t), Store: openStore(t, dir)})
+	g2 := hold(srv2, st.Total)
+	if n, err := srv2.Restore(); err != nil || n != 1 {
+		t.Fatalf("restored %d jobs (err %v), want 1", n, err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	c2 := &service.Client{Base: ts2.URL}
+	fin := waitForState(t, c2, st.ID, service.StateDone)
+	if sims := g2.sims.Load(); sims != 1 || fin.CacheHits != 1 {
+		t.Errorf("restarted server simulated %d replicas and hit the cache %d times, want 1 and 1",
+			sims, fin.CacheHits)
+	}
+	if got := download(t, c2, st.ID, "csv"); !bytes.Equal(got, want) {
+		t.Errorf("resumed served CSV differs from local sweep:\n got: %q\nwant: %q", got, want)
+	}
 }
 
 // TestCacheDiskLayer covers the cache contract directly: write-through
@@ -314,22 +420,20 @@ func TestPoisonedEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestAdmissionLeaseAndIdempotency drives the remote protocol by hand:
-// queued admission beyond MaxJobs, lease expiry (under an injected
-// clock — no sleeps) making a claimed replica claimable again, and
-// duplicate result posts being dropped.
-func TestAdmissionLeaseAndIdempotency(t *testing.T) {
+// TestAdmissionQueuesBehindHeldJob: with one running slot, a second
+// job queues behind a first one held mid-run, and runs once the first
+// finishes; both end done.
+func TestAdmissionQueuesBehindHeldJob(t *testing.T) {
 	m := smokeMatrix()
-	clk := newFakeClock()
-	srv := service.New(service.Config{MaxJobs: 1, Lease: 30 * time.Minute, Now: clk.Now})
+	srv := service.New(service.Config{MaxJobs: 1})
+	g := hold(srv, 0)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &service.Client{Base: ts.URL}
 	ctx := context.Background()
 
-	// Job A occupies the single slot and, being remote-only, stays
-	// running until workers feed it.
-	stA, err := c.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
+	// Job A occupies the single slot, held before its first replica.
+	stA, err := c.Submit(ctx, service.JobSpec{Matrix: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,81 +449,8 @@ func TestAdmissionLeaseAndIdempotency(t *testing.T) {
 		t.Fatalf("job B state = %s, want queued", stB.State)
 	}
 
-	// Claim one replica; while its lease is live a full claim gets
-	// everything but it.
-	first, ok, err := c.Claim(ctx, 1)
-	if err != nil || !ok || len(first.Replicas) != 1 {
-		t.Fatalf("first claim: %+v, %v, %v", first, ok, err)
-	}
-	if first.LeaseMillis != (30 * time.Minute).Milliseconds() {
-		t.Errorf("claim lease_ms = %d", first.LeaseMillis)
-	}
-	rest, ok, err := c.Claim(ctx, stA.Total)
-	if err != nil || !ok || len(rest.Replicas) != stA.Total-1 {
-		t.Fatalf("mid-lease claim got %d replicas, want %d (err %v)", len(rest.Replicas), stA.Total-1, err)
-	}
-
-	// Heartbeat only the first claim while two lease periods elapse:
-	// the un-heartbeaten claims expire and are re-issued, but the
-	// heartbeaten replica is still held.
-	for i := 0; i < 2; i++ {
-		clk.Advance(20 * time.Minute)
-		ext, err := c.Heartbeat(ctx, first.Job, []int{first.Replicas[0].Index})
-		if err != nil || ext != 1 {
-			t.Fatalf("heartbeat round %d: extended %d, err %v", i, ext, err)
-		}
-	}
-	lapsed, ok, err := c.Claim(ctx, stA.Total)
-	if err != nil || !ok || len(lapsed.Replicas) != stA.Total-1 {
-		t.Fatalf("post-expiry claim got %d replicas, want %d (err %v)", len(lapsed.Replicas), stA.Total-1, err)
-	}
-	for _, cl := range lapsed.Replicas {
-		if cl.Index == first.Replicas[0].Index {
-			t.Fatalf("heartbeaten replica %d was re-issued", cl.Index)
-		}
-	}
-
-	// Stop heartbeating and let every lease lapse: all replicas are
-	// re-issued.
-	clk.Advance(31 * time.Minute)
-	full, ok, err := c.Claim(ctx, stA.Total)
-	if err != nil || !ok || len(full.Replicas) != stA.Total {
-		t.Fatalf("post-lease claim got %d replicas, want %d (err %v)", len(full.Replicas), stA.Total, err)
-	}
-
-	// Run all claimed replicas and post them; then re-post the first
-	// replica's result — the duplicate must be dropped.
-	runner := patch.NewRunner()
-	defer runner.Close()
-	results := make([]service.ReplicaResult, 0, len(full.Replicas))
-	for _, cl := range full.Replicas {
-		r, err := runner.RunReplica(cl.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, service.ReplicaResult{Index: cl.Index, Result: r})
-	}
-	if err := c.PostResults(ctx, full.Job, results); err != nil {
-		t.Fatal(err)
-	}
-	var resp *http.Response
-	body, _ := json.Marshal(results[:1])
-	resp, err = http.Post(ts.URL+"/jobs/"+full.Job+"/results", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dup struct {
-		Accepted int `json:"accepted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dup); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if dup.Accepted != 0 {
-		t.Errorf("duplicate post accepted %d results, want 0", dup.Accepted)
-	}
-
-	// A is now done, which frees the slot: B runs locally to done.
+	// Released, A runs to done, which frees the slot: B runs to done.
+	close(g.release)
 	if st, err := c.Wait(ctx, stA.ID, 5*time.Millisecond); err != nil || st.State != service.StateDone {
 		t.Fatalf("job A: %+v, %v", st, err)
 	}
@@ -433,12 +464,14 @@ func TestAdmissionLeaseAndIdempotency(t *testing.T) {
 // state) and that cancellation terminates both the job and its stream.
 func TestProgressStreamAndCancel(t *testing.T) {
 	m := smokeMatrix()
-	ts := httptest.NewServer(service.New(service.Config{}))
+	srv := service.New(service.Config{})
+	g := hold(srv, 0)
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &service.Client{Base: ts.URL}
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
+	st, err := c.Submit(ctx, service.JobSpec{Matrix: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,9 +494,7 @@ func TestProgressStreamAndCancel(t *testing.T) {
 	}()
 	<-firstEvent // subscription live before any replica completes
 
-	if err := service.RunWorker(ctx, c, service.WorkerConfig{Batch: 1, OneShot: true}); err != nil {
-		t.Fatalf("worker: %v", err)
-	}
+	close(g.release)
 	if err := <-streamDone; err != nil {
 		t.Fatalf("progress stream: %v", err)
 	}
@@ -487,36 +518,24 @@ func TestProgressStreamAndCancel(t *testing.T) {
 		t.Errorf("terminal event = %+v", last)
 	}
 
-	// Cancellation: a remote-only job on a fresh (cold-cache) server —
-	// so nothing completes it — is deleted mid-flight; its stream ends
-	// with a cancelled terminal event and downloads are refused.
-	ts2 := httptest.NewServer(service.New(service.Config{}))
+	// Cancellation: a job held before its first replica on a fresh
+	// (cold-cache) server is deleted mid-flight; its stream ends with a
+	// cancelled terminal event and downloads are refused.
+	srv2 := service.New(service.Config{})
+	hold(srv2, 0)
+	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	c2 := &service.Client{Base: ts2.URL}
-	st2, err := c2.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
+	st2, err := c2.Submit(ctx, service.JobSpec{Matrix: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last2 service.ProgressEvent
-	stream2 := make(chan error, 1)
-	started := make(chan struct{})
-	var once2 sync.Once
-	go func() {
-		stream2 <- c2.Progress(ctx, st2.ID, func(ev service.ProgressEvent) bool {
-			last2 = ev
-			once2.Do(func() { close(started) })
-			return true
-		})
-	}()
-	<-started
+	final := followStream(t, c2, st2.ID)
 	if err := c2.Cancel(ctx, st2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-stream2; err != nil {
-		t.Fatal(err)
-	}
-	if last2.State != service.StateCancelled {
-		t.Errorf("terminal event after cancel = %+v", last2)
+	if ev := final(); ev.State != service.StateCancelled {
+		t.Errorf("terminal event after cancel = %+v", ev)
 	}
 	var sink bytes.Buffer
 	if err := c2.Result(ctx, st2.ID, "csv", &sink); err == nil || !strings.Contains(err.Error(), "cancelled") {
@@ -590,6 +609,11 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true},"adjust":"no-such"}}`); code != http.StatusBadRequest {
 		t.Errorf("unknown adjust name: %d", code)
+	}
+	// A field JobSpec does not have is rejected like any unknown one,
+	// remote_only included.
+	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true}},"remote_only":true}`); code != http.StatusBadRequest {
+		t.Errorf("remote_only body: %d", code)
 	}
 	// A filter that excludes every cell leaves an empty matrix.
 	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true,"directory_coarseness":16},"filter":"coarseness<=cores"}}`); code != http.StatusBadRequest {

@@ -69,8 +69,9 @@ type persistedJob struct {
 	Spec      JobSpec `json:"spec"`
 }
 
-// journalRecord is one results.jsonl payload.
-type journalRecord struct {
+// ReplicaResult is one journaled replica, a results.jsonl payload: its
+// index in the job's work-list and its result.
+type ReplicaResult struct {
 	Index  int           `json:"index"`
 	Result *patch.Result `json:"result"`
 }
@@ -179,7 +180,7 @@ func (st *JobStore) AppendResult(id string, index int, r *patch.Result) error {
 	if !ok {
 		return fmt.Errorf("service: job store: bad job id %q", id)
 	}
-	payload, err := json.Marshal(journalRecord{Index: index, Result: r})
+	payload, err := json.Marshal(ReplicaResult{Index: index, Result: r})
 	if err != nil {
 		return st.writeErr(err)
 	}
@@ -323,7 +324,7 @@ func (st *JobStore) loadJournal(path string) (results []ReplicaResult, dropped i
 		}
 		complete := err == nil // a line without its '\n' is a torn tail
 		header, payload, found := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
-		var rec journalRecord
+		var rec ReplicaResult
 		ok := complete && found &&
 			header == checksumLine([]byte(payload)) &&
 			json.Unmarshal([]byte(payload), &rec) == nil &&
@@ -332,7 +333,7 @@ func (st *JobStore) loadJournal(path string) (results []ReplicaResult, dropped i
 			dropped++
 			break
 		}
-		results = append(results, ReplicaResult{Index: rec.Index, Result: rec.Result})
+		results = append(results, rec)
 		valid += int64(len(line))
 	}
 	if info, err := f.Stat(); err == nil && info.Size() > valid {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"patch"
 	"patch/service"
 )
 
@@ -40,10 +39,10 @@ func openStore(t *testing.T, dir string) *service.JobStore {
 	return st
 }
 
-// waitForState polls until job id reaches state (or t fails). Used
-// where a transition rides on a server goroutine (admission handoff,
-// restored jobs finishing).
-func waitForState(t *testing.T, c *service.Client, id string, state service.State) service.JobStatus {
+// waitUntil polls job id's status until ok accepts it (or t fails,
+// naming want). Used where a transition rides on a server goroutine
+// (admission handoff, restored jobs finishing).
+func waitUntil(t *testing.T, c *service.Client, id, want string, ok func(service.JobStatus) bool) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -51,41 +50,47 @@ func waitForState(t *testing.T, c *service.Client, id string, state service.Stat
 		if err != nil {
 			t.Fatalf("status %s: %v", id, err)
 		}
-		if st.State == state {
+		if ok(st) {
 			return st
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s, want %s", id, st.State, state)
+			t.Fatalf("job %s stuck at %+v, want %s", id, st, want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// postClaimed runs a claimed batch and posts the results, returning
-// the claimed indices.
-func postClaimed(t *testing.T, c *service.Client, runner patch.Runner, batch service.ClaimBatch) []int {
+// waitForState polls until job id reaches state (or t fails).
+func waitForState(t *testing.T, c *service.Client, id string, state service.State) service.JobStatus {
 	t.Helper()
-	results := make([]service.ReplicaResult, 0, len(batch.Replicas))
-	indices := make([]int, 0, len(batch.Replicas))
-	for _, cl := range batch.Replicas {
-		r, err := runner.RunReplica(cl.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, service.ReplicaResult{Index: cl.Index, Result: r})
-		indices = append(indices, cl.Index)
-	}
-	if err := c.PostResults(context.Background(), batch.Job, results); err != nil {
+	return waitUntil(t, c, id, string(state), func(st service.JobStatus) bool { return st.State == state })
+}
+
+// editSpec rewrites job id's persisted spec payload through edit,
+// under a valid checksum.
+func editSpec(t *testing.T, dir, id string, edit func(payload string) string) {
+	t.Helper()
+	path := filepath.Join(dir, "jobs", id, "spec.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return indices
+	_, payload, _ := strings.Cut(string(raw), "\n")
+	edited := edit(payload)
+	if edited == payload {
+		t.Fatalf("edit left spec %s unchanged: %s", id, payload)
+	}
+	sum := sha256.Sum256([]byte(edited))
+	if err := os.WriteFile(path, []byte("sha256:"+hex.EncodeToString(sum[:])+"\n"+edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRestartResumesPersistedJob is the durability acceptance gate: a
 // job interrupted mid-flight (server abandoned without drain, exactly
 // like a crash) is reloaded from the job store by a brand-new server
 // on the same data dir, resumes from the last journaled replica — the
-// already-posted replicas are NOT re-claimed — and the final download
+// journaled replicas are NOT simulated again — and the final download
 // is byte-identical to an uninterrupted local sweep.
 func TestRestartResumesPersistedJob(t *testing.T) {
 	m := smokeMatrix()
@@ -93,34 +98,39 @@ func TestRestartResumesPersistedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	ts1 := httptest.NewServer(service.New(service.Config{
-		MaxJobs: 2, Cache: memCache(t), Store: openStore(t, dir), Lease: time.Minute,
-	}))
+	// Server 1 simulates two replicas and holds the rest.
+	srv1 := service.New(service.Config{
+		MaxJobs: 2, Workers: 2, Cache: memCache(t), Store: openStore(t, dir),
+	})
+	hold(srv1, 2)
+	ts1 := httptest.NewServer(srv1)
 	c1 := &service.Client{Base: ts1.URL}
 
-	st, err := c1.Submit(ctx, service.JobSpec{Matrix: m, RemoteOnly: true})
+	st, err := c1.Submit(ctx, service.JobSpec{Matrix: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Total < 3 {
 		t.Fatalf("matrix too small for a mid-flight crash: %d replicas", st.Total)
 	}
-
-	runner := patch.NewRunner()
-	defer runner.Close()
-	batch, ok, err := c1.Claim(ctx, 2)
-	if err != nil || !ok || len(batch.Replicas) != 2 {
-		t.Fatalf("claim: %v %v %+v", ok, err, batch)
-	}
-	donePre := postClaimed(t, c1, runner, batch)
+	waitUntil(t, c1, st.ID, "2 replicas done", func(st service.JobStatus) bool { return st.Done == 2 })
 
 	// Abandon server 1 without draining: from the store's point of
-	// view this is a crash with 2 of Total replicas journaled.
+	// view this is a crash with 2 of Total replicas journaled. Its
+	// held runners never return.
 	ts1.Close()
-
-	srv2 := service.New(service.Config{
-		MaxJobs: 2, Cache: memCache(t), Store: openStore(t, dir), Lease: time.Minute,
+	// Mark the spec as an earlier build wrote a job reserved for its
+	// remote workers: the loader ignores the field, and the job
+	// resumes on the pool.
+	editSpec(t, dir, st.ID, func(payload string) string {
+		return strings.Replace(payload, `"matrix":{`, `"remote_only":true,"matrix":{`, 1)
 	})
+
+	// Server 2's runners are held until the restored counts are read.
+	srv2 := service.New(service.Config{
+		MaxJobs: 2, Workers: 2, Cache: memCache(t), Store: openStore(t, dir),
+	})
+	g2 := hold(srv2, 0)
 	n, err := srv2.Restore()
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -143,27 +153,15 @@ func TestRestartResumesPersistedJob(t *testing.T) {
 		t.Errorf("restored principal = %q", st2.Principal)
 	}
 
-	// The crashed worker's claims died with server 1: everything not
-	// journaled — and nothing that was — is immediately claimable.
-	batch2, ok, err := c2.Claim(ctx, st.Total)
-	if err != nil || !ok {
-		t.Fatalf("post-restart claim: %v %v", ok, err)
-	}
-	if len(batch2.Replicas) != st.Total-2 {
-		t.Fatalf("post-restart claim got %d replicas, want %d", len(batch2.Replicas), st.Total-2)
-	}
-	for _, cl := range batch2.Replicas {
-		for _, d := range donePre {
-			if cl.Index == d {
-				t.Fatalf("journaled replica %d was re-issued after restart", d)
-			}
-		}
-	}
-	postClaimed(t, c2, runner, batch2)
-
+	// Released, the restarted server simulates only what the journal
+	// lacked.
+	close(g2.release)
 	fin := waitForState(t, c2, st.ID, service.StateDone)
 	if fin.Done != fin.Total {
 		t.Fatalf("resumed job done %d/%d", fin.Done, fin.Total)
+	}
+	if sims := g2.sims.Load(); sims != int64(st.Total-2) {
+		t.Fatalf("restarted server simulated %d replicas, want %d", sims, st.Total-2)
 	}
 	if got := download(t, c2, st.ID, "csv"); !bytes.Equal(got, want) {
 		t.Errorf("resumed CSV differs from local sweep:\n got: %q\nwant: %q", got, want)
@@ -179,9 +177,13 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	ts1 := httptest.NewServer(service.New(service.Config{
+	// Job 1's replicas simulate; job 2 is held at its first replicas,
+	// which run to their results once it is cancelled.
+	srv1 := service.New(service.Config{
 		MaxJobs: 2, Workers: 2, Cache: memCache(t), Store: openStore(t, dir),
-	}))
+	})
+	hold(srv1, m.NumReplicas()).finish = true
+	ts1 := httptest.NewServer(srv1)
 	c1 := &service.Client{Base: ts1.URL}
 
 	done := runJob(t, c1, service.JobSpec{Matrix: m})
@@ -189,10 +191,10 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 		t.Fatalf("job state %s: %s", done.State, done.Error)
 	}
 	// A different base seed keeps job 2 out of job 1's cache, so it
-	// stays cancellable instead of completing instantly from prefill.
+	// reaches the held simulator and stays cancellable.
 	m2 := m
 	m2.Base.Seed = 99
-	cancelled, err := c1.Submit(ctx, service.JobSpec{Matrix: m2, RemoteOnly: true})
+	cancelled, err := c1.Submit(ctx, service.JobSpec{Matrix: m2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,11 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForState(t, c1, cancelled.ID, service.StateCancelled)
+	// Drain waits for the held replicas to finish; the cancelled job
+	// must not journal their results after its marker.
+	if err := srv1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	ts1.Close()
 
 	store2 := openStore(t, dir)
@@ -220,8 +227,8 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	if got := download(t, c2, done.ID, "csv"); !bytes.Equal(got, want) {
 		t.Errorf("restored CSV differs from local sweep:\n got: %q\nwant: %q", got, want)
 	}
-	if st, err = c2.Status(ctx, cancelled.ID); err != nil || st.State != service.StateCancelled {
-		t.Fatalf("restored cancelled job: %+v, %v", st, err)
+	if st, err = c2.Status(ctx, cancelled.ID); err != nil || st.State != service.StateCancelled || st.Done != 0 {
+		t.Fatalf("restored cancelled job: %+v, %v; want cancelled with nothing journaled", st, err)
 	}
 
 	// Deleting the finished job removes its persisted directory too.
@@ -236,6 +243,63 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "jobs", done.ID)); !os.IsNotExist(err) {
 		t.Errorf("deleted job's store directory still present (err %v)", err)
+	}
+}
+
+// TestReplicaErrorFailsJob: a replica error fails its job. The status
+// names the job, the cell and the seed, the progress stream ends
+// failed, the result download answers 409, and a restart brings the
+// job back failed instead of resuming it.
+func TestReplicaErrorFailsJob(t *testing.T) {
+	m := smokeMatrix()
+	m.Base.MaxCycles = 1 // the liveness watchdog trips on every replica
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	// One worker, held until the progress stream is live: the first
+	// replica (Directory, seed 1) is the one that fails.
+	srv1 := service.New(service.Config{Workers: 1, Cache: memCache(t), Store: openStore(t, dir)})
+	g := hold(srv1, 0)
+	ts1 := httptest.NewServer(srv1)
+	c1 := &service.Client{Base: ts1.URL}
+	st, err := c1.Submit(ctx, service.JobSpec{Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := followStream(t, c1, st.ID)
+	close(g.release)
+	if ev := final(); ev.State != service.StateFailed || ev.Error == "" {
+		t.Errorf("terminal event = %+v, want failed with an error", ev)
+	}
+
+	failed, err := c1.Status(ctx, st.ID)
+	if err != nil || failed.State != service.StateFailed {
+		t.Fatalf("failed job: %+v, %v", failed, err)
+	}
+	for _, want := range []string{"job " + st.ID + ":", "Directory seed 1:", "liveness watchdog"} {
+		if !strings.Contains(failed.Error, want) {
+			t.Errorf("job error %q does not name %q", failed.Error, want)
+		}
+	}
+	resp, err := http.Get(ts1.URL + "/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("download of failed job: %s, want 409", resp.Status)
+	}
+	ts1.Close()
+
+	srv2 := service.New(service.Config{Workers: 1, Cache: memCache(t), Store: openStore(t, dir)})
+	if n, err := srv2.Restore(); err != nil || n != 1 {
+		t.Fatalf("restored %d jobs (err %v), want 1", n, err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	st2, err := (&service.Client{Base: ts2.URL}).Status(ctx, st.ID)
+	if err != nil || st2.State != service.StateFailed || st2.Error != failed.Error {
+		t.Fatalf("restored failed job: %+v, %v; want failed with %q", st2, err, failed.Error)
 	}
 }
 
@@ -309,10 +373,11 @@ func TestTornJournalHeals(t *testing.T) {
 // waiting.
 func TestFIFOAdmission(t *testing.T) {
 	srv := service.New(service.Config{MaxJobs: 1})
+	hold(srv, 0) // every job holds its slot until cancelled
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	ctx := context.Background()
-	spec := service.JobSpec{Matrix: smokeMatrix(), RemoteOnly: true}
+	spec := service.JobSpec{Matrix: smokeMatrix()}
 	cAlice := &service.Client{Base: ts.URL, Principal: "alice"}
 	cBob := &service.Client{Base: ts.URL, Principal: "bob"}
 
@@ -383,6 +448,7 @@ func TestFIFOAdmission(t *testing.T) {
 	if n := queued(); n != 0 {
 		t.Fatalf("healthz queued with nothing waiting = %d", n)
 	}
+	cancel(cBob, b1.ID)
 }
 
 // TestRestoreNeverReusesSkippedIDs: Restore skips a persisted job whose
@@ -416,23 +482,16 @@ func TestRestoreNeverReusesSkippedIDs(t *testing.T) {
 
 	// The first spec names an adjust transform this build does not
 	// register, under a valid checksum; the second fails its checksum.
-	specPath := func(id string) string { return filepath.Join(dir, "jobs", id, "spec.json") }
-	raw, err := os.ReadFile(specPath(skipped[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, payload, _ := strings.Cut(string(raw), "\n")
-	payload = strings.Replace(payload, `"matrix":{`, `"matrix":{"adjust":"no-such",`, 1)
-	sum := sha256.Sum256([]byte(payload))
-	if err := os.WriteFile(specPath(skipped[0]), []byte("sha256:"+hex.EncodeToString(sum[:])+"\n"+payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(specPath(skipped[1]))
+	editSpec(t, dir, skipped[0], func(payload string) string {
+		return strings.Replace(payload, `"matrix":{`, `"matrix":{"adjust":"no-such",`, 1)
+	})
+	specPath := filepath.Join(dir, "jobs", skipped[1], "spec.json")
+	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)-2] ^= 0x01
-	if err := os.WriteFile(specPath(skipped[1]), raw, 0o644); err != nil {
+	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -491,9 +550,6 @@ func TestTokenAuth(t *testing.T) {
 
 	for _, tc := range []struct{ method, path string }{
 		{http.MethodPost, "/jobs"},
-		{http.MethodPost, "/claim"},
-		{http.MethodPost, "/jobs/job-1/results"},
-		{http.MethodPost, "/jobs/job-1/heartbeat"},
 		{http.MethodDelete, "/jobs/job-1"},
 	} {
 		if got := status(tc.method, tc.path, ""); got != http.StatusUnauthorized {

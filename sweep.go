@@ -268,13 +268,13 @@ func (m Matrix) NumReplicas() int {
 }
 
 // A ReplicaPlan is a Matrix expanded into its validated cells and
-// flattened replica work-list, exported for external schedulers (the
-// sweep service): the scheduler owns which replica runs where and
-// when; the plan owns what each replica index means and how results
-// reduce back into cells. Replica indices are stable — they enumerate
-// the matrix expansion order — so a position-indexed reduce over them
-// reproduces Sweep's byte-identical output however the work was
-// distributed.
+// flattened replica work-list, exported for code that keeps replica
+// results itself (the sweep service journals them and renders jobs
+// from them): the plan owns what each replica index means and how
+// results reduce back into cells. Replica indices are stable — they
+// enumerate the matrix expansion order, and Progress.Replica names
+// them — so a position-indexed reduce over them reproduces Sweep's
+// byte-identical output whatever order the replicas completed in.
 type ReplicaPlan struct {
 	p *plan
 }
@@ -357,15 +357,20 @@ type Progress struct {
 	// absolute seed.
 	Label string `json:"label"`
 	Seed  int64  `json:"seed"`
+	// Replica is the completed replica's index in the work-list
+	// (ReplicaPlan order) and Result its outcome, shared with the
+	// sweep's own reduce and so read-only. Neither goes on the wire.
+	Replica int     `json:"-"`
+	Result  *Result `json:"-"`
 }
 
 // A Runner executes replica simulations on behalf of a scheduler. It
-// is the transport-agnostic seam between the work-list (which decides
-// what replica runs next) and execution (where the simulation actually
-// happens): Sweep's per-worker arena is the local implementation, and
-// the sweep service's remote workers drive the same interface from
-// another process over HTTP. A Runner is driven by one goroutine at a
-// time; Close releases whatever arenas it holds.
+// is the seam between the work-list (which decides what replica runs
+// next) and execution: Sweep's per-worker arena is the default
+// implementation, and the sweep service wraps it in a runner that
+// serves journaled and cached results before simulating. A Runner is
+// driven by one goroutine at a time; Close releases whatever arenas it
+// holds.
 type Runner interface {
 	// RunReplica executes one fully expanded replica configuration.
 	RunReplica(cfg Config) (*Result, error)
@@ -395,8 +400,8 @@ type sweepOptions struct {
 func Workers(n int) SweepOption { return func(o *sweepOptions) { o.workers = n } }
 
 // OnProgress installs a callback invoked after every completed replica
-// with sweep-wide and per-cell counts. Calls are serialised; keep the
-// callback fast.
+// with sweep-wide and per-cell counts, the replica's index and its
+// result. Calls are serialised; keep the callback fast.
 func OnProgress(f func(Progress)) SweepOption {
 	return func(o *sweepOptions) { o.progress = f }
 }
@@ -409,9 +414,10 @@ func EmitTo(e Emitter) SweepOption {
 
 // WithRunnerFactory substitutes the runner each pool worker executes
 // replicas on. The default is NewRunner, the in-process reuse-aware
-// simulator; scheduler tests inject instrumented runners per Sweep
-// call, so there is no process-global runner state to race on when
-// several sweeps (or a multi-job server) run concurrently.
+// simulator; the sweep service and scheduler tests inject their own
+// runners per Sweep call, so there is no process-global runner state
+// to race on when several sweeps (or a multi-job server) run
+// concurrently.
 func WithRunnerFactory(f func() Runner) SweepOption {
 	return func(o *sweepOptions) { o.newRunner = f }
 }
@@ -540,6 +546,7 @@ func Sweep(ctx context.Context, m Matrix, opts ...SweepOption) (*SweepResult, er
 							Cell: rep.cell, Cells: len(p.cells),
 							CellDone: seedsDone[rep.cell], CellTotal: p.seeds,
 							Label: p.cells[rep.cell].label, Seed: cfg.Seed,
+							Replica: i, Result: r,
 						})
 					}
 					finish()
@@ -634,10 +641,10 @@ func (w *sweepWorker) Close() {
 }
 
 // Summarize folds one cell's seeded runs into a Summary, in seed
-// order. Exported for external schedulers (the sweep service): the
-// reduce is position-indexed — runs[i] must hold the result of seed
-// offset i — which is what keeps merged output byte-identical however
-// the replicas were distributed.
+// order. Exported for code that keeps replica results itself (the
+// sweep service): the reduce is position-indexed — runs[i] must hold
+// the result of seed offset i — which is what keeps merged output
+// byte-identical whatever order the replicas completed in.
 func Summarize(runs []*Result) *Summary {
 	s := &Summary{Results: runs}
 	cycles := make([]float64, len(runs))

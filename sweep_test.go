@@ -104,9 +104,14 @@ func TestSweepProgress(t *testing.T) {
 		t.Skip("short mode")
 	}
 	m := testMatrix()
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var calls []int
 	cellDone := make(map[int]int)
-	if _, err := Sweep(context.Background(), m, OnProgress(func(p Progress) {
+	results := make(map[int]*Result)
+	res, err := Sweep(context.Background(), m, OnProgress(func(p Progress) {
 		if p.Total != 12 {
 			t.Errorf("Total = %d, want 12", p.Total)
 		}
@@ -123,8 +128,13 @@ func TestSweepProgress(t *testing.T) {
 		if p.Seed < 1 || p.Seed > 2 {
 			t.Errorf("Seed = %d outside the cell's seed range [1, 2]", p.Seed)
 		}
+		if plan.ReplicaCell(p.Replica) != p.Cell || plan.ReplicaConfig(p.Replica).Seed != p.Seed || p.Result == nil {
+			t.Errorf("replica %d does not name cell %d, seed %d and a result", p.Replica, p.Cell, p.Seed)
+		}
+		results[p.Replica] = p.Result
 		calls = append(calls, p.Done)
-	})); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 12 || calls[len(calls)-1] != 12 {
@@ -138,6 +148,14 @@ func TestSweepProgress(t *testing.T) {
 	for c, n := range cellDone {
 		if n != 2 {
 			t.Fatalf("cell %d completed %d replicas, want 2", c, n)
+		}
+	}
+	if len(results) != 12 {
+		t.Fatalf("progress named %d distinct replicas, want 12", len(results))
+	}
+	for i, r := range results {
+		if r != res.Cells[plan.ReplicaCell(i)].Summary.Results[plan.ReplicaSeed(i)] {
+			t.Errorf("replica %d: progress result is not the one the sweep reduced", i)
 		}
 	}
 }
