@@ -21,7 +21,7 @@ const benchCores = 16
 
 // runSim executes one simulation per iteration (varying the seed) and
 // reports simulated cycles and bytes/miss. The configuration is lowered
-// through Config.toSim, the one protocol/variant mapping every sweep
+// through Config.ToSim, the one protocol/variant mapping every sweep
 // uses.
 func runSim(b *testing.B, cfg Config) {
 	b.Helper()
@@ -30,7 +30,7 @@ func runSim(b *testing.B, cfg Config) {
 		c := cfg
 		c.Seed = int64(i + 1)
 		c.SkipChecks = true
-		r, err := sim.Run(c.toSim())
+		r, err := sim.Run(c.ToSim())
 		if err != nil {
 			b.Fatal(err)
 		}

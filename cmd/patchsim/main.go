@@ -53,47 +53,44 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := []patch.Option{
-		patch.WithWorkload(*workload),
-		patch.WithTraceFile(*replay),
-		patch.WithCores(*cores),
-		patch.WithOps(*ops),
-		patch.WithWarmup(*warmup),
-		patch.WithSeed(*seed),
-		patch.WithBandwidth(*bandwidth),
-		patch.WithCoarseness(*coarseness),
-	}
-	if *unbounded {
-		opts = append(opts, patch.WithUnboundedBandwidth())
+	cfg := patch.Config{
+		Workload:                   *workload,
+		TraceFile:                  *replay,
+		Cores:                      *cores,
+		OpsPerCore:                 *ops,
+		WarmupOps:                  *warmup,
+		Seed:                       *seed,
+		BandwidthBytesPerKiloCycle: *bandwidth,
+		UnboundedBandwidth:         *unbounded,
+		DirectoryCoarseness:        *coarseness,
 	}
 	switch *protoFlag {
 	case "directory":
-		opts = append(opts, patch.WithProtocol(patch.Directory))
+		cfg.Protocol = patch.Directory
 	case "patch":
-		opts = append(opts, patch.WithProtocol(patch.PATCH))
+		cfg.Protocol = patch.PATCH
 	case "tokenb":
-		opts = append(opts, patch.WithProtocol(patch.TokenB))
+		cfg.Protocol = patch.TokenB
 	default:
 		fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *protoFlag)
 		os.Exit(2)
 	}
 	switch *variantFlag {
 	case "none":
-		opts = append(opts, patch.WithVariant(patch.VariantNone))
+		cfg.Variant = patch.VariantNone
 	case "owner":
-		opts = append(opts, patch.WithVariant(patch.VariantOwner))
+		cfg.Variant = patch.VariantOwner
 	case "bcast":
-		opts = append(opts, patch.WithVariant(patch.VariantBroadcastIfShared))
+		cfg.Variant = patch.VariantBroadcastIfShared
 	case "all":
-		opts = append(opts, patch.WithVariant(patch.VariantAll))
+		cfg.Variant = patch.VariantAll
 	case "all-na":
-		opts = append(opts, patch.WithVariant(patch.VariantAllNonAdaptive))
+		cfg.Variant = patch.VariantAllNonAdaptive
 	default:
 		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variantFlag)
 		os.Exit(2)
 	}
-	cfg, err := patch.New(opts...)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -126,11 +123,12 @@ func main() {
 	if *seeds > 1 {
 		// The seed batch is one replica-sharded sweep cell, so the
 		// perturbed runs spread across the worker pool.
-		s, err := patch.RunSeedsContext(context.Background(), cfg, *seeds, patch.Workers(*workers))
+		res, err := patch.Sweep(context.Background(), patch.Matrix{Base: cfg, Seeds: *seeds}, patch.Workers(*workers))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		s := res.Cells[0].Summary
 		fmt.Printf("runtime:      %s cycles\n", s.Runtime)
 		fmt.Printf("bytes/miss:   %s\n", s.BytesPerMiss)
 		return

@@ -103,10 +103,12 @@ func serve(ctx context.Context, sc serveConfig) error {
 		Store:   store,
 		Token:   sc.token,
 	})
-	if restored, err := srv.Restore(); err != nil {
+	restored, err := srv.Restore()
+	if err != nil {
 		return err
-	} else if restored > 0 {
-		log.Printf("sweepd: restored %d persisted jobs from %s", restored, sc.dataDir)
+	}
+	if store != nil {
+		log.Printf("sweepd: restored %d persisted jobs from %s (%d dropped)", restored, sc.dataDir, store.Stats().Dropped)
 	}
 	hs := &http.Server{Addr: sc.listen, Handler: srv}
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"patch/internal/workload"
 )
 
 // TestSweepCSVByteIdentical is the end-to-end determinism regression
@@ -55,7 +57,7 @@ func TestScenarioSweepCSVByteIdentical(t *testing.T) {
 			Cores: 8, OpsPerCore: 80, WarmupOps: 80,
 			Seed: 11, SkipChecks: true,
 		},
-		Workloads: AllWorkloads(),
+		Workloads: workload.Names(),
 		Seeds:     2,
 	}
 	run := func(workers int) []byte {
@@ -91,7 +93,11 @@ func TestReplicaShardingByteIdentical(t *testing.T) {
 		},
 		Seeds: 8,
 	}
-	if n := m.NumReplicas(); n != 8 {
+	p, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.NumReplicas(); n != 8 {
 		t.Fatalf("NumReplicas = %d, want 8", n)
 	}
 	run := func(workers int) []byte {

@@ -165,33 +165,3 @@ func (e *ChartEmitter) End() error {
 	report.BarChart{Title: e.Title, Width: e.Width}.Render(e.W, e.labels, e.values)
 	return nil
 }
-
-// MultiEmitter fans cells out to several emitters.
-type MultiEmitter []Emitter
-
-func (m MultiEmitter) Begin(cells int) error {
-	for _, e := range m {
-		if err := e.Begin(cells); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m MultiEmitter) Cell(c CellResult) error {
-	for _, e := range m {
-		if err := e.Cell(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m MultiEmitter) End() error {
-	for _, e := range m {
-		if err := e.End(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -30,20 +30,25 @@ func Example() {
 	// sharing misses observed: true
 }
 
-// ExampleRunSeeds shows the paper's methodology: several perturbed runs
-// summarised with a confidence interval.
-func ExampleRunSeeds() {
-	s, err := patch.RunSeeds(patch.Config{
-		Protocol:   patch.Directory,
-		Cores:      8,
-		Workload:   "micro",
-		OpsPerCore: 100,
-		Seed:       1,
-	}, 3)
+// ExampleSweep_seeds shows the paper's methodology: several perturbed
+// runs of one configuration, summarised with a confidence interval. A
+// Matrix with no axes is one cell; Seeds sets its run count.
+func ExampleSweep_seeds() {
+	res, err := patch.Sweep(context.Background(), patch.Matrix{
+		Base: patch.Config{
+			Protocol:   patch.Directory,
+			Cores:      8,
+			Workload:   "micro",
+			OpsPerCore: 100,
+			Seed:       1,
+		},
+		Seeds: 3,
+	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	s := res.Cells[0].Summary
 	fmt.Println("runs:", s.Runtime.N)
 	fmt.Println("mean runtime positive:", s.Runtime.Mean > 0)
 	// Output:
@@ -51,15 +56,14 @@ func ExampleRunSeeds() {
 	// mean runtime positive: true
 }
 
-// ExampleNew builds a validated configuration from functional options;
-// invalid combinations surface as typed errors before any simulator is
-// built.
-func ExampleNew() {
-	_, err := patch.New(
-		patch.WithProtocol(patch.PATCH),
-		patch.WithVariant(patch.VariantAll),
-		patch.WithCores(12), // not a power of two: outside the paper's design space
-	)
+// ExampleConfig_Validate checks a configuration before any simulator is
+// built; invalid combinations surface as typed errors.
+func ExampleConfig_Validate() {
+	err := patch.Config{
+		Protocol: patch.PATCH,
+		Variant:  patch.VariantAll,
+		Cores:    12, // not a power of two: outside the paper's design space
+	}.Validate()
 	fmt.Println("valid:", err == nil)
 	fmt.Println(err)
 	// Output:
@@ -72,12 +76,12 @@ func ExampleNew() {
 // deterministic summaries regardless of worker count.
 func ExampleSweep() {
 	m := patch.Matrix{
-		Base: patch.MustNew(
-			patch.WithCores(8),
-			patch.WithWorkload("micro"),
-			patch.WithOps(100),
-			patch.WithSeed(1),
-		),
+		Base: patch.Config{
+			Cores:      8,
+			Workload:   "micro",
+			OpsPerCore: 100,
+			Seed:       1,
+		},
 		Protocols: []patch.ProtoVariant{
 			{Protocol: patch.Directory},
 			{Protocol: patch.PATCH, Variant: patch.VariantAll},

@@ -20,13 +20,13 @@ import (
 
 func main() {
 	m := patch.Matrix{
-		Base: patch.MustNew(
-			patch.WithCores(16),
-			patch.WithWorkload("jbb"),
-			patch.WithOps(400),
-			patch.WithWarmup(1200),
-			patch.WithSeed(1),
-		),
+		Base: patch.Config{
+			Cores:      16,
+			Workload:   "jbb",
+			OpsPerCore: 400,
+			WarmupOps:  1200,
+			Seed:       1,
+		},
 		Bandwidths: []int{300, 600, 900, 2000, 4000, 8000},
 		Protocols:  patch.AdaptivityProtocols(),
 	}

@@ -22,14 +22,14 @@ import (
 func main() {
 	const cores = 32
 	m := patch.Matrix{
-		Base: patch.MustNew(
-			patch.WithCores(cores),
-			patch.WithWorkload("micro"),
-			patch.WithOps(300),
-			patch.WithWarmup(600),
-			patch.WithSeed(1),
-			patch.WithBandwidth(2000), // 2 B/cycle
-		),
+		Base: patch.Config{
+			Cores:                      cores,
+			Workload:                   "micro",
+			OpsPerCore:                 300,
+			WarmupOps:                  600,
+			Seed:                       1,
+			BandwidthBytesPerKiloCycle: 2000, // 2 B/cycle
+		},
 		Coarseness: []int{1, 4, 16, 32},
 		Protocols: []patch.ProtoVariant{
 			{Protocol: patch.Directory, Label: "DIRECTORY"},

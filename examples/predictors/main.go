@@ -22,13 +22,13 @@ func main() {
 		protos = append(protos, patch.ProtoVariant{Protocol: patch.PATCH, Variant: v})
 	}
 	m := patch.Matrix{
-		Base: patch.MustNew(
-			patch.WithCores(16),
-			patch.WithWorkload("oltp"),
-			patch.WithOps(600),
-			patch.WithWarmup(1800),
-			patch.WithSeed(1),
-		),
+		Base: patch.Config{
+			Cores:      16,
+			Workload:   "oltp",
+			OpsPerCore: 600,
+			WarmupOps:  1800,
+			Seed:       1,
+		},
 		Protocols: protos,
 	}
 

@@ -16,13 +16,13 @@ import (
 func main() {
 	// One consolidation domain; use 64 cores for the paper's full system.
 	m := patch.Matrix{
-		Base: patch.MustNew(
-			patch.WithCores(16),
-			patch.WithWorkload("oltp"),
-			patch.WithOps(600),
-			patch.WithWarmup(1800),
-			patch.WithSeed(1),
-		),
+		Base: patch.Config{
+			Cores:      16,
+			Workload:   "oltp",
+			OpsPerCore: 600,
+			WarmupOps:  1800,
+			Seed:       1,
+		},
 		Protocols: []patch.ProtoVariant{
 			{Protocol: patch.Directory, Label: "DIRECTORY"},
 			{Protocol: patch.PATCH, Variant: patch.VariantNone, Label: "PATCH-NONE"},

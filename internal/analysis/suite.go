@@ -50,7 +50,8 @@ func PatchSuite() []*Analyzer {
 				},
 				Files: map[string][]string{
 					// Of the root package, only the sweep engine feeds
-					// simulation results; options/emitters are host-side.
+					// simulation results; validation and emitters are
+					// host-side.
 					modulePath: {"sweep.go"},
 				},
 			},

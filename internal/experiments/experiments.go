@@ -332,9 +332,9 @@ func InexactEncodings(w io.Writer, sc Scale, sizes []int) (map[string][]InexactR
 			{Protocol: patch.Directory, Label: "Dir"},
 			{Protocol: patch.PATCH, Variant: patch.VariantNone, Label: "Patch"},
 		},
-		Seeds:      sc.Seeds,
-		Adjust:     sc.scaledOps,
-		FilterName: patch.FilterCoarsenessWithinCores,
+		Seeds:  sc.Seeds,
+		Adjust: sc.scaledOps,
+		Filter: func(c patch.Config) bool { return c.DirectoryCoarseness <= c.Cores },
 	}
 	res, err := sc.sweep(m)
 	if err != nil {

@@ -20,29 +20,32 @@
 // interconnect with fan-out multicast, a deprioritised droppable
 // best-effort message class, and per-link bandwidth modelling.
 //
-// The simplest entry point builds a validated configuration from
-// functional options and runs it:
+// The simplest entry point runs one configuration, written as a Config
+// literal whose zero fields select the paper's defaults:
 //
-//	cfg, err := patch.New(
-//		patch.WithProtocol(patch.PATCH),
-//		patch.WithVariant(patch.VariantAll),
-//		patch.WithCores(64),
-//		patch.WithWorkload("oltp"),
-//	)
-//	res, err := patch.Run(cfg)
+//	res, err := patch.Run(patch.Config{
+//		Protocol: patch.PATCH,
+//		Variant:  patch.VariantAll,
+//		Cores:    64,
+//		Workload: "oltp",
+//	})
+//
+// Run validates the configuration first; bad parameters surface as
+// typed errors (see Validate).
 //
 // Variants map onto the paper's configurations (PATCH-NONE, PATCH-OWNER,
-// PATCH-BROADCASTIFSHARED, PATCH-ALL, PATCH-ALL-NONADAPTIVE). Use
-// RunSeeds to collect several perturbed runs and a 95% confidence
-// interval, as the paper's figures do, or declare a whole grid of
-// configurations x workloads x seeds as a Matrix and run it in parallel
-// with Sweep, streaming results to pluggable Emitters (CSV, JSON,
-// markdown, ASCII charts).
+// PATCH-BROADCASTIFSHARED, PATCH-ALL, PATCH-ALL-NONADAPTIVE). Declare a
+// grid of configurations x workloads x seeds as a Matrix and run it in
+// parallel with Sweep, streaming results to pluggable Emitters (CSV,
+// JSON, markdown, ASCII charts). A one-cell Matrix with Seeds n
+// collects n perturbed runs and a 95% confidence interval, as the
+// paper's figures do.
 package patch
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 
 	"patch/internal/interconnect"
 	"patch/internal/msg"
@@ -97,6 +100,49 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
+// variantNames maps each Variant to its wire spelling — the paper name
+// Variant.String returns. Unmarshalling accepts these names
+// case-insensitively, or a bare integer for backwards compatibility.
+var variantNames = map[string]Variant{}
+
+func init() {
+	for v := VariantNone; v <= VariantAllNonAdaptive; v++ {
+		variantNames[strings.ToLower(v.String())] = v
+	}
+}
+
+// MarshalJSON encodes the variant by its paper name ("PATCH-All"), so
+// the wire form survives any renumbering of the Go constants.
+func (v Variant) MarshalJSON() ([]byte, error) {
+	if v < VariantNone || v > VariantAllNonAdaptive {
+		return nil, fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, int(v))
+	}
+	return json.Marshal(v.String())
+}
+
+// UnmarshalJSON decodes a paper name (case-insensitive) or an integer.
+func (v *Variant) UnmarshalJSON(data []byte) error {
+	var s string
+	if err := json.Unmarshal(data, &s); err == nil {
+		got, ok := variantNames[strings.ToLower(s)]
+		if !ok {
+			return fmt.Errorf("patch: %w: %q", ErrUnknownVariant, s)
+		}
+		*v = got
+		return nil
+	}
+	var n int
+	if err := json.Unmarshal(data, &n); err != nil {
+		return fmt.Errorf("patch: %w: %s", ErrUnknownVariant, data)
+	}
+	got := Variant(n)
+	if got < VariantNone || got > VariantAllNonAdaptive {
+		return fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, n)
+	}
+	*v = got
+	return nil
+}
+
 // Config describes one simulation. Zero values select the paper's
 // defaults (64 cores, 16 B/cycle links, full-map directory).
 //
@@ -113,8 +159,8 @@ type Config struct {
 	// application mixes ("jbb", "oltp", "apache", "barnes", "ocean"),
 	// the §8.1 microbenchmark ("micro"), or a sharing-pattern scenario
 	// ("pipeline", "migratory", "convoy", "falseshare", "zipf",
-	// "phased") — AllWorkloads lists them all. TraceFile, when set,
-	// replays a recorded reference trace instead.
+	// "phased"); Workloads and ScenarioWorkloads list the two families.
+	// TraceFile, when set, replays a recorded reference trace instead.
 	//
 	// The trace is a binary trace (patchsim -record), streamed in
 	// fixed-size per-core windows (mmap-backed on linux), so multi-GB
@@ -199,9 +245,7 @@ type Summary struct {
 
 // ToSim lowers the facade configuration to the internal simulator
 // configuration (exposed for tooling such as cmd/patchsim's tracer).
-func (c Config) ToSim() sim.Config { return c.toSim() }
-
-func (c Config) toSim() sim.Config {
+func (c Config) ToSim() sim.Config {
 	sc := sim.Config{
 		Protocol:            c.Protocol,
 		Cores:               c.Cores,
@@ -270,36 +314,11 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := sim.Run(cfg.toSim())
+	r, err := sim.Run(cfg.ToSim())
 	if err != nil {
 		return nil, err
 	}
 	return fromSim(r), nil
-}
-
-// RunSeeds executes n perturbed runs (seeds seed..seed+n-1) and returns
-// per-metric summaries with Student-t 95% confidence intervals, the
-// paper's methodology [Alameldeen et al.]. It is a one-cell Sweep: the
-// n replicas shard across the worker pool but aggregate
-// deterministically. Use RunSeedsContext for cancellation or to tune
-// the pool.
-func RunSeeds(cfg Config, n int) (*Summary, error) {
-	return RunSeedsContext(context.Background(), cfg, n)
-}
-
-// RunSeedsContext is RunSeeds with a caller-supplied context and sweep
-// options (worker count, progress). The runs form one replica-sharded
-// cell, so they spread across the worker pool; the context cancels
-// between replicas (an individual simulation is not interruptible).
-func RunSeedsContext(ctx context.Context, cfg Config, n int, opts ...SweepOption) (*Summary, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("patch: need at least one run, got %d", n)
-	}
-	res, err := Sweep(ctx, Matrix{Base: cfg, Seeds: n}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Cells[0].Summary, nil
 }
 
 // Workloads lists the named application workloads in the paper's figure
@@ -315,12 +334,6 @@ func Workloads() []string {
 // axis value.
 func ScenarioWorkloads() []string {
 	return workload.Scenarios()
-}
-
-// AllWorkloads lists every registered workload generator: the paper's
-// five application mixes, the microbenchmark, and the scenario family.
-func AllWorkloads() []string {
-	return workload.Names()
 }
 
 // DescribeWorkload returns a registered workload's one-line parameter

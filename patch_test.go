@@ -1,11 +1,6 @@
 package patch
 
-import (
-	"context"
-	"errors"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestRunDefaults(t *testing.T) {
 	if testing.Short() {
@@ -41,75 +36,6 @@ func TestRunAllProtocols(t *testing.T) {
 		if r.Cycles == 0 {
 			t.Fatalf("%v: zero runtime", p)
 		}
-	}
-}
-
-func TestRunSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	s, err := RunSeeds(Config{
-		Protocol: Directory, Cores: 16, Workload: "jbb", OpsPerCore: 150, Seed: 1,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Results) != 3 || s.Runtime.N != 3 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if s.Runtime.Mean <= 0 || s.BytesPerMiss.Mean <= 0 {
-		t.Fatal("degenerate summary")
-	}
-	if _, err := RunSeeds(Config{}, 0); err == nil {
-		t.Fatal("zero runs accepted")
-	}
-}
-
-// TestRunSeedsContextCancellation pins the ctx plumbing RunSeeds used
-// to lack: a cancelled context must stop the seed batch between
-// replicas instead of running it to completion.
-func TestRunSeedsContextCancellation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := Config{Protocol: Directory, Cores: 8, Workload: "micro", OpsPerCore: 80, Seed: 1, SkipChecks: true}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: nothing may run
-	if _, err := RunSeedsContext(ctx, cfg, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-
-	// Cancel mid-batch via the progress hook; the remaining replicas
-	// must be abandoned.
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	fired := 0
-	_, err := RunSeedsContext(ctx, cfg, 8, Workers(1), OnProgress(func(p Progress) {
-		fired++
-		if p.Done == 2 {
-			cancel()
-		}
-	}))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if fired >= 8 {
-		t.Fatalf("cancellation did not stop the batch: %d replicas completed", fired)
-	}
-
-	// With a live context, options pass through: the batch matches the
-	// default path at any worker count.
-	want, err := RunSeeds(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSeedsContext(context.Background(), cfg, 3, Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("RunSeedsContext diverges from RunSeeds")
 	}
 }
 

@@ -113,8 +113,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // finished jobs become listable and downloadable again, unfinished
 // ones re-enter admission and resume from their last journaled
 // replica. Determinism makes the resumed output byte-identical to an
-// uninterrupted run. Call once, after New and before serving traffic;
-// without a store it is a no-op.
+// uninterrupted run. A job whose spec no longer expands is skipped and
+// counted under StoreStats.Dropped, like the specs Load drops; its
+// directory stays on disk. Call once, after New and before serving
+// traffic; without a store it is a no-op.
 func (s *Server) Restore() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
@@ -142,9 +144,9 @@ func (s *Server) Restore() (int, error) {
 	for _, rec := range recs {
 		j, err := newJob(rec.ID, rec.Spec)
 		if err != nil {
-			// The spec no longer expands (e.g. a named transform this
-			// build doesn't register). Skip it rather than refuse to
-			// start; the directory stays on disk for inspection.
+			// The spec no longer expands (e.g. a validation rule this
+			// build added). Skip it rather than refuse to start.
+			s.cfg.Store.drop()
 			continue
 		}
 		j.principal = rec.Principal

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -596,28 +597,38 @@ func TestBadRequests(t *testing.T) {
 	c := &service.Client{Base: ts.URL}
 	ctx := context.Background()
 
-	post := func(body string) int {
+	post := func(body string) (int, string) {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
 	}
-	if code := post(`{not json`); code != http.StatusBadRequest {
+	if code, _ := post(`{not json`); code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d", code)
 	}
-	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true},"adjust":"no-such"}}`); code != http.StatusBadRequest {
-		t.Errorf("unknown adjust name: %d", code)
+	// A matrix cannot name a transform: Adjust and Filter are
+	// functions, and the keys older builds read are unknown fields.
+	for _, key := range []string{"adjust", "filter"} {
+		code, msg := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true},"` + key + `":"coarseness<=cores"}}`)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `unknown field \"`+key+`\"`) {
+			t.Errorf("%s body: %d %s", key, code, msg)
+		}
 	}
 	// A field JobSpec does not have is rejected like any unknown one,
 	// remote_only included.
-	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true}},"remote_only":true}`); code != http.StatusBadRequest {
+	if code, _ := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true}},"remote_only":true}`); code != http.StatusBadRequest {
 		t.Errorf("remote_only body: %d", code)
 	}
-	// A filter that excludes every cell leaves an empty matrix.
-	if code := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true,"directory_coarseness":16},"filter":"coarseness<=cores"}}`); code != http.StatusBadRequest {
-		t.Errorf("empty matrix: %d", code)
+	// A cell that fails validation refuses the matrix.
+	if code, msg := post(`{"matrix":{"base":{"cores":8,"workload":"micro","ops_per_core":10,"skip_checks":true,"directory_coarseness":16}}}`); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "invalid directory coarseness") {
+		t.Errorf("invalid cell: %d %s", code, msg)
 	}
 
 	if _, err := c.Status(ctx, "job-999"); err == nil || !strings.Contains(err.Error(), "404") {

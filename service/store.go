@@ -53,8 +53,10 @@ type StoreStats struct {
 	Replayed int64 `json:"replayed"`
 	// Records counts journal records appended since construction.
 	Records int64 `json:"records"`
-	// Dropped counts corrupt records (torn journal tails, bad specs or
-	// markers) discarded by Load.
+	// Dropped counts the records a restart could not use: corrupt ones
+	// (torn journal tails, bad specs or markers) and specs naming a
+	// transform this build no longer has, both discarded by Load, and
+	// specs that no longer expand, skipped by Server.Restore.
 	Dropped int64 `json:"dropped"`
 	// WriteErrors counts failed journal appends and marker writes
 	// (the affected replicas simply re-run after a restart).
@@ -252,10 +254,11 @@ func (st *JobStore) Delete(id string) error {
 }
 
 // Load reads every persisted job back, in submission (seq) order. A
-// job directory whose spec fails verification is skipped and counted
-// under Dropped; a journal with a torn or corrupt line is truncated to
-// its valid prefix (the lost replicas simply re-run — determinism
-// makes the re-run byte-identical).
+// job directory whose spec fails verification, or names an adjust or
+// filter transform, is skipped and counted under Dropped (its
+// directory stays on disk); a journal with a torn or corrupt line is
+// truncated to its valid prefix (the lost replicas simply re-run —
+// determinism makes the re-run byte-identical).
 func (st *JobStore) Load() ([]RestoredJob, error) {
 	ids, err := st.jobIDs()
 	if err != nil {
@@ -273,7 +276,17 @@ func (st *JobStore) Load() ([]RestoredJob, error) {
 			continue
 		}
 		var rec persistedJob
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID != id {
+		// Older builds named a registered transform under the matrix
+		// keys "adjust" and "filter". Expanded without it, the spec
+		// would renumber the replicas its journal recorded.
+		var named struct {
+			Spec struct {
+				Matrix struct{ Adjust, Filter string } `json:"matrix"`
+			} `json:"spec"`
+		}
+		if json.Unmarshal(payload, &rec) != nil || rec.ID != id ||
+			json.Unmarshal(payload, &named) != nil ||
+			named.Spec.Matrix.Adjust != "" || named.Spec.Matrix.Filter != "" {
 			dropped++
 			continue
 		}
@@ -303,6 +316,13 @@ func (st *JobStore) Load() ([]RestoredJob, error) {
 	st.stats.Dropped += dropped
 	st.mu.Unlock()
 	return out, nil
+}
+
+// drop counts one loaded job the server could not re-admit.
+func (st *JobStore) drop() {
+	st.mu.Lock()
+	st.stats.Dropped++
+	st.mu.Unlock()
 }
 
 // loadJournal replays one results.jsonl, verifying each line's

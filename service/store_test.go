@@ -182,7 +182,11 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	srv1 := service.New(service.Config{
 		MaxJobs: 2, Workers: 2, Cache: memCache(t), Store: openStore(t, dir),
 	})
-	hold(srv1, m.NumReplicas()).finish = true
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold(srv1, plan.NumReplicas()).finish = true
 	ts1 := httptest.NewServer(srv1)
 	c1 := &service.Client{Base: ts1.URL}
 
@@ -451,41 +455,49 @@ func TestFIFOAdmission(t *testing.T) {
 	cancel(cBob, b1.ID)
 }
 
-// TestRestoreNeverReusesSkippedIDs: Restore skips a persisted job whose
-// spec no longer expands, and one whose spec.json fails its checksum,
-// but the id sequence still passes both directories. A new job under
-// either id would append to the old journal and, after the next
-// restart, serve the old job's replicas.
+// TestRestoreNeverReusesSkippedIDs: a restart skips a persisted job
+// whose spec names a filter transform (written by an older build),
+// one whose spec no longer expands, and one whose spec.json fails its
+// checksum, and counts all three as dropped; but the id sequence still
+// passes their directories. A new job under any of those ids would
+// append to the old journal and, after the next restart, serve the old
+// job's replicas.
 func TestRestoreNeverReusesSkippedIDs(t *testing.T) {
 	m := smokeMatrix()
 	want := localCSV(t, m)
 	dir := t.TempDir()
-	start := func(wantRestored int) *service.Client {
+	start := func(wantRestored int) (*service.Client, *service.JobStore) {
 		t.Helper()
-		srv := service.New(service.Config{Workers: 2, Cache: memCache(t), Store: openStore(t, dir)})
+		store := openStore(t, dir)
+		srv := service.New(service.Config{Workers: 2, Cache: memCache(t), Store: store})
 		if n, err := srv.Restore(); err != nil || n != wantRestored {
 			t.Fatalf("restored %d jobs (err %v), want %d", n, err, wantRestored)
 		}
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		return &service.Client{Base: ts.URL}
+		return &service.Client{Base: ts.URL}, store
 	}
 
-	// Two finished jobs of another matrix leave full journals behind.
+	// Three finished jobs of another matrix leave full journals behind.
 	other := m
 	other.Base.Seed = 99
-	c1 := start(0)
+	c1, _ := start(0)
 	skipped := []string{
 		runJob(t, c1, service.JobSpec{Matrix: other}).ID,
 		runJob(t, c1, service.JobSpec{Matrix: other}).ID,
+		runJob(t, c1, service.JobSpec{Matrix: other}).ID,
 	}
 
-	// The first spec names an adjust transform this build does not
-	// register, under a valid checksum; the second fails its checksum.
+	// Under valid checksums, the first spec names a filter as an older
+	// build wrote it, and the second has an axis value that fails
+	// validation; the third fails its checksum.
 	editSpec(t, dir, skipped[0], func(payload string) string {
-		return strings.Replace(payload, `"matrix":{`, `"matrix":{"adjust":"no-such",`, 1)
+		return strings.Replace(payload, `"matrix":{`, `"matrix":{"filter":"coarseness<=cores",`, 1)
 	})
-	specPath := filepath.Join(dir, "jobs", skipped[1], "spec.json")
+	editSpec(t, dir, skipped[1], func(payload string) string {
+		return strings.Replace(payload, `"matrix":{`, `"matrix":{"cores":[3],`, 1)
+	})
+	specPath := filepath.Join(dir, "jobs", skipped[2], "spec.json")
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +507,10 @@ func TestRestoreNeverReusesSkippedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := start(0)
+	c2, store := start(0)
+	if n := store.Stats().Dropped; n != 3 {
+		t.Fatalf("store dropped %d jobs, want 3", n)
+	}
 	var fresh []string
 	for range skipped {
 		id := runJob(t, c2, service.JobSpec{Matrix: m}).ID
@@ -505,7 +520,7 @@ func TestRestoreNeverReusesSkippedIDs(t *testing.T) {
 		fresh = append(fresh, id)
 	}
 
-	c3 := start(len(fresh))
+	c3, _ := start(len(fresh))
 	for _, id := range fresh {
 		if got := download(t, c3, id, "csv"); !bytes.Equal(got, want) {
 			t.Errorf("job %s after restart differs from local sweep:\n got: %q\nwant: %q", id, got, want)

@@ -102,21 +102,14 @@ type Matrix struct {
 	// Adjust, when set, rewrites each expanded cell configuration —
 	// e.g. scaling OpsPerCore down as Cores grows, as the paper's
 	// scalability sweep does. It must be deterministic. Function fields
-	// cannot cross a process boundary; a Matrix meant for the wire
-	// names a registered transform via AdjustName instead.
+	// cannot cross a process boundary, so a Matrix sent over the wire
+	// carries neither Adjust nor Filter.
 	Adjust func(Config) Config `json:"-"`
 
 	// Filter, when set, drops cells it returns false for — e.g.
-	// coarseness values exceeding the cell's core count. Like Adjust,
-	// wire-encodable matrices use FilterName.
+	// coarseness values exceeding the cell's core count. It runs after
+	// Adjust.
 	Filter func(Config) bool `json:"-"`
-
-	// AdjustName and FilterName select transforms registered with
-	// RegisterAdjust/RegisterFilter by name — the wire-encodable
-	// spelling of Adjust and Filter. Setting both spellings of the same
-	// transform is an error (ErrTransformConflict).
-	AdjustName string `json:"adjust,omitempty"`
-	FilterName string `json:"filter,omitempty"`
 }
 
 // A cell is one expanded configuration plus its display label.
@@ -155,10 +148,6 @@ func (p *plan) config(r replica) Config {
 // expand produces the validated cross-product in deterministic order
 // and flattens it into the replica work-list.
 func (m Matrix) expand() (*plan, error) {
-	adjust, filter, err := m.resolveTransforms()
-	if err != nil {
-		return nil, err
-	}
 	workloads := m.Workloads
 	if len(workloads) == 0 {
 		workloads = []string{m.Base.Workload}
@@ -209,10 +198,10 @@ func (m Matrix) expand() (*plan, error) {
 								cfg.UnboundedBandwidth = false
 								cfg.BandwidthBytesPerKiloCycle = bw
 							}
-							if adjust != nil {
-								cfg = adjust(cfg)
+							if m.Adjust != nil {
+								cfg = m.Adjust(cfg)
 							}
-							if filter != nil && !filter(cfg) {
+							if m.Filter != nil && !m.Filter(cfg) {
 								continue
 							}
 							if err := cfg.Validate(); err != nil {
@@ -244,27 +233,6 @@ func (m Matrix) expand() (*plan, error) {
 		}
 	}
 	return &plan{cells: cells, replicas: replicas, seeds: seeds}, nil
-}
-
-// NumCells returns how many cells the matrix expands to (0 on an
-// invalid matrix).
-func (m Matrix) NumCells() int {
-	p, err := m.expand()
-	if err != nil {
-		return 0
-	}
-	return len(p.cells)
-}
-
-// NumReplicas returns how many simulations the matrix schedules —
-// cells x seeds, the length of the replica work-list (0 on an invalid
-// matrix).
-func (m Matrix) NumReplicas() int {
-	p, err := m.expand()
-	if err != nil {
-		return 0
-	}
-	return len(p.replicas)
 }
 
 // A ReplicaPlan is a Matrix expanded into its validated cells and
@@ -594,7 +562,7 @@ func (w *sweepWorker) RunReplica(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sc := cfg.toSim()
+	sc := cfg.ToSim()
 	if w.sys != nil {
 		switch err := w.sys.Reset(sc); {
 		case err == nil:

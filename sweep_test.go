@@ -81,6 +81,10 @@ func TestSweepCancellation(t *testing.T) {
 	defer cancel()
 	m := testMatrix()
 	m.Seeds = 8 // enough runs that cancellation lands mid-sweep
+	plan, err := m.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fired := 0
 	res, err := Sweep(ctx, m, Workers(1), OnProgress(func(p Progress) {
 		fired++
@@ -94,7 +98,7 @@ func TestSweepCancellation(t *testing.T) {
 	if res != nil {
 		t.Fatal("cancelled sweep returned a result")
 	}
-	if fired >= m.NumReplicas() {
+	if fired >= plan.NumReplicas() {
 		t.Fatalf("cancellation did not stop the sweep: %d runs completed", fired)
 	}
 }
@@ -198,17 +202,15 @@ func TestMatrixExpansionOrderAndAxes(t *testing.T) {
 		Protocols:  []ProtoVariant{{Protocol: Directory}, {Protocol: PATCH, Variant: VariantNone}},
 		Filter:     func(c Config) bool { return c.DirectoryCoarseness <= c.Cores },
 	}
-	if n := m.NumCells(); n != 16 {
-		t.Fatalf("NumCells = %d, want 16", n)
-	}
 	m.Seeds = 3
-	if n := m.NumReplicas(); n != 48 {
-		t.Fatalf("NumReplicas = %d, want 48", n)
-	}
-	p, err := m.expand()
+	rp, err := m.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rp.NumCells() != 16 || rp.NumReplicas() != 48 {
+		t.Fatalf("plan has %d cells and %d replicas, want 16 and 48", rp.NumCells(), rp.NumReplicas())
+	}
+	p := rp.p
 	cells := p.cells
 	// The replica work-list flattens cells x seeds, each entry keyed
 	// back to its cell with the seed offset applied on derivation.
@@ -274,10 +276,8 @@ func TestEmitters(t *testing.T) {
 	_, err := Sweep(context.Background(), m,
 		EmitTo(&CSVEmitter{W: &csvBuf}),
 		EmitTo(&JSONEmitter{W: &jsonBuf}),
-		EmitTo(MultiEmitter{
-			&MarkdownEmitter{W: &mdBuf, Title: "test"},
-			&ChartEmitter{W: &chartBuf, Metric: "runtime", Title: "runtime"},
-		}),
+		EmitTo(&MarkdownEmitter{W: &mdBuf, Title: "test"}),
+		EmitTo(&ChartEmitter{W: &chartBuf, Metric: "runtime", Title: "runtime"}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -402,23 +402,5 @@ func TestSweepFailureStillTerminatesJSON(t *testing.T) {
 	var recs []map[string]any
 	if uerr := json.Unmarshal(buf.Bytes(), &recs); uerr != nil {
 		t.Fatalf("failed sweep left invalid JSON: %v\n%s", uerr, buf.String())
-	}
-}
-
-func TestRunSeedsMatchesSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := Config{Protocol: Directory, Cores: 8, Workload: "micro", OpsPerCore: 80, Seed: 1, SkipChecks: true}
-	s, err := RunSeeds(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Sweep(context.Background(), Matrix{Base: cfg, Seeds: 3}, Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, res.Cells[0].Summary) {
-		t.Fatal("RunSeeds diverges from a one-cell sweep")
 	}
 }

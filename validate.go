@@ -9,8 +9,8 @@ import (
 )
 
 // Validation errors. Each failure returned by Validate (and therefore
-// New, Run, and Sweep) wraps exactly one of these sentinels, so callers
-// can classify failures with errors.Is.
+// Run and Sweep) wraps exactly one of these sentinels, so callers can
+// classify failures with errors.Is.
 var (
 	// ErrUnknownProtocol reports a Protocol outside Directory/PATCH/TokenB.
 	ErrUnknownProtocol = errors.New("unknown protocol")
@@ -43,15 +43,6 @@ var (
 	// regular file. The trace's format (text vs binary) and contents are
 	// checked when the simulator opens it, not here.
 	ErrBadTraceFile = errors.New("trace file not readable")
-	// ErrUnknownAdjust reports a Matrix.AdjustName with no transform
-	// registered under that name (RegisterAdjust).
-	ErrUnknownAdjust = errors.New("unknown adjust transform")
-	// ErrUnknownFilter reports a Matrix.FilterName with no predicate
-	// registered under that name (RegisterFilter).
-	ErrUnknownFilter = errors.New("unknown filter predicate")
-	// ErrTransformConflict reports a Matrix spelling the same transform
-	// both as a function and as a registered name.
-	ErrTransformConflict = errors.New("matrix sets both the function and the named form of a transform")
 	// ErrBadFaultPlan reports a fault-injection plan outside the sane
 	// parameter envelope (negative or absurd jitter, inverted windows,
 	// multiplier below 1, link fraction outside [0, 1], burst duration

@@ -39,22 +39,18 @@ func FuzzMatrixJSON(f *testing.F) {
 		if err := json.Unmarshal(data, &m); err != nil {
 			return // malformed JSON is rejected before any expansion
 		}
-		// Expansion-derived counts must agree with each other and with
-		// the bound Plan enforces.
-		cells, replicas := m.NumCells(), m.NumReplicas()
-		if cells < 0 || replicas < 0 {
-			t.Fatalf("negative expansion: %d cells, %d replicas", cells, replicas)
-		}
-		if replicas > MaxReplicas {
-			t.Fatalf("NumReplicas %d exceeds MaxReplicas %d", replicas, MaxReplicas)
-		}
 		plan, err := m.Plan()
 		if err != nil {
 			return
 		}
-		if plan.NumCells() != cells || plan.NumReplicas() != replicas {
-			t.Fatalf("plan disagrees with matrix: %d/%d cells, %d/%d replicas",
-				plan.NumCells(), cells, plan.NumReplicas(), replicas)
+		// The plan's counts must agree with each other and with the
+		// bound Plan enforces.
+		cells, replicas := plan.NumCells(), plan.NumReplicas()
+		if cells < 1 || replicas != cells*plan.SeedsPerCell() {
+			t.Fatalf("inconsistent plan: %d cells x %d seeds, %d replicas", cells, plan.SeedsPerCell(), replicas)
+		}
+		if replicas > MaxReplicas {
+			t.Fatalf("NumReplicas %d exceeds MaxReplicas %d", replicas, MaxReplicas)
 		}
 		for i := 0; i < plan.NumCells(); i++ {
 			cfg := plan.CellConfig(i)
@@ -77,8 +73,12 @@ func FuzzMatrixJSON(f *testing.F) {
 		if err := json.Unmarshal(re, &m2); err != nil {
 			t.Fatalf("round trip of decoded matrix failed: %v\n%s", err, re)
 		}
-		if m2.NumReplicas() != replicas {
-			t.Fatalf("round trip changed expansion: %d -> %d replicas", replicas, m2.NumReplicas())
+		plan2, err := m2.Plan()
+		if err != nil {
+			t.Fatalf("round trip of decoded matrix no longer plans: %v\n%s", err, re)
+		}
+		if plan2.NumReplicas() != replicas {
+			t.Fatalf("round trip changed expansion: %d -> %d replicas", replicas, plan2.NumReplicas())
 		}
 	})
 }

@@ -2,7 +2,6 @@ package patch
 
 import (
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -38,19 +37,16 @@ func TestConfigJSONGolden(t *testing.T) {
 }
 
 // TestMatrixJSONGolden pins the serialized Matrix — the POST /jobs
-// request body — including a named filter standing in for the Filter
-// function field.
+// request body. Adjust and Filter are functions and never cross the
+// wire.
 func TestMatrixJSONGolden(t *testing.T) {
 	m := Matrix{
-		Base:       Config{Cores: 16, OpsPerCore: 100, Seed: 1, SkipChecks: true},
-		Workloads:  []string{"micro", "oltp"},
-		Protocols:  []ProtoVariant{{Protocol: Directory}, {Protocol: PATCH, Variant: VariantAll}},
-		Seeds:      2,
-		FilterName: FilterCoarsenessWithinCores,
+		Base:      Config{Cores: 16, OpsPerCore: 100, Seed: 1, SkipChecks: true},
+		Workloads: []string{"micro", "oltp"},
+		Protocols: []ProtoVariant{{Protocol: Directory}, {Protocol: PATCH, Variant: VariantAll}},
+		Seeds:     2,
 	}
-	// json.Marshal HTML-escapes "<" as \u003c; the decoded value is
-	// still the plain filter name.
-	const want = `{"base":{"protocol":"Directory","cores":16,"ops_per_core":100,"seed":1,"skip_checks":true},"protocols":[{"protocol":"Directory"},{"protocol":"PATCH","variant":"PATCH-All"}],"workloads":["micro","oltp"],"seeds":2,"filter":"coarseness\u003c=cores"}`
+	const want = `{"base":{"protocol":"Directory","cores":16,"ops_per_core":100,"seed":1,"skip_checks":true},"protocols":[{"protocol":"Directory"},{"protocol":"PATCH","variant":"PATCH-All"}],"workloads":["micro","oltp"],"seeds":2}`
 	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +58,13 @@ func TestMatrixJSONGolden(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumCells() != m.NumCells() || back.NumReplicas() != m.NumReplicas() {
-		t.Errorf("deserialized matrix expands to %d cells/%d replicas, want %d/%d",
-			back.NumCells(), back.NumReplicas(), m.NumCells(), m.NumReplicas())
+	got, err := back.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumCells() != 4 || got.NumReplicas() != 8 {
+		t.Errorf("deserialized matrix expands to %d cells/%d replicas, want 4/8",
+			got.NumCells(), got.NumReplicas())
 	}
 }
 
@@ -139,48 +139,5 @@ func TestProtocolVariantJSONForms(t *testing.T) {
 	var v Variant
 	if err := json.Unmarshal([]byte(`"patch-owner"`), &v); err != nil || v != VariantOwner {
 		t.Errorf("case-insensitive variant decode: %v, %v", v, err)
-	}
-}
-
-// TestMatrixNamedTransformErrors: unknown names and function/name
-// conflicts surface as typed errors from expansion.
-func TestMatrixNamedTransformErrors(t *testing.T) {
-	base := Config{Cores: 8, Workload: "micro", OpsPerCore: 10, SkipChecks: true}
-	if _, err := (Matrix{Base: base, AdjustName: "no-such-adjust"}).Plan(); !errors.Is(err, ErrUnknownAdjust) {
-		t.Errorf("unknown adjust: %v", err)
-	}
-	if _, err := (Matrix{Base: base, FilterName: "no-such-filter"}).Plan(); !errors.Is(err, ErrUnknownFilter) {
-		t.Errorf("unknown filter: %v", err)
-	}
-	m := Matrix{Base: base, FilterName: FilterCoarsenessWithinCores, Filter: func(Config) bool { return true }}
-	if _, err := m.Plan(); !errors.Is(err, ErrTransformConflict) {
-		t.Errorf("filter conflict: %v", err)
-	}
-	m = Matrix{Base: base, AdjustName: "x", Adjust: func(c Config) Config { return c }}
-	if _, err := m.Plan(); !errors.Is(err, ErrTransformConflict) {
-		t.Errorf("adjust conflict: %v", err)
-	}
-}
-
-// TestRegisteredTransformsApply: a named adjust/filter pair drives
-// expansion exactly like the function fields would.
-func TestRegisteredTransformsApply(t *testing.T) {
-	RegisterAdjust("test-halve-ops", func(c Config) Config { c.OpsPerCore /= 2; return c })
-	RegisterFilter("test-micro-only", func(c Config) bool { return c.Workload == "micro" })
-	m := Matrix{
-		Base:       Config{Cores: 8, Workload: "micro", OpsPerCore: 100, SkipChecks: true},
-		Workloads:  []string{"micro", "oltp"},
-		AdjustName: "test-halve-ops",
-		FilterName: "test-micro-only",
-	}
-	rp, err := m.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.NumCells() != 1 {
-		t.Fatalf("filter kept %d cells, want 1", rp.NumCells())
-	}
-	if cfg := rp.CellConfig(0); cfg.Workload != "micro" || cfg.OpsPerCore != 50 {
-		t.Errorf("adjusted cell = %+v", cfg)
 	}
 }
