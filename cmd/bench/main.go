@@ -38,7 +38,6 @@ import (
 	"time"
 
 	patch "patch"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 	"patch/internal/workload"
 )
@@ -151,8 +150,7 @@ func scenarios(quick bool) []scenario {
 		return sim.Config{Protocol: p, Cores: 16, OpsPerCore: ops, WarmupOps: 2 * ops, Workload: wl}
 	}
 	patchAll := base(sim.PATCH, "oltp")
-	patchAll.Policy = predictor.All
-	patchAll.BestEffort = true
+	patchAll.Variant = sim.VariantAll
 
 	sweepOps := 200
 	seeds := 2

@@ -44,11 +44,11 @@ func TestSweepCSVByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScenarioSweepCSVByteIdentical is the registry-wide determinism
-// gate: every registered workload — the paper mixes, micro, and the
+// TestScenarioSweepCSVByteIdentical is the table-wide determinism
+// gate: every named workload — the paper mixes, micro, and the
 // whole sharing-pattern scenario family — must sweep to byte-identical
 // CSV at worker counts 1 and 4. Workload names are Matrix axis values,
-// so one sweep covers the entire registry; a generator whose per-core
+// so one sweep covers the entire workload table; a generator whose per-core
 // streams depend on drive order (or on shared mutable state) diverges
 // here the moment replicas shard across workers.
 func TestScenarioSweepCSVByteIdentical(t *testing.T) {

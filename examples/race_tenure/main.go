@@ -19,14 +19,13 @@ import (
 
 	"patch/internal/event"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 )
 
 func main() {
 	// A 4-node PATCH-All system, driven by hand rather than by a workload.
 	sys, err := sim.NewSystem(sim.Config{
-		Protocol: sim.PATCH, Cores: 4, Policy: predictor.All, BestEffort: true,
+		Protocol: sim.PATCH, Cores: 4, Variant: sim.VariantAll,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,78 +21,15 @@ import "patch/internal/fault"
 // adversarial delay is exactly what shakes transient protocol bugs
 // loose; a violation surfaces as a *sim.RunError with a structured
 // diagnostic dump.
-type FaultPlan struct {
-	// Seed keys every per-link delay stream. Two plans that differ only
-	// by Seed produce different (but individually deterministic) fault
-	// schedules.
-	Seed int64 `json:"seed,omitempty"`
+type FaultPlan = fault.Plan
 
-	// HopJitter adds a uniform extra delay in [0, HopJitter] cycles to
-	// every link crossing, drawn per crossing from the link's stream.
-	// Different links draw different values, so multi-hop messages race
-	// and reorder against each other.
-	HopJitter int `json:"hop_jitter,omitempty"`
+// FaultWindow is one transient link-degradation window: while the
+// current cycle lies in [FromCycle, ToCycle], affected links multiply
+// their hop latency by Multiplier.
+type FaultWindow = fault.Window
 
-	// Degrade lists transient degradation windows: while the current
-	// cycle lies in [FromCycle, ToCycle], affected links multiply their
-	// hop latency by Multiplier.
-	Degrade []FaultWindow `json:"degrade,omitempty"`
-
-	// Burst, when non-nil, models periodic congestion: every Period
-	// cycles each link stalls messages by ExtraCycles for Duration
-	// cycles, with a per-link phase offset so bursts are staggered
-	// across the machine rather than globally synchronised.
-	Burst *CongestionBurst `json:"burst,omitempty"`
-}
-
-// FaultWindow is one transient link-degradation window.
-type FaultWindow struct {
-	// FromCycle and ToCycle bound the window, inclusive on both ends.
-	FromCycle uint64 `json:"from_cycle"`
-	ToCycle   uint64 `json:"to_cycle"`
-	// Multiplier scales the hop latency of affected links while the
-	// window is open; 1 is a no-op.
-	Multiplier int `json:"multiplier"`
-	// LinkFraction selects the deterministic subset of links the window
-	// degrades: 0.5 hits roughly half of them, chosen by hashing
-	// (seed, window, link). Both 0 and 1 mean every link.
-	LinkFraction float64 `json:"link_fraction,omitempty"`
-}
-
-// CongestionBurst is a periodic congestion episode.
-type CongestionBurst struct {
-	// Period is the cycle distance between burst onsets.
-	Period uint64 `json:"period"`
-	// Duration is how many cycles each burst lasts (must not exceed
-	// Period).
-	Duration uint64 `json:"duration"`
-	// ExtraCycles is the flat extra delay added to every crossing of a
-	// bursting link.
-	ExtraCycles int `json:"extra_cycles"`
-}
-
-// toPlan lowers the wire form to the simulator's fault plan. Plans
-// that cannot inject anything lower to nil, so "no plan", "zero plan",
-// and "plan with only a seed" are all the same configuration — they
-// share a fingerprint and skip the injector entirely.
-func (p *FaultPlan) toPlan() *fault.Plan {
-	if p == nil {
-		return nil
-	}
-	fp := &fault.Plan{Seed: p.Seed, HopJitter: p.HopJitter}
-	for _, w := range p.Degrade {
-		fp.Degrade = append(fp.Degrade, fault.Window{
-			From:         w.FromCycle,
-			To:           w.ToCycle,
-			Multiplier:   w.Multiplier,
-			LinkFraction: w.LinkFraction,
-		})
-	}
-	if b := p.Burst; b != nil {
-		fp.Burst = fault.Burst{Period: b.Period, Duration: b.Duration, Extra: b.ExtraCycles}
-	}
-	if !fp.Enabled() {
-		return nil
-	}
-	return fp
-}
+// CongestionBurst is a periodic congestion episode: every Period
+// cycles each link stalls messages by ExtraCycles for Duration cycles,
+// with a per-link phase offset so bursts are staggered across the
+// machine rather than globally synchronised.
+type CongestionBurst = fault.Burst

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"patch/internal/fault"
 )
 
 // enabledPlan is a plan exercising every fault axis at once.
@@ -59,11 +61,34 @@ func TestFaultPlanNoopKeepsFingerprint(t *testing.T) {
 	}
 }
 
+// TestFaultedFingerprintGolden pins the fingerprint of a faulted
+// configuration whose plan mixes every spelling the canonical form
+// rewrites: a dead window (dropped), a live window with link fraction
+// 1 (written as 0), a live partial window, and a live burst.
+func TestFaultedFingerprintGolden(t *testing.T) {
+	c := fpBase()
+	c.FaultPlan = &FaultPlan{
+		Seed:      3,
+		HopJitter: 2,
+		Degrade: []FaultWindow{
+			{FromCycle: 10, ToCycle: 20, Multiplier: 1},
+			{FromCycle: 100, ToCycle: 900, Multiplier: 2, LinkFraction: 1},
+			{FromCycle: 50, ToCycle: 40, Multiplier: 5},
+			{FromCycle: 1_000, ToCycle: 4_000, Multiplier: 3, LinkFraction: 0.25},
+		},
+		Burst: &CongestionBurst{Period: 700, Duration: 70, ExtraCycles: 5},
+	}
+	const want = "580151674710796d7efc6694e8cad6cb64c7df137374c1aeb1ed2f38884e16c5"
+	if got := c.Fingerprint(); got != want {
+		t.Errorf("Fingerprint() = %s, want %s", got, want)
+	}
+}
+
 // TestFaultPlanValidation walks the rejection envelope.
 func TestFaultPlanValidation(t *testing.T) {
 	bad := map[string]*FaultPlan{
 		"negative-jitter": {HopJitter: -1},
-		"huge-jitter":     {HopJitter: maxFaultDelay + 1},
+		"huge-jitter":     {HopJitter: fault.MaxDelay + 1},
 		"multiplier-zero": {Degrade: []FaultWindow{{ToCycle: 10, Multiplier: 0}}},
 		"inverted-window": {Degrade: []FaultWindow{{FromCycle: 10, ToCycle: 5, Multiplier: 2}}},
 		"fraction-high":   {Degrade: []FaultWindow{{ToCycle: 10, Multiplier: 2, LinkFraction: 1.5}}},
@@ -187,7 +212,7 @@ func FuzzFaultPlan(f *testing.F) {
 		// Lowering and fingerprinting must be total and stable whether or
 		// not the config validates (the service fingerprints after
 		// validation, but neither may panic on any decodable input).
-		_ = c.FaultPlan.toPlan()
+		_ = c.ToSim()
 		if a, b := c.Fingerprint(), c.Fingerprint(); a != b || a == "" {
 			t.Fatalf("unstable fingerprint %q / %q", a, b)
 		}

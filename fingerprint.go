@@ -93,21 +93,14 @@ func (c Config) Fingerprint() string {
 	// something, so every fault-free spelling (nil plan, zero plan,
 	// seed-only plan, dead windows) keeps the pre-fault golden hash and
 	// shares cache entries with unfaulted configs.
-	if fp := c.FaultPlan.toPlan(); fp != nil {
+	if fp := c.FaultPlan.Canonical(); fp != nil {
 		fmt.Fprintf(&b, "fault_seed=%d\n", fp.Seed)
 		fmt.Fprintf(&b, "fault_hop_jitter=%d\n", fp.HopJitter)
 		for _, w := range fp.Degrade {
-			if w.Multiplier <= 1 || w.To < w.From {
-				continue // dead window: injects nothing
-			}
-			frac := w.LinkFraction
-			if frac == 1 {
-				frac = 0 // 0 and 1 both mean "all links"
-			}
-			fmt.Fprintf(&b, "fault_degrade=%d:%d:%d:%g\n", w.From, w.To, w.Multiplier, frac)
+			fmt.Fprintf(&b, "fault_degrade=%d:%d:%d:%g\n", w.FromCycle, w.ToCycle, w.Multiplier, w.LinkFraction)
 		}
-		if bu := fp.Burst; bu.Period > 0 && bu.Duration > 0 && bu.Extra > 0 {
-			fmt.Fprintf(&b, "fault_burst=%d:%d:%d\n", bu.Period, bu.Duration, bu.Extra)
+		if bu := fp.Burst; bu != nil {
+			fmt.Fprintf(&b, "fault_burst=%d:%d:%d\n", bu.Period, bu.Duration, bu.ExtraCycles)
 		}
 	}
 	sum := sha256.Sum256([]byte(b.String()))

@@ -58,7 +58,8 @@ func PatchSuite() []*Analyzer {
 		}),
 		NewSteadyState(),
 		NewWirecheck(WirecheckConfig{
-			Scope:        Scope{Paths: []string{modulePath, pkgService}},
+			// The fault plan is a wire type the root package aliases.
+			Scope:        Scope{Paths: []string{modulePath, pkgService, pkgFault}},
 			ModulePrefix: modulePath,
 		}),
 		NewPoolpair(PoolpairConfig{

@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestZeroPlanDisabled(t *testing.T) {
 	var p Plan
@@ -13,15 +16,55 @@ func TestZeroPlanDisabled(t *testing.T) {
 	// Degenerate sub-configs must not enable the plan either.
 	degenerate := []Plan{
 		{Seed: 7},
-		{Degrade: []Window{{From: 10, To: 5, Multiplier: 4}}},  // empty range
-		{Degrade: []Window{{From: 0, To: 100, Multiplier: 1}}}, // identity multiplier
-		{Burst: Burst{Period: 100, Duration: 0, Extra: 5}},
-		{Burst: Burst{Period: 0, Duration: 10, Extra: 5}},
-		{Burst: Burst{Period: 100, Duration: 10, Extra: 0}},
+		{Degrade: []Window{{FromCycle: 10, ToCycle: 5, Multiplier: 4}}},  // empty range
+		{Degrade: []Window{{FromCycle: 0, ToCycle: 100, Multiplier: 1}}}, // identity multiplier
+		{Burst: &Burst{Period: 100, Duration: 0, ExtraCycles: 5}},
+		{Burst: &Burst{Period: 0, Duration: 10, ExtraCycles: 5}},
+		{Burst: &Burst{Period: 100, Duration: 10, ExtraCycles: 0}},
 	}
 	for i, p := range degenerate {
-		if p.Enabled() {
+		if p.Enabled() || p.Canonical() != nil {
 			t.Errorf("degenerate plan %d reports Enabled: %+v", i, p)
+		}
+	}
+}
+
+// TestInjectorReadsCanonicalForm: an injector built from a plan and
+// one built from its canonical form draw identical delays on every
+// link at every cycle, so dead windows (which shift the live windows'
+// indices), LinkFraction 1 and a zero burst change nothing but the
+// spelling.
+func TestInjectorReadsCanonicalForm(t *testing.T) {
+	const links, hop = 64, 3
+	dead := Window{FromCycle: 10, ToCycle: 20, Multiplier: 1}
+	inverted := Window{FromCycle: 500, ToCycle: 100, Multiplier: 4}
+	plans := map[string]*Plan{
+		"dead windows": {Seed: 5, Degrade: []Window{
+			dead, {ToCycle: 6_000, Multiplier: 3, LinkFraction: 0.5},
+			inverted, {FromCycle: 2_000, ToCycle: 9_000, Multiplier: 2, LinkFraction: 0.25},
+		}},
+		"fraction one": {Seed: 6, Degrade: []Window{{ToCycle: 1 << 20, Multiplier: 2, LinkFraction: 1}}},
+		"zero burst":   {Seed: 7, HopJitter: 3, Burst: &Burst{}},
+		"mixed": {Seed: 8, HopJitter: 5,
+			Degrade: []Window{dead, {FromCycle: 100, ToCycle: 5_000, Multiplier: 3, LinkFraction: 1},
+				{FromCycle: 2_000, ToCycle: 9_000, Multiplier: 2, LinkFraction: 0.4}},
+			Burst: &Burst{Period: 300, Duration: 40, ExtraCycles: 6}},
+	}
+	for name, p := range plans {
+		c := p.Canonical()
+		if c == nil {
+			t.Fatalf("%s: live plan has no canonical form", name)
+		}
+		if again := c.Canonical(); !reflect.DeepEqual(again, c) {
+			t.Errorf("%s: Canonical is not idempotent: %+v then %+v", name, c, again)
+		}
+		a, b := New(*p, links), New(*c, links)
+		for now := uint64(0); now < 10_000; now += 37 {
+			for li := 0; li < links; li++ {
+				if x, y := a.Delay(li, now, hop), b.Delay(li, now, hop); x != y {
+					t.Fatalf("%s: link %d cycle %d: plan draws %d, canonical form %d", name, li, now, x, y)
+				}
+			}
 		}
 	}
 }
@@ -93,7 +136,7 @@ func TestLinksHaveDistinctStreams(t *testing.T) {
 }
 
 func TestResetRewindsStreams(t *testing.T) {
-	plan := Plan{Seed: 3, HopJitter: 7, Burst: Burst{Period: 50, Duration: 10, Extra: 2}}
+	plan := Plan{Seed: 3, HopJitter: 7, Burst: &Burst{Period: 50, Duration: 10, ExtraCycles: 2}}
 	inj := New(plan, 8)
 	var first []uint64
 	for k := 0; k < 40; k++ {
@@ -108,7 +151,7 @@ func TestResetRewindsStreams(t *testing.T) {
 }
 
 func TestDegradeWindowArithmetic(t *testing.T) {
-	plan := Plan{Degrade: []Window{{From: 100, To: 200, Multiplier: 4}}}
+	plan := Plan{Degrade: []Window{{FromCycle: 100, ToCycle: 200, Multiplier: 4}}}
 	inj := New(plan, 4)
 	const hop = 3
 	cases := []struct {
@@ -126,7 +169,7 @@ func TestDegradeWindowArithmetic(t *testing.T) {
 
 func TestDegradeLinkFraction(t *testing.T) {
 	const links = 256
-	plan := Plan{Seed: 5, Degrade: []Window{{From: 0, To: 1 << 30, Multiplier: 2, LinkFraction: 0.5}}}
+	plan := Plan{Seed: 5, Degrade: []Window{{FromCycle: 0, ToCycle: 1 << 30, Multiplier: 2, LinkFraction: 0.5}}}
 	inj := New(plan, links)
 	hit := 0
 	for li := 0; li < links; li++ {
@@ -151,7 +194,7 @@ func TestDegradeLinkFraction(t *testing.T) {
 }
 
 func TestBurstPeriodicity(t *testing.T) {
-	plan := Plan{Seed: 11, Burst: Burst{Period: 100, Duration: 25, Extra: 7}}
+	plan := Plan{Seed: 11, Burst: &Burst{Period: 100, Duration: 25, ExtraCycles: 7}}
 	inj := New(plan, 4)
 	active := 0
 	const draws = 10000
@@ -166,7 +209,7 @@ func TestBurstPeriodicity(t *testing.T) {
 	}
 
 	// Phases are staggered: not every link bursts on the same cycle.
-	plan2 := Plan{Seed: 11, Burst: Burst{Period: 1000, Duration: 100, Extra: 7}}
+	plan2 := Plan{Seed: 11, Burst: &Burst{Period: 1000, Duration: 100, ExtraCycles: 7}}
 	inj2 := New(plan2, 64)
 	aligned := true
 	for li := 1; li < 64 && aligned; li++ {
@@ -183,7 +226,7 @@ func TestBurstPeriodicity(t *testing.T) {
 }
 
 func TestDelayDoesNotAllocate(t *testing.T) {
-	plan := Plan{Seed: 1, HopJitter: 4, Degrade: []Window{{From: 0, To: 1 << 40, Multiplier: 3, LinkFraction: 0.5}}, Burst: Burst{Period: 64, Duration: 8, Extra: 2}}
+	plan := Plan{Seed: 1, HopJitter: 4, Degrade: []Window{{FromCycle: 0, ToCycle: 1 << 40, Multiplier: 3, LinkFraction: 0.5}}, Burst: &Burst{Period: 64, Duration: 8, ExtraCycles: 2}}
 	inj := New(plan, 16)
 	n := testing.AllocsPerRun(1000, func() {
 		inj.Delay(5, 123, 3)

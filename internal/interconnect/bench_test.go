@@ -26,8 +26,8 @@ func benchPlan() *fault.Plan {
 	return &fault.Plan{
 		Seed:      1,
 		HopJitter: 4,
-		Degrade:   []fault.Window{{From: 0, To: math.MaxUint64, Multiplier: 3, LinkFraction: 0.5}},
-		Burst:     fault.Burst{Period: 1000, Duration: 100, Extra: 2},
+		Degrade:   []fault.Window{{FromCycle: 0, ToCycle: math.MaxUint64, Multiplier: 3, LinkFraction: 0.5}},
+		Burst:     &fault.Burst{Period: 1000, Duration: 100, ExtraCycles: 2},
 	}
 }
 

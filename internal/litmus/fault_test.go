@@ -16,12 +16,12 @@ func faultPlans() map[string]*fault.Plan {
 	return map[string]*fault.Plan{
 		"jitter": {Seed: 1, HopJitter: 7},
 		"degrade": {Seed: 2, Degrade: []fault.Window{
-			{From: 0, To: 1 << 40, Multiplier: 5, LinkFraction: 0.5},
+			{FromCycle: 0, ToCycle: 1 << 40, Multiplier: 5, LinkFraction: 0.5},
 		}},
-		"burst": {Seed: 3, Burst: fault.Burst{Period: 50, Duration: 20, Extra: 9}},
+		"burst": {Seed: 3, Burst: &fault.Burst{Period: 50, Duration: 20, ExtraCycles: 9}},
 		"hostile": {Seed: 4, HopJitter: 5,
-			Degrade: []fault.Window{{From: 100, To: 5_000, Multiplier: 3, LinkFraction: 0.3}},
-			Burst:   fault.Burst{Period: 200, Duration: 60, Extra: 6}},
+			Degrade: []fault.Window{{FromCycle: 100, ToCycle: 5_000, Multiplier: 3, LinkFraction: 0.3}},
+			Burst:   &fault.Burst{Period: 200, Duration: 60, ExtraCycles: 6}},
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"patch/internal/event"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 )
 
@@ -178,9 +177,9 @@ type Harness struct {
 // harness adds the core count and interconnect.
 var variants = [NumProtocols]sim.Config{
 	Directory:           {Protocol: sim.Directory},
-	PATCHNone:           {Protocol: sim.PATCH, Policy: predictor.None, BestEffort: true},
-	PATCHAll:            {Protocol: sim.PATCH, Policy: predictor.All, BestEffort: true},
-	PATCHAllNonAdaptive: {Protocol: sim.PATCH, Policy: predictor.All},
+	PATCHNone:           {Protocol: sim.PATCH, Variant: sim.VariantNone},
+	PATCHAll:            {Protocol: sim.PATCH, Variant: sim.VariantAll},
+	PATCHAllNonAdaptive: {Protocol: sim.PATCH, Variant: sim.VariantAllNonAdaptive},
 	TokenB:              {Protocol: sim.TokenB},
 }
 

@@ -7,7 +7,7 @@ import (
 	"patch/internal/workload"
 )
 
-// scriptFromGenerator converts a registered workload generator's op
+// scriptFromGenerator converts a named workload generator's op
 // stream into a litmus Script: addresses are densely remapped into the
 // harness's block set (coherence behaviour depends on block identity,
 // not absolute addresses), think times become per-core delays, and the
@@ -38,8 +38,8 @@ func scriptFromGenerator(t *testing.T, name string, cores, ops, maxBlocks int) S
 	return script
 }
 
-// TestScenarioConformanceMatrix is the registry-wide conformance gate:
-// a script derived from every registered workload generator — paper
+// TestScenarioConformanceMatrix is the table-wide conformance gate:
+// a script derived from every named workload generator — paper
 // mixes, micro, and the whole scenario family — must run under all five
 // protocol variants (Directory, PATCH-None, PATCH-All, PATCH-All-NA,
 // TokenB) on one reused Suite, pass the timing-independent axioms, and

@@ -7,7 +7,6 @@ import (
 
 	"patch/internal/cache"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/token"
 )
 
@@ -18,7 +17,7 @@ import (
 func runToCompletion(t *testing.T) *System {
 	t.Helper()
 	s, err := NewSystem(Config{
-		Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+		Protocol: PATCH, Variant: VariantAll,
 		Cores: 8, OpsPerCore: 100, WarmupOps: 100, Workload: "micro", Seed: 9,
 	})
 	if err != nil {
@@ -169,7 +168,7 @@ func BenchmarkCheckInvariants(b *testing.B) {
 		cfg  Config
 	}{
 		{"Directory", Config{Protocol: Directory}},
-		{"PATCH-All", Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true}},
+		{"PATCH-All", Config{Protocol: PATCH, Variant: VariantAll}},
 		{"TokenB", Config{Protocol: TokenB}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

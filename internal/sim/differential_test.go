@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"patch/internal/predictor"
-)
+import "testing"
 
 // TestDifferentialMissCounts runs the same reference stream under all
 // three protocols and checks that their demand-miss counts agree within
@@ -21,8 +17,7 @@ func TestDifferentialMissCounts(t *testing.T) {
 			cfg := base
 			cfg.Protocol = k
 			if k == PATCH {
-				cfg.Policy = predictor.None
-				cfg.BestEffort = true
+				cfg.Variant = VariantNone
 			}
 			r, err := Run(cfg)
 			if err != nil {
@@ -56,8 +51,7 @@ func TestManySeedsInvariants(t *testing.T) {
 			}
 			if k == PATCH {
 				// Rotate variants across seeds for coverage.
-				cfg.Policy = predictor.Policy(seed % 4)
-				cfg.BestEffort = seed%2 == 0
+				cfg.Variant = Variant(seed % 5)
 			}
 			if _, err := Run(cfg); err != nil {
 				t.Fatalf("seed %d %v: %v", seed, k, err)
@@ -82,8 +76,7 @@ func TestTinyCachesStress(t *testing.T) {
 		cfg.Net.HopLatency = 3
 		cfg.Net.DropAfter = 100
 		if k == PATCH {
-			cfg.Policy = predictor.All
-			cfg.BestEffort = true
+			cfg.Variant = VariantAll
 		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%v: %v", k, err)

@@ -8,7 +8,6 @@ import (
 	"patch/internal/cache"
 	"patch/internal/fault"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 )
 
 // hostilePlan is the reference adversarial schedule used across the
@@ -18,8 +17,8 @@ func hostilePlan() *fault.Plan {
 	return &fault.Plan{
 		Seed:      99,
 		HopJitter: 6,
-		Degrade:   []fault.Window{{From: 2_000, To: 30_000, Multiplier: 4, LinkFraction: 0.5}},
-		Burst:     fault.Burst{Period: 1_000, Duration: 200, Extra: 5},
+		Degrade:   []fault.Window{{FromCycle: 2_000, ToCycle: 30_000, Multiplier: 4, LinkFraction: 0.5}},
+		Burst:     &fault.Burst{Period: 1_000, Duration: 200, ExtraCycles: 5},
 	}
 }
 
@@ -33,14 +32,13 @@ func faultConfigs() map[string]Config {
 	}
 	return map[string]Config{
 		"directory":         mk(func(c *Config) { c.Protocol = Directory }),
-		"patch-all":         mk(func(c *Config) { c.Protocol = PATCH; c.Policy = predictor.All; c.BestEffort = true }),
-		"patch-none":        mk(func(c *Config) { c.Protocol = PATCH; c.Policy = predictor.None }),
-		"patch-nonadaptive": mk(func(c *Config) { c.Protocol = PATCH; c.Policy = predictor.All }),
+		"patch-all":         mk(func(c *Config) { c.Protocol = PATCH; c.Variant = VariantAll }),
+		"patch-none":        mk(func(c *Config) { c.Protocol = PATCH; c.Variant = VariantNone }),
+		"patch-nonadaptive": mk(func(c *Config) { c.Protocol = PATCH; c.Variant = VariantAllNonAdaptive }),
 		"tokenb":            mk(func(c *Config) { c.Protocol = TokenB }),
 		"patch-unbounded": mk(func(c *Config) {
 			c.Protocol = PATCH
-			c.Policy = predictor.All
-			c.BestEffort = true
+			c.Variant = VariantAll
 			c.Net.Unbounded = true
 		}),
 		"directory-degraded": mk(func(c *Config) { c.Protocol = Directory; c.Net.Fault.HopJitter = 0 }),
@@ -110,7 +108,7 @@ func TestFaultRunsDeterministic(t *testing.T) {
 // TestZeroFaultPlanIsNoop pins the nil-plan contract at the sim layer:
 // a pointer to a zero plan and no plan at all produce identical results.
 func TestZeroFaultPlanIsNoop(t *testing.T) {
-	base := Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+	base := Config{Protocol: PATCH, Variant: VariantAll,
 		Cores: 16, OpsPerCore: 300, Seed: 3, Workload: "micro"}
 	bare, err := Run(base)
 	if err != nil {
@@ -156,7 +154,7 @@ func TestFaultInjectionPerturbsTiming(t *testing.T) {
 func TestWatchdogReturnsTypedDiagnostics(t *testing.T) {
 	// Enough work that the run cannot complete within the engine's first
 	// event chunk, so the watchdog trips with protocol state in flight.
-	cfg := Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+	cfg := Config{Protocol: PATCH, Variant: VariantAll,
 		Cores: 16, OpsPerCore: 100_000, Seed: 1, Workload: "micro", MaxCycles: 1}
 	_, err := Run(cfg)
 	if err == nil {
@@ -193,7 +191,7 @@ func TestWatchdogReturnsTypedDiagnostics(t *testing.T) {
 // teeth: destroy one token in a cache mid-run and the next audit pass
 // must fail with a FailAudit RunError naming the violation.
 func TestAuditDetectsTokenTheft(t *testing.T) {
-	cfg := Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+	cfg := Config{Protocol: PATCH, Variant: VariantAll,
 		Cores: 16, OpsPerCore: 20_000, Seed: 5, Workload: "micro", AuditEvery: 200}
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -254,7 +252,7 @@ func TestAuditDetectsTokenTheft(t *testing.T) {
 func TestDenseAuditNoFalsePositives(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"directory": func(c *Config) { c.Protocol = Directory },
-		"patch-all": func(c *Config) { c.Protocol = PATCH; c.Policy = predictor.All; c.BestEffort = true },
+		"patch-all": func(c *Config) { c.Protocol = PATCH; c.Variant = VariantAll },
 		"tokenb":    func(c *Config) { c.Protocol = TokenB },
 	} {
 		cfg := Config{
@@ -277,7 +275,7 @@ func TestDenseAuditNoFalsePositives(t *testing.T) {
 // Every count is unchanged and no cache-side single-writer check sees
 // two owners; only Rule #1's one-owner clause can.
 func TestAuditDetectsForgedOwner(t *testing.T) {
-	sys, err := NewSystem(Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true, Cores: 16})
+	sys, err := NewSystem(Config{Protocol: PATCH, Variant: VariantAll, Cores: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"patch/internal/interconnect"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/protocol"
 )
 
@@ -52,16 +51,16 @@ func goldenConfigs() []struct {
 			Workload: "oltp", Seed: 7, Coarseness: 4,
 		}},
 		{"patch-all-oltp", Config{
-			Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+			Protocol: PATCH, Variant: VariantAll,
 			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "oltp", Seed: 7,
 		}},
 		{"patch-none-micro-bw2000", Config{
-			Protocol: PATCH, Policy: predictor.None, BestEffort: true,
+			Protocol: PATCH, Variant: VariantNone,
 			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "micro", Seed: 7,
 			Net: bw2000,
 		}},
 		{"patch-owner-barnes", Config{
-			Protocol: PATCH, Policy: predictor.Owner, BestEffort: true,
+			Protocol: PATCH, Variant: VariantOwner,
 			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "barnes", Seed: 7,
 		}},
 		{"tokenb-micro", Config{

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 )
 
@@ -44,7 +43,7 @@ func benchRecipients(b *testing.B, cfg sim.Config) {
 			if dst := msg.NodeID(d); dst != req && dst != home {
 				m := s.Net.NewMessage(msg.Message{
 					Type: msg.DirectGetS, Addr: a, Src: req, Dst: dst, Requester: req,
-					BestEffort: cfg.BestEffort,
+					BestEffort: cfg.Protocol == sim.PATCH, // PATCH-All delivers best-effort
 				})
 				n.Handle(now, m)
 				s.Net.Release(m)
@@ -68,5 +67,5 @@ func BenchmarkRecipientsTokenB(b *testing.B) {
 
 // BenchmarkRecipientsPATCHAll is PATCH-All's direct-request recipients.
 func BenchmarkRecipientsPATCHAll(b *testing.B) {
-	benchRecipients(b, sim.Config{Protocol: sim.PATCH, Policy: predictor.All, BestEffort: true})
+	benchRecipients(b, sim.Config{Protocol: sim.PATCH, Variant: sim.VariantAll})
 }

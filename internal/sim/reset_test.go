@@ -3,8 +3,6 @@ package sim
 import (
 	"reflect"
 	"testing"
-
-	"patch/internal/predictor"
 )
 
 // TestResetMatchesFresh pins the tentpole reuse contract: a System that
@@ -111,8 +109,7 @@ func TestResetReuseWithChecks(t *testing.T) {
 				Workload: []string{"oltp", "micro", "ocean"}[seed%3], Seed: seed,
 			}
 			if k == PATCH {
-				cfg.Policy = predictor.Policy(seed % 4)
-				cfg.BestEffort = seed%2 == 0
+				cfg.Variant = Variant(seed % 5)
 			}
 			var err error
 			if s == nil {

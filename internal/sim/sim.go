@@ -32,8 +32,8 @@ type Kind int
 const (
 	// Directory is the paper's DIRECTORY baseline.
 	Directory Kind = iota
-	// PATCH is the paper's contribution; its variant is chosen by the
-	// prediction policy and best-effort flag.
+	// PATCH is the paper's contribution; Config.Variant selects which
+	// of its configurations runs.
 	PATCH
 	// TokenB is broadcast token coherence with persistent requests.
 	TokenB
@@ -87,6 +87,80 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// Variant names a PATCH configuration from the paper's evaluation (§6).
+type Variant int
+
+const (
+	// VariantNone sends no direct requests (PATCH-NONE).
+	VariantNone Variant = iota
+	// VariantOwner predicts a single owner destination (PATCH-OWNER).
+	VariantOwner
+	// VariantBroadcastIfShared broadcasts for recently shared blocks
+	// (PATCH-BROADCASTIFSHARED).
+	VariantBroadcastIfShared
+	// VariantAll broadcasts every request best-effort (PATCH-ALL).
+	VariantAll
+	// VariantAllNonAdaptive broadcasts with guaranteed delivery
+	// (PATCH-ALL-NONADAPTIVE), the foil for the bandwidth-adaptivity
+	// experiments.
+	VariantAllNonAdaptive
+)
+
+// ErrUnknownVariant reports a Variant outside the paper's five PATCH
+// configurations.
+var ErrUnknownVariant = errors.New("unknown PATCH variant")
+
+func (v Variant) String() string {
+	switch v {
+	case VariantNone:
+		return "PATCH-None"
+	case VariantOwner:
+		return "PATCH-Owner"
+	case VariantBroadcastIfShared:
+		return "PATCH-BroadcastIfShared"
+	case VariantAll:
+		return "PATCH-All"
+	case VariantAllNonAdaptive:
+		return "PATCH-All-NonAdaptive"
+	}
+	return fmt.Sprintf("Variant(%d)", int(v))
+}
+
+// MarshalJSON encodes the variant by its paper name ("PATCH-All"), so
+// the wire form survives any renumbering of the constants. Its errors,
+// like UnmarshalJSON's, carry the patch facade's prefix: the sweep
+// service returns them in its 400 bodies.
+func (v Variant) MarshalJSON() ([]byte, error) {
+	if v < VariantNone || v > VariantAllNonAdaptive {
+		return nil, fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, int(v))
+	}
+	return json.Marshal(v.String())
+}
+
+// UnmarshalJSON decodes a paper name (case-insensitive) or an integer.
+func (v *Variant) UnmarshalJSON(data []byte) error {
+	var s string
+	if err := json.Unmarshal(data, &s); err == nil {
+		for got := VariantNone; got <= VariantAllNonAdaptive; got++ {
+			if strings.EqualFold(s, got.String()) {
+				*v = got
+				return nil
+			}
+		}
+		return fmt.Errorf("patch: %w: %q", ErrUnknownVariant, s)
+	}
+	var n int
+	if err := json.Unmarshal(data, &n); err != nil {
+		return fmt.Errorf("patch: %w: %s", ErrUnknownVariant, data)
+	}
+	got := Variant(n)
+	if got < VariantNone || got > VariantAllNonAdaptive {
+		return fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, n)
+	}
+	*v = got
+	return nil
+}
+
 // Config describes one simulation.
 type Config struct {
 	Protocol   Kind
@@ -108,11 +182,9 @@ type Config struct {
 	Workload  string
 	TraceFile string
 
-	// Policy and BestEffort select the PATCH variant (§6): None / Owner /
-	// BroadcastIfShared / All, delivered best-effort or guaranteed
-	// (PATCH-ALL-NONADAPTIVE).
-	Policy     predictor.Policy
-	BestEffort bool
+	// Variant selects the PATCH configuration; other protocols ignore
+	// it.
+	Variant Variant
 
 	// TenureTimeoutFactor and NoDeactWindow are PATCH ablation knobs
 	// (see protocol.Params); zero values select the paper's design.
@@ -187,14 +259,26 @@ func (c Config) withDefaults() Config {
 }
 
 // params lowers the configuration to the per-run protocol settings
-// every node is built and Reset with.
+// every node is built and Reset with. It is the one place a PATCH
+// variant becomes a prediction policy and a delivery class.
 func (c Config) params() protocol.Params {
-	return protocol.Params{
-		Enc:    directory.Encoding{Cores: c.Cores, Coarseness: c.Coarseness},
-		Policy: c.Policy, BestEffort: c.BestEffort,
+	p := protocol.Params{
+		Enc:                 directory.Encoding{Cores: c.Cores, Coarseness: c.Coarseness},
 		TenureTimeoutFactor: c.TenureTimeoutFactor,
 		NoDeactWindow:       c.NoDeactWindow,
 	}
+	if c.Protocol == PATCH {
+		switch c.Variant { // VariantNone keeps the zero policy, predictor.None
+		case VariantOwner:
+			p.Policy = predictor.Owner
+		case VariantBroadcastIfShared:
+			p.Policy = predictor.BroadcastIfShared
+		case VariantAll, VariantAllNonAdaptive:
+			p.Policy = predictor.All
+		}
+		p.BestEffort = c.Variant != VariantAllNonAdaptive
+	}
+	return p
 }
 
 // tokenCounting reports whether the protocol conserves tokens (Rule #1),

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"patch/internal/msg"
-	"patch/internal/predictor"
 )
 
 func TestAllProtocolsAllWorkloads(t *testing.T) {
@@ -18,8 +17,7 @@ func TestAllProtocolsAllWorkloads(t *testing.T) {
 				Workload: wl, Seed: 1,
 			}
 			if k == PATCH {
-				cfg.Policy = predictor.All
-				cfg.BestEffort = true
+				cfg.Variant = VariantAll
 			}
 			r, err := Run(cfg)
 			if err != nil {
@@ -35,7 +33,7 @@ func TestAllProtocolsAllWorkloads(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	cfg := Config{
 		Protocol: PATCH, Cores: 16, OpsPerCore: 200, WarmupOps: 100,
-		Workload: "oltp", Seed: 7, Policy: predictor.All, BestEffort: true,
+		Workload: "oltp", Seed: 7, Variant: VariantAll,
 	}
 	a, err := Run(cfg)
 	if err != nil {
@@ -50,7 +48,7 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	c, err := Run(Config{
 		Protocol: PATCH, Cores: 16, OpsPerCore: 200, WarmupOps: 100,
-		Workload: "oltp", Seed: 8, Policy: predictor.All, BestEffort: true,
+		Workload: "oltp", Seed: 8, Variant: VariantAll,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,13 +59,13 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestPATCHVariants(t *testing.T) {
-	for _, p := range []predictor.Policy{predictor.None, predictor.Owner, predictor.BroadcastIfShared, predictor.All} {
+	for _, v := range []Variant{VariantNone, VariantOwner, VariantBroadcastIfShared, VariantAll} {
 		cfg := Config{
 			Protocol: PATCH, Cores: 16, OpsPerCore: 200, WarmupOps: 200,
-			Workload: "oltp", Seed: 2, Policy: p, BestEffort: true,
+			Workload: "oltp", Seed: 2, Variant: v,
 		}
 		if _, err := Run(cfg); err != nil {
-			t.Fatalf("policy %v: %v", p, err)
+			t.Fatalf("%v: %v", v, err)
 		}
 	}
 }
@@ -89,7 +87,7 @@ func TestInexactEncodings(t *testing.T) {
 func TestNonAdaptivePATCH(t *testing.T) {
 	cfg := Config{
 		Protocol: PATCH, Cores: 16, OpsPerCore: 200, WarmupOps: 200,
-		Workload: "jbb", Seed: 4, Policy: predictor.All, BestEffort: false,
+		Workload: "jbb", Seed: 4, Variant: VariantAllNonAdaptive,
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -125,8 +123,7 @@ func TestShapePATCHNoneMatchesDirectory(t *testing.T) {
 	}
 	pn := base
 	pn.Protocol = PATCH
-	pn.Policy = predictor.None
-	pn.BestEffort = true
+	pn.Variant = VariantNone
 	rp, err := Run(pn)
 	if err != nil {
 		t.Fatal(err)
@@ -150,16 +147,16 @@ func TestShapeDirectRequestsHelp(t *testing.T) {
 	}
 	base := Config{
 		Protocol: PATCH, Cores: 16, OpsPerCore: 800, WarmupOps: 2000,
-		Workload: "oltp", Seed: 11, BestEffort: true,
+		Workload: "oltp", Seed: 11,
 	}
 	none := base
-	none.Policy = predictor.None
+	none.Variant = VariantNone
 	rn, err := Run(none)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := base
-	all.Policy = predictor.All
+	all.Variant = VariantAll
 	ra, err := Run(all)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +172,7 @@ func TestShapeDirectRequestsHelp(t *testing.T) {
 	// Owner prediction: roughly half the benefit at a fraction of the
 	// traffic (§8.3).
 	owner := base
-	owner.Policy = predictor.Owner
+	owner.Variant = VariantOwner
 	ro, err := Run(owner)
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +194,7 @@ func TestShapeTokenBComparable(t *testing.T) {
 	base := Config{Cores: 16, OpsPerCore: 800, WarmupOps: 2000, Workload: "jbb", Seed: 11}
 	pa := base
 	pa.Protocol = PATCH
-	pa.Policy = predictor.All
-	pa.BestEffort = true
+	pa.Variant = VariantAll
 	rp, err := Run(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -236,16 +232,14 @@ func TestShapeBestEffortDoesNoHarm(t *testing.T) {
 	}
 	be := base
 	be.Protocol = PATCH
-	be.Policy = predictor.All
-	be.BestEffort = true
+	be.Variant = VariantAll
 	rb, err := Run(be)
 	if err != nil {
 		t.Fatal(err)
 	}
 	na := base
 	na.Protocol = PATCH
-	na.Policy = predictor.All
-	na.BestEffort = false
+	na.Variant = VariantAllNonAdaptive
 	rn, err := Run(na)
 	if err != nil {
 		t.Fatal(err)
@@ -274,8 +268,7 @@ func TestShapeInexactEncodingAckElision(t *testing.T) {
 			Workload: "micro", Seed: 11, Coarseness: coarse,
 		}
 		if k == PATCH {
-			cfg.Policy = predictor.None
-			cfg.BestEffort = true
+			cfg.Variant = VariantNone
 		}
 		r, err := Run(cfg)
 		if err != nil {

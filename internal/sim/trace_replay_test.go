@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"patch/internal/predictor"
 	"patch/internal/workload"
 )
 
@@ -39,7 +38,7 @@ func recordTrace(t *testing.T, wl string, cores, ops int, seed int64) string {
 func TestTraceReplayMatchesGenerator(t *testing.T) {
 	const cores, ops, warm = 8, 150, 150
 	base := Config{
-		Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+		Protocol: PATCH, Variant: VariantAll,
 		Cores: cores, OpsPerCore: ops, WarmupOps: warm, Seed: 5,
 		Workload: "oltp",
 	}

@@ -9,7 +9,6 @@ import (
 
 	"patch/internal/fault"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 )
 
 // workCount pins a run's exact work: the events the engine fired
@@ -41,21 +40,21 @@ func workCountConfigs() []struct {
 		return c
 	}
 	convoy := Config{
-		Protocol: PATCH, Policy: predictor.All, BestEffort: true,
+		Protocol: PATCH, Variant: VariantAll,
 		Cores: 16, OpsPerCore: 100, WarmupOps: 200, Seed: 1, Workload: "convoy",
 		AuditEvery: 97,
 	}
 	convoy.Net.Fault = &fault.Plan{
 		Seed: 1, HopJitter: 4,
-		Degrade: []fault.Window{{From: 2000, To: 6000, Multiplier: 3, LinkFraction: 0.5}},
-		Burst:   fault.Burst{Period: 1000, Duration: 100, Extra: 2},
+		Degrade: []fault.Window{{FromCycle: 2000, ToCycle: 6000, Multiplier: 3, LinkFraction: 0.5}},
+		Burst:   &fault.Burst{Period: 1000, Duration: 100, ExtraCycles: 2},
 	}
 	return append(configs, []struct {
 		name string
 		cfg  Config
 	}{
 		{"directory-oltp64", oltp64(Config{Protocol: Directory})},
-		{"patch-all-oltp64", oltp64(Config{Protocol: PATCH, Policy: predictor.All, BestEffort: true})},
+		{"patch-all-oltp64", oltp64(Config{Protocol: PATCH, Variant: VariantAll})},
 		{"tokenb-oltp64", oltp64(Config{Protocol: TokenB})},
 		{"patch-all-convoy-faults-audit", convoy},
 	}...)

@@ -175,7 +175,7 @@ func OpenTrace(path string, n int) (*StreamReplay, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewStreamReplay(src, size, n)
+	s, err := newStreamReplay(src, size, n)
 	if err != nil {
 		closer.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -184,12 +184,12 @@ func OpenTrace(path string, n int) (*StreamReplay, error) {
 	return s, nil
 }
 
-// NewStreamReplay builds a streaming replay over an already-open binary
+// newStreamReplay builds a streaming replay over an already-open binary
 // trace of the given size. n must match the recorded core count; 0
 // accepts whatever the header declares (tooling that inspects a trace
 // of unknown shape). The caller keeps ownership of r unless the replay
 // was built by OpenTrace.
-func NewStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
+func newStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
 	hdr := make([]byte, binaryHeaderLen)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("workload: binary trace: truncated header: %w", err)
@@ -273,9 +273,6 @@ func NewStreamReplay(r io.ReaderAt, size int64, n int) (*StreamReplay, error) {
 
 // byteSlicer is the zero-copy fast path an mmap-backed source offers.
 type byteSlicer interface{ slice(off, n int64) []byte }
-
-// Name implements Generator.
-func (s *StreamReplay) Name() string { return "trace" }
 
 // Len returns the shortest per-core stream length (the safe ops/core).
 func (s *StreamReplay) Len() int { return s.minOps }

@@ -89,7 +89,7 @@ func TestBinaryRoundTripMatchesText(t *testing.T) {
 		}
 		fi, _ := file.Stat()
 		for _, window := range []int{64, 256, defaultWindow} {
-			stream, err := NewStreamReplay(file, fi.Size(), cores)
+			stream, err := newStreamReplay(file, fi.Size(), cores)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestReplayOverdrive(t *testing.T) {
 		t.Fatal(err)
 	}
 	fi, _ := f.Stat()
-	tr, err := NewStreamReplay(f, fi.Size(), 2)
+	tr, err := newStreamReplay(f, fi.Size(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBinaryHeaderValidation(t *testing.T) {
 	}
 
 	open := func(data []byte, n int) error {
-		_, err := NewStreamReplay(bytes.NewReader(data), int64(len(data)), n)
+		_, err := newStreamReplay(bytes.NewReader(data), int64(len(data)), n)
 		return err
 	}
 	if err := open(good, 2); err != nil {

@@ -45,7 +45,7 @@ func drainReplay(s *StreamReplay) int {
 // errors — at open, or through StreamReplay.Err after a poisoned
 // decode — and must never panic, hang, or allocate beyond the
 // input-bounded window budget. Both entry points are exercised: the
-// in-memory reader (NewStreamReplay) and the file opener (OpenTrace),
+// in-memory reader (newStreamReplay) and the file opener (OpenTrace),
 // which takes the mmap path on linux.
 func FuzzTrace(f *testing.F) {
 	valid := traceBytes(f, 3, 40)
@@ -69,7 +69,7 @@ func FuzzTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// In-memory path, accepting whatever core count the header
 		// declares (n=0), as tooling does.
-		if s, err := NewStreamReplay(bytes.NewReader(data), int64(len(data)), 0); err == nil {
+		if s, err := newStreamReplay(bytes.NewReader(data), int64(len(data)), 0); err == nil {
 			if served := drainReplay(s); served > len(data) {
 				t.Fatalf("served %d ops from %d input bytes: claimed counts not bounded by segment bytes", served, len(data))
 			}
@@ -108,7 +108,7 @@ func TestStreamReplayCorruptSegmentPoisons(t *testing.T) {
 	for i := uint64(0); i < 12; i++ {
 		data[off+10+i] = 0xFF
 	}
-	s, err := NewStreamReplay(bytes.NewReader(data), int64(len(data)), 2)
+	s, err := newStreamReplay(bytes.NewReader(data), int64(len(data)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBinaryClaimedOpsBounded(t *testing.T) {
 	data := traceBytes(t, 2, 10)
 	bad := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint64(bad[binaryHeaderLen+16:], 1<<62)
-	_, err := NewStreamReplay(bytes.NewReader(bad), int64(len(bad)), 2)
+	_, err := newStreamReplay(bytes.NewReader(bad), int64(len(bad)), 2)
 	if err == nil || !strings.Contains(err.Error(), "claims") {
 		t.Fatalf("lying ops count accepted: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestBinaryOverlappingSegmentsRejected(t *testing.T) {
 	// Point core 1's segment at core 0's.
 	copy(bad[binaryHeaderLen+binaryIndexEntry:binaryHeaderLen+2*binaryIndexEntry],
 		bad[binaryHeaderLen:binaryHeaderLen+binaryIndexEntry])
-	_, err := NewStreamReplay(bytes.NewReader(bad), int64(len(bad)), 2)
+	_, err := newStreamReplay(bytes.NewReader(bad), int64(len(bad)), 2)
 	if err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Fatalf("aliased segments accepted: %v", err)
 	}

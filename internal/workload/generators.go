@@ -7,10 +7,10 @@
 // mixes blend away: false sharing, zipfian hotspots, phase changes) so
 // every figure can be re-asked across a much wider scenario space.
 //
-// Every generator follows the same construction discipline as Mix:
+// Every generator follows the same construction discipline as mix:
 //
-//   - parameterised by an exported params struct with a Validate-style
-//     constructor returning ErrBadParams instead of panicking;
+//   - parameterised by a params struct whose constructor validates it,
+//     returning ErrBadParams instead of panicking;
 //   - seeded with per-core rand.Rand streams, so each core's stream is
 //     deterministic AND independent of the order cores are driven in
 //     (the simulator interleaves cores; RecordBinary captures core by
@@ -47,7 +47,7 @@ func domainSize(domainCores, n int) int {
 }
 
 // think draws a geometric-ish think time with the given mean (0 mean:
-// no think cycles), matching Mix's distribution.
+// no think cycles), matching mix's distribution.
 func think(r *rand.Rand, mean int) int {
 	if mean <= 0 {
 		return 0
@@ -59,13 +59,13 @@ func think(r *rand.Rand, mean int) int {
 // pipeline: multi-stage producer-consumer
 // ---------------------------------------------------------------------
 
-// PipelineParams shapes a multi-stage producer-consumer pipeline:
+// pipelineParams shapes a multi-stage producer-consumer pipeline:
 // cores are assigned stages round-robin within their domain; a stage-s
 // core writes its own stage's buffer region and reads the upstream
 // stage's, so data flows through S distinct hand-offs per domain (not
 // just neighbour pairs). WorkFrac of references are private compute
 // between communication steps.
-type PipelineParams struct {
+type pipelineParams struct {
 	Stages      int     // pipeline depth; >= 2
 	Buffers     int     // blocks per stage buffer; >= 1
 	WorkFrac    float64 // private-work fraction in [0, 1)
@@ -74,18 +74,18 @@ type PipelineParams struct {
 	DomainCores int
 }
 
-// DefaultPipeline is the registered "pipeline" configuration: a
+// defaultPipeline is the table's "pipeline" configuration: a
 // 4-stage pipeline with 16-block stage buffers inside 16-core domains.
-func DefaultPipeline() PipelineParams {
-	return PipelineParams{Stages: 4, Buffers: 16, WorkFrac: 0.55, PrivateBlks: 1 << 10, ThinkMean: 5, DomainCores: 16}
+func defaultPipeline() pipelineParams {
+	return pipelineParams{Stages: 4, Buffers: 16, WorkFrac: 0.55, PrivateBlks: 1 << 10, ThinkMean: 5, DomainCores: 16}
 }
 
-func (p PipelineParams) describe() string {
+func (p pipelineParams) describe() string {
 	return fmt.Sprintf("%d-stage producer-consumer ring, %d-block buffers, %.0f%% private work",
 		p.Stages, p.Buffers, 100*p.WorkFrac)
 }
 
-func (p PipelineParams) validate() error {
+func (p pipelineParams) validate() error {
 	if p.Stages < 2 {
 		return fmt.Errorf("%w: pipeline needs >= 2 stages, got %d", ErrBadParams, p.Stages)
 	}
@@ -105,14 +105,14 @@ func (p PipelineParams) validate() error {
 }
 
 type pipelineGen struct {
-	p      PipelineParams
+	p      pipelineParams
 	dom    int
 	rngs   []*rand.Rand
 	toggle []bool // per-core: next communication op reads upstream vs writes own
 }
 
-// NewPipeline builds the pipeline generator for n cores.
-func NewPipeline(p PipelineParams, n int, seed int64) (Generator, error) {
+// newPipeline builds the pipeline generator for n cores.
+func newPipeline(p pipelineParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -127,8 +127,6 @@ func NewPipeline(p PipelineParams, n int, seed int64) (Generator, error) {
 	}
 	return g, nil
 }
-
-func (g *pipelineGen) Name() string { return "pipeline" }
 
 // stageBuf returns slot's block in the given (domain, stage) buffer.
 func (g *pipelineGen) stageBuf(domain, stage, slot int) msg.Addr {
@@ -161,12 +159,12 @@ func (g *pipelineGen) Next(core int) Op {
 // migratory: migratory-object chains
 // ---------------------------------------------------------------------
 
-// MigratoryParams shapes pure migratory-object chains: a set of objects
+// migratoryParams shapes pure migratory-object chains: a set of objects
 // per domain, each visited by every core in turn (each visit is a
 // read-modify-write pair), so ownership of every block migrates
 // core-to-core around the domain — the access pattern the migratory
 // sharing optimisation and token tenure both target.
-type MigratoryParams struct {
+type migratoryParams struct {
 	Objects     int     // migratory objects per domain; >= 1
 	WorkFrac    float64 // private-work fraction in [0, 1)
 	PrivateBlks int     // private working set; >= 1 when WorkFrac > 0
@@ -174,16 +172,16 @@ type MigratoryParams struct {
 	DomainCores int
 }
 
-// DefaultMigratory is the registered "migratory" configuration.
-func DefaultMigratory() MigratoryParams {
-	return MigratoryParams{Objects: 64, WorkFrac: 0.5, PrivateBlks: 1 << 10, ThinkMean: 6, DomainCores: 16}
+// defaultMigratory is the table's "migratory" configuration.
+func defaultMigratory() migratoryParams {
+	return migratoryParams{Objects: 64, WorkFrac: 0.5, PrivateBlks: 1 << 10, ThinkMean: 6, DomainCores: 16}
 }
 
-func (p MigratoryParams) describe() string {
+func (p migratoryParams) describe() string {
 	return fmt.Sprintf("%d migratory objects per domain, RMW chains, %.0f%% private work", p.Objects, 100*p.WorkFrac)
 }
 
-func (p MigratoryParams) validate() error {
+func (p migratoryParams) validate() error {
 	if p.Objects < 1 {
 		return fmt.Errorf("%w: migratory needs >= 1 object, got %d", ErrBadParams, p.Objects)
 	}
@@ -200,15 +198,15 @@ func (p MigratoryParams) validate() error {
 }
 
 type migratoryGen struct {
-	p       MigratoryParams
+	p       migratoryParams
 	dom     int
 	rngs    []*rand.Rand
 	visit   []int      // per-core object-visit counter
 	pending []msg.Addr // write half of the current RMW pair
 }
 
-// NewMigratory builds the migratory-chain generator for n cores.
-func NewMigratory(p MigratoryParams, n int, seed int64) (Generator, error) {
+// newMigratory builds the migratory-chain generator for n cores.
+func newMigratory(p migratoryParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -224,8 +222,6 @@ func NewMigratory(p MigratoryParams, n int, seed int64) (Generator, error) {
 	}
 	return g, nil
 }
-
-func (g *migratoryGen) Name() string { return "migratory" }
 
 func (g *migratoryGen) Next(core int) Op {
 	r := g.rngs[core]
@@ -252,13 +248,13 @@ func (g *migratoryGen) Next(core int) Op {
 // convoy: lock-handoff convoys
 // ---------------------------------------------------------------------
 
-// ConvoyParams shapes lock-handoff convoys: all cores of a domain
+// convoyParams shapes lock-handoff convoys: all cores of a domain
 // contend for a handful of locks; a critical section is an RMW of the
 // lock block (acquire), HoldOps accesses to the lock's protected data,
 // and a final store to the lock block (release). With few locks the
 // cores convoy behind each hand-off, the oltp pattern that most rewards
 // direct owner prediction.
-type ConvoyParams struct {
+type convoyParams struct {
 	Locks       int // locks per domain; >= 1
 	DataBlocks  int // protected blocks per lock; >= 1
 	HoldOps     int // accesses inside the critical section; >= 1
@@ -266,16 +262,16 @@ type ConvoyParams struct {
 	DomainCores int
 }
 
-// DefaultConvoy is the registered "convoy" configuration.
-func DefaultConvoy() ConvoyParams {
-	return ConvoyParams{Locks: 4, DataBlocks: 8, HoldOps: 3, ThinkMean: 4, DomainCores: 16}
+// defaultConvoy is the table's "convoy" configuration.
+func defaultConvoy() convoyParams {
+	return convoyParams{Locks: 4, DataBlocks: 8, HoldOps: 3, ThinkMean: 4, DomainCores: 16}
 }
 
-func (p ConvoyParams) describe() string {
+func (p convoyParams) describe() string {
 	return fmt.Sprintf("%d locks per domain, %d-op critical sections over %d blocks", p.Locks, p.HoldOps, p.DataBlocks)
 }
 
-func (p ConvoyParams) validate() error {
+func (p convoyParams) validate() error {
 	if p.Locks < 1 {
 		return fmt.Errorf("%w: convoy needs >= 1 lock, got %d", ErrBadParams, p.Locks)
 	}
@@ -294,15 +290,15 @@ func (p ConvoyParams) validate() error {
 // convoy per-core phases: acquire-read -> acquire-write -> HoldOps data
 // accesses -> release store, then pick the next lock.
 type convoyGen struct {
-	p     ConvoyParams
+	p     convoyParams
 	dom   int
 	rngs  []*rand.Rand
 	lock  []int // per-core current lock
 	phase []int // 0: acquire read; 1: acquire write; 2..HoldOps+1: data; HoldOps+2: release
 }
 
-// NewConvoy builds the lock-convoy generator for n cores.
-func NewConvoy(p ConvoyParams, n int, seed int64) (Generator, error) {
+// newConvoy builds the lock-convoy generator for n cores.
+func newConvoy(p convoyParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -319,8 +315,6 @@ func NewConvoy(p ConvoyParams, n int, seed int64) (Generator, error) {
 	}
 	return g, nil
 }
-
-func (g *convoyGen) Name() string { return "convoy" }
 
 func (g *convoyGen) Next(core int) Op {
 	r := g.rngs[core]
@@ -353,12 +347,12 @@ func (g *convoyGen) Next(core int) Op {
 // falseshare: uncorrelated writers on a small hot block set
 // ---------------------------------------------------------------------
 
-// FalseSharingParams shapes a false-sharing stressor: every core
+// falseSharingParams shapes a false-sharing stressor: every core
 // updates logically-private counters that happen to live co-located in
 // a small set of hot blocks, so at coherence granularity uncorrelated
 // writers hammer the same few blocks and ownership ping-pongs without
 // any true communication.
-type FalseSharingParams struct {
+type falseSharingParams struct {
 	HotBlocks   int     // contended block set per domain; >= 1
 	WriteFrac   float64 // store fraction on hot blocks, in [0, 1]
 	HotFrac     float64 // fraction of references hitting the hot set, in (0, 1]
@@ -367,17 +361,17 @@ type FalseSharingParams struct {
 	DomainCores int
 }
 
-// DefaultFalseSharing is the registered "falseshare" configuration.
-func DefaultFalseSharing() FalseSharingParams {
-	return FalseSharingParams{HotBlocks: 8, WriteFrac: 0.7, HotFrac: 0.45, PrivateBlks: 1 << 10, ThinkMean: 5, DomainCores: 16}
+// defaultFalseSharing is the table's "falseshare" configuration.
+func defaultFalseSharing() falseSharingParams {
+	return falseSharingParams{HotBlocks: 8, WriteFrac: 0.7, HotFrac: 0.45, PrivateBlks: 1 << 10, ThinkMean: 5, DomainCores: 16}
 }
 
-func (p FalseSharingParams) describe() string {
+func (p falseSharingParams) describe() string {
 	return fmt.Sprintf("%d hot blocks per domain, %.0f%% writes, %.0f%% hot references",
 		p.HotBlocks, 100*p.WriteFrac, 100*p.HotFrac)
 }
 
-func (p FalseSharingParams) validate() error {
+func (p falseSharingParams) validate() error {
 	if p.HotBlocks < 1 {
 		return fmt.Errorf("%w: falseshare needs >= 1 hot block, got %d", ErrBadParams, p.HotBlocks)
 	}
@@ -397,13 +391,13 @@ func (p FalseSharingParams) validate() error {
 }
 
 type falseShareGen struct {
-	p    FalseSharingParams
+	p    falseSharingParams
 	dom  int
 	rngs []*rand.Rand
 }
 
-// NewFalseSharing builds the false-sharing generator for n cores.
-func NewFalseSharing(p FalseSharingParams, n int, seed int64) (Generator, error) {
+// newFalseSharing builds the false-sharing generator for n cores.
+func newFalseSharing(p falseSharingParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -417,8 +411,6 @@ func NewFalseSharing(p FalseSharingParams, n int, seed int64) (Generator, error)
 	}
 	return g, nil
 }
-
-func (g *falseShareGen) Name() string { return "falseshare" }
 
 func (g *falseShareGen) Next(core int) Op {
 	r := g.rngs[core]
@@ -436,12 +428,12 @@ func (g *falseShareGen) Next(core int) Op {
 // zipf: zipfian hotspots
 // ---------------------------------------------------------------------
 
-// ZipfParams shapes a zipfian-hotspot workload: references over a large
+// zipfParams shapes a zipfian-hotspot workload: references over a large
 // shared table with a power-law popularity skew, so a handful of blocks
 // absorb most of the traffic while the long tail provides capacity
 // pressure — the web-cache/key-value shape absent from the paper's
 // application mixes.
-type ZipfParams struct {
+type zipfParams struct {
 	Blocks      int     // table size in blocks; >= 2
 	Skew        float64 // zipf s parameter; > 1
 	WriteFrac   float64 // store fraction, in [0, 1]
@@ -449,16 +441,16 @@ type ZipfParams struct {
 	DomainCores int
 }
 
-// DefaultZipf is the registered "zipf" configuration.
-func DefaultZipf() ZipfParams {
-	return ZipfParams{Blocks: 4096, Skew: 1.2, WriteFrac: 0.2, ThinkMean: 5, DomainCores: 16}
+// defaultZipf is the table's "zipf" configuration.
+func defaultZipf() zipfParams {
+	return zipfParams{Blocks: 4096, Skew: 1.2, WriteFrac: 0.2, ThinkMean: 5, DomainCores: 16}
 }
 
-func (p ZipfParams) describe() string {
+func (p zipfParams) describe() string {
 	return fmt.Sprintf("zipf(s=%.1f) over %d shared blocks, %.0f%% writes", p.Skew, p.Blocks, 100*p.WriteFrac)
 }
 
-func (p ZipfParams) validate() error {
+func (p zipfParams) validate() error {
 	if p.Blocks < 2 {
 		return fmt.Errorf("%w: zipf needs >= 2 blocks, got %d", ErrBadParams, p.Blocks)
 	}
@@ -475,14 +467,14 @@ func (p ZipfParams) validate() error {
 }
 
 type zipfGen struct {
-	p     ZipfParams
+	p     zipfParams
 	dom   int
 	rngs  []*rand.Rand
 	zipfs []*rand.Zipf
 }
 
-// NewZipf builds the zipfian-hotspot generator for n cores.
-func NewZipf(p ZipfParams, n int, seed int64) (Generator, error) {
+// newZipf builds the zipfian-hotspot generator for n cores.
+func newZipf(p zipfParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -500,8 +492,6 @@ func NewZipf(p ZipfParams, n int, seed int64) (Generator, error) {
 	return g, nil
 }
 
-func (g *zipfGen) Name() string { return "zipf" }
-
 func (g *zipfGen) Next(core int) Op {
 	r := g.rngs[core]
 	p := &g.p
@@ -514,63 +504,63 @@ func (g *zipfGen) Next(core int) Op {
 // phased: phase-changing footprints
 // ---------------------------------------------------------------------
 
-// PhasedParams shapes a phase-changing workload: each core rotates
+// phasedParams shapes a phase-changing workload: each core rotates
 // through a cycle of sharing mixes — read-shared, streaming, migratory
 // — switching every PhaseOps operations, so predictors and directories
 // trained on one phase are wrong for the next. Rotation is per-core
 // (driven by the core's own op count), keeping streams independent of
 // drive order.
-type PhasedParams struct {
+type phasedParams struct {
 	PhaseOps    int // ops per core between mix rotations; >= 1
 	DomainCores int
 }
 
-// DefaultPhased is the registered "phased" configuration.
-func DefaultPhased() PhasedParams {
-	return PhasedParams{PhaseOps: 200, DomainCores: 16}
+// defaultPhased is the table's "phased" configuration.
+func defaultPhased() phasedParams {
+	return phasedParams{PhaseOps: 200, DomainCores: 16}
 }
 
-func (p PhasedParams) describe() string {
+func (p phasedParams) describe() string {
 	return fmt.Sprintf("rotates read-shared / streaming / migratory mixes every %d ops", p.PhaseOps)
 }
 
-func (p PhasedParams) validate() error {
+func (p phasedParams) validate() error {
 	if p.PhaseOps < 1 {
 		return fmt.Errorf("%w: phased needs >= 1 op per phase, got %d", ErrBadParams, p.PhaseOps)
 	}
 	return nil
 }
 
-// phasedPhases are the rotation's sub-mixes. Each is a valid Mix on its
-// own (pinned by construction in NewPhased).
-func phasedPhases() []Mix {
-	return []Mix{
+// phasedPhases are the rotation's sub-mixes. Each is a valid mix on its
+// own (pinned by construction in newPhased).
+func phasedPhases() []mix {
+	return []mix{
 		// Read-shared phase: wide read sharing, few writes.
 		{
-			Label: "phased", SharedReadFrac: 0.6, SharedWriteFrac: 0.04,
+			SharedReadFrac: 0.6, SharedWriteFrac: 0.04,
 			SharedBlocks: 1 << 10, PrivateBlocks: 1 << 10, PrivateWriteFrac: 0.25, ThinkMean: 6,
 		},
 		// Streaming phase: capacity misses dominate.
 		{
-			Label: "phased", StreamFrac: 0.5,
+			StreamFrac:    0.5,
 			PrivateBlocks: 1 << 10, PrivateWriteFrac: 0.35, ThinkMean: 4,
 		},
 		// Migratory phase: lock-style read-modify-write chains.
 		{
-			Label: "phased", MigratoryFrac: 0.4, MigratoryBlocks: 256,
+			MigratoryFrac: 0.4, MigratoryBlocks: 256,
 			PrivateBlocks: 1 << 10, PrivateWriteFrac: 0.25, ThinkMean: 6,
 		},
 	}
 }
 
 type phasedGen struct {
-	p      PhasedParams
+	p      phasedParams
 	phases []Generator // one mixGen per phase, all per-core independent
 	count  []int       // per-core op counter driving the rotation
 }
 
-// NewPhased builds the phase-changing generator for n cores.
-func NewPhased(p PhasedParams, n int, seed int64) (Generator, error) {
+// newPhased builds the phase-changing generator for n cores.
+func newPhased(p phasedParams, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
@@ -579,9 +569,9 @@ func NewPhased(p PhasedParams, n int, seed int64) (Generator, error) {
 	}
 	g := &phasedGen{p: p, count: make([]int, n)}
 	dom := domainSize(p.DomainCores, n)
-	for i, mix := range phasedPhases() {
-		mix.DomainCores = dom
-		sub, err := NewMix(mix, n, seed*3+int64(i)+17)
+	for i, m := range phasedPhases() {
+		m.DomainCores = dom
+		sub, err := newMix(m, n, seed*3+int64(i)+17)
 		if err != nil {
 			return nil, err
 		}
@@ -589,8 +579,6 @@ func NewPhased(p PhasedParams, n int, seed int64) (Generator, error) {
 	}
 	return g, nil
 }
-
-func (g *phasedGen) Name() string { return "phased" }
 
 func (g *phasedGen) Next(core int) Op {
 	phase := (g.count[core] / g.p.PhaseOps) % len(g.phases)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGeneratorFreshBuildDeterminism: two fresh builds of every
-// registered generator must produce byte-identical streams — the
+// named generator must produce byte-identical streams — the
 // property that makes a (workload, seed) pair a content-addressable
 // simulation input.
 func TestGeneratorFreshBuildDeterminism(t *testing.T) {
@@ -103,77 +103,77 @@ func TestScenarioParamGuards(t *testing.T) {
 		build func() (Generator, error)
 	}{
 		{"pipeline stages", func() (Generator, error) {
-			p := DefaultPipeline()
+			p := defaultPipeline()
 			p.Stages = 1
-			return NewPipeline(p, 8, 1)
+			return newPipeline(p, 8, 1)
 		}},
 		{"pipeline buffers", func() (Generator, error) {
-			p := DefaultPipeline()
+			p := defaultPipeline()
 			p.Buffers = 0
-			return NewPipeline(p, 8, 1)
+			return newPipeline(p, 8, 1)
 		}},
 		{"pipeline work without private blocks", func() (Generator, error) {
-			p := DefaultPipeline()
+			p := defaultPipeline()
 			p.PrivateBlks = 0
-			return NewPipeline(p, 8, 1)
+			return newPipeline(p, 8, 1)
 		}},
 		{"migratory objects", func() (Generator, error) {
-			p := DefaultMigratory()
+			p := defaultMigratory()
 			p.Objects = 0
-			return NewMigratory(p, 8, 1)
+			return newMigratory(p, 8, 1)
 		}},
 		{"convoy locks", func() (Generator, error) {
-			p := DefaultConvoy()
+			p := defaultConvoy()
 			p.Locks = 0
-			return NewConvoy(p, 8, 1)
+			return newConvoy(p, 8, 1)
 		}},
 		{"convoy data blocks", func() (Generator, error) {
-			p := DefaultConvoy()
+			p := defaultConvoy()
 			p.DataBlocks = 0
-			return NewConvoy(p, 8, 1)
+			return newConvoy(p, 8, 1)
 		}},
 		{"falseshare hot blocks", func() (Generator, error) {
-			p := DefaultFalseSharing()
+			p := defaultFalseSharing()
 			p.HotBlocks = 0
-			return NewFalseSharing(p, 8, 1)
+			return newFalseSharing(p, 8, 1)
 		}},
 		{"falseshare write frac", func() (Generator, error) {
-			p := DefaultFalseSharing()
+			p := defaultFalseSharing()
 			p.WriteFrac = 1.5
-			return NewFalseSharing(p, 8, 1)
+			return newFalseSharing(p, 8, 1)
 		}},
 		{"zipf blocks", func() (Generator, error) {
-			p := DefaultZipf()
+			p := defaultZipf()
 			p.Blocks = 1
-			return NewZipf(p, 8, 1)
+			return newZipf(p, 8, 1)
 		}},
 		{"zipf skew", func() (Generator, error) {
-			p := DefaultZipf()
+			p := defaultZipf()
 			p.Skew = 1.0 // rand.NewZipf requires s > 1
-			return NewZipf(p, 8, 1)
+			return newZipf(p, 8, 1)
 		}},
 		{"phased phase ops", func() (Generator, error) {
-			p := DefaultPhased()
+			p := defaultPhased()
 			p.PhaseOps = 0
-			return NewPhased(p, 8, 1)
+			return newPhased(p, 8, 1)
 		}},
 		{"mix frac without blocks", func() (Generator, error) {
-			return NewMix(Mix{Label: "x", MigratoryFrac: 0.3, PrivateBlocks: 8}, 8, 1)
+			return newMix(mix{MigratoryFrac: 0.3, PrivateBlocks: 8}, 8, 1)
 		}},
 		{"mix frac above one", func() (Generator, error) {
-			return NewMix(Mix{Label: "x", SharedReadFrac: 1.5, SharedBlocks: 8, PrivateBlocks: 8}, 8, 1)
+			return newMix(mix{SharedReadFrac: 1.5, SharedBlocks: 8, PrivateBlocks: 8}, 8, 1)
 		}},
 		{"mix no regions", func() (Generator, error) {
-			return NewMix(Mix{Label: "x"}, 8, 1)
+			return newMix(mix{}, 8, 1)
 		}},
 		{"zero cores", func() (Generator, error) {
-			return NewMicro(0, 1)
+			return newMicro(0, 1)
 		}},
 	}
 	for _, tc := range cases {
 		g, err := tc.build()
 		if err == nil {
-			t.Errorf("%s: invalid parameters accepted (generator %v)", tc.name, g.Name())
+			t.Errorf("%s: invalid parameters accepted (generator %T)", tc.name, g)
 			continue
 		}
 		if !errors.Is(err, ErrBadParams) {
@@ -184,7 +184,7 @@ func TestScenarioParamGuards(t *testing.T) {
 
 // TestScenarioTraceRoundTrip: a scenario generator recorded to a trace
 // and streamed back must be op-for-op identical to a fresh build —
-// trace recording accepts any registered generator, including the
+// trace recording accepts any named generator, including the
 // stateful ones (pipeline's toggle, convoy's lock-phase machine,
 // phased's rotation counter).
 func TestScenarioTraceRoundTrip(t *testing.T) {
@@ -214,7 +214,7 @@ func TestScenarioTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistryShape pins the registry's enumeration contract: paper
+// TestRegistryShape pins the workload table's enumeration contract: paper
 // workloads first in figure order, micro, then the scenario family;
 // Known/Describe agree with Names; Scenarios and PaperWorkloads
 // partition the non-micro names.
@@ -222,7 +222,7 @@ func TestRegistryShape(t *testing.T) {
 	names := Names()
 	wantPrefix := append(PaperWorkloads(), "micro")
 	if len(names) < len(wantPrefix)+1 {
-		t.Fatalf("registry too small: %v", names)
+		t.Fatalf("table too small: %v", names)
 	}
 	for i, w := range wantPrefix {
 		if names[i] != w {
@@ -235,12 +235,12 @@ func TestRegistryShape(t *testing.T) {
 	}
 	for i, s := range scen {
 		if names[len(wantPrefix)+i] != s {
-			t.Fatalf("Scenarios()[%d] = %q out of registration order", i, s)
+			t.Fatalf("Scenarios()[%d] = %q out of table order", i, s)
 		}
 	}
 	for _, n := range names {
 		if !Known(n) {
-			t.Errorf("Known(%q) = false for a registered name", n)
+			t.Errorf("Known(%q) = false for a name in the table", n)
 		}
 		desc, ok := Describe(n)
 		if !ok || desc == "" {
@@ -248,11 +248,11 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	if Known("nope") {
-		t.Error("Known accepted an unregistered name")
+		t.Error("Known accepted a name not in the table")
 	}
 }
 
-// FuzzMixParams fuzzes the Mix parameter surface: construction must
+// FuzzMixParams fuzzes the mix parameter surface: construction must
 // either reject the parameters with ErrBadParams or yield a generator
 // that survives thousands of operations without panicking — the pre-fix
 // code panicked in rand.Intn(0) on the first reference to a region with
@@ -264,14 +264,13 @@ func FuzzMixParams(f *testing.F) {
 	f.Add(1.0, 1.0, 1.0, 1.0, 1, 1, 1, 1, 1)    // fracs sum past 1
 	f.Add(-0.1, 0.0, 0.0, 0.0, 8, 8, 8, 8, -2)  // negative inputs
 	f.Fuzz(func(t *testing.T, srf, mf, pcf, sf float64, sb, mb, pb, priv, think int) {
-		mix := Mix{
-			Label:          "fuzz",
+		m := mix{
 			SharedReadFrac: srf, MigratoryFrac: mf, ProdConsFrac: pcf, StreamFrac: sf,
 			SharedBlocks: sb, MigratoryBlocks: mb, ProdConsBlocks: pb,
 			PrivateBlocks: priv, PrivateWriteFrac: 0.3, SharedWriteFrac: 0.05,
 			ThinkMean: think, DomainCores: 4,
 		}
-		g, err := NewMix(mix, 8, 1)
+		g, err := newMix(m, 8, 1)
 		if err != nil {
 			if !errors.Is(err, ErrBadParams) {
 				t.Fatalf("construction error %v does not wrap ErrBadParams", err)
@@ -281,10 +280,10 @@ func FuzzMixParams(f *testing.F) {
 		for i := 0; i < 4096; i++ {
 			op := g.Next(i % 8)
 			if uint64(op.Addr)%BlockSize != 0 {
-				t.Fatalf("unaligned address %#x from %+v", uint64(op.Addr), mix)
+				t.Fatalf("unaligned address %#x from %+v", uint64(op.Addr), m)
 			}
 			if op.Think < 0 {
-				t.Fatalf("negative think time from %+v", mix)
+				t.Fatalf("negative think time from %+v", m)
 			}
 		}
 	})
@@ -304,17 +303,17 @@ func FuzzScenarioParams(f *testing.F) {
 		var err error
 		switch ((family % 6) + 6) % 6 {
 		case 0:
-			g, err = NewPipeline(PipelineParams{Stages: a, Buffers: b, WorkFrac: frac, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
+			g, err = newPipeline(pipelineParams{Stages: a, Buffers: b, WorkFrac: frac, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
 		case 1:
-			g, err = NewMigratory(MigratoryParams{Objects: a, WorkFrac: frac, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
+			g, err = newMigratory(migratoryParams{Objects: a, WorkFrac: frac, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
 		case 2:
-			g, err = NewConvoy(ConvoyParams{Locks: a, DataBlocks: b, HoldOps: c, ThinkMean: think, DomainCores: 4}, 8, 1)
+			g, err = newConvoy(convoyParams{Locks: a, DataBlocks: b, HoldOps: c, ThinkMean: think, DomainCores: 4}, 8, 1)
 		case 3:
-			g, err = NewFalseSharing(FalseSharingParams{HotBlocks: a, WriteFrac: frac, HotFrac: 0.5, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
+			g, err = newFalseSharing(falseSharingParams{HotBlocks: a, WriteFrac: frac, HotFrac: 0.5, PrivateBlks: c, ThinkMean: think, DomainCores: 4}, 8, 1)
 		case 4:
-			g, err = NewZipf(ZipfParams{Blocks: a, Skew: frac, WriteFrac: 0.2, ThinkMean: think, DomainCores: 4}, 8, 1)
+			g, err = newZipf(zipfParams{Blocks: a, Skew: frac, WriteFrac: 0.2, ThinkMean: think, DomainCores: 4}, 8, 1)
 		case 5:
-			g, err = NewPhased(PhasedParams{PhaseOps: a, DomainCores: 4}, 8, 1)
+			g, err = newPhased(phasedParams{PhaseOps: a, DomainCores: 4}, 8, 1)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrBadParams) {

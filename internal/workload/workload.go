@@ -25,9 +25,9 @@ import (
 // ErrBadParams reports generator construction parameters that cannot
 // produce a well-formed reference stream (a nonzero category fraction
 // with an empty working set, a fraction outside [0, 1], ...). Every
-// construction failure returned by NewMix and the scenario constructors
-// wraps this sentinel, so callers can classify with errors.Is instead
-// of recovering a rand.Intn(0) panic mid-sweep.
+// construction failure Named returns for bad parameters wraps this
+// sentinel, so callers can classify with errors.Is instead of
+// recovering a rand.Intn(0) panic mid-sweep.
 var ErrBadParams = errors.New("invalid generator parameters")
 
 // Op is one memory reference by a core: the block address, the kind, and
@@ -41,7 +41,6 @@ type Op struct {
 // Generator produces each core's reference stream deterministically for
 // a given seed.
 type Generator interface {
-	Name() string
 	// Next returns the core's next operation.
 	Next(core int) Op
 }
@@ -58,11 +57,8 @@ const (
 	regionStride  = 0x0100_0000 // 16 MB per core/domain within a region
 )
 
-// Mix parameterises a synthetic application workload.
-type Mix struct {
-	// Label names the workload ("oltp", ...).
-	Label string
-
+// mix parameterises a synthetic application workload.
+type mix struct {
 	// DomainCores groups cores into consolidation domains (the paper runs
 	// four 16-core copies); sharing never crosses a domain.
 	DomainCores int
@@ -90,9 +86,9 @@ type Mix struct {
 	ThinkMean int
 }
 
-// mixGen drives a Mix.
+// mixGen drives a mix.
 type mixGen struct {
-	mix   Mix
+	p     mix
 	cores int
 	rngs  []*rand.Rand
 	// pendingWrite holds the write half of a migratory read-modify-write
@@ -104,7 +100,7 @@ type mixGen struct {
 // validate checks the mix can generate without panicking: every
 // reachable reference category must have a non-empty working set, and
 // every fraction must be a probability.
-func (m Mix) validate() error {
+func (m mix) validate() error {
 	fracs := []struct {
 		name string
 		v    float64
@@ -158,45 +154,43 @@ func (m Mix) validate() error {
 	return nil
 }
 
-// describe renders the mix's one-line registry parameter summary.
-func (m Mix) describe() string {
+// describe renders the mix's one-line parameter summary.
+func (m mix) describe() string {
 	return fmt.Sprintf("mix: shared %.0f%%, migratory %.0f%%, prod-cons %.0f%%, stream %.0f%% (blocks %d/%d/%d/%d, think %d)",
 		100*m.SharedReadFrac, 100*m.MigratoryFrac, 100*m.ProdConsFrac, 100*m.StreamFrac,
 		m.SharedBlocks, m.MigratoryBlocks, m.ProdConsBlocks, m.PrivateBlocks, m.ThinkMean)
 }
 
-// NewMix builds a generator for n cores with the given seed. Invalid
+// newMix builds a generator for n cores with the given seed. Invalid
 // parameters — a nonzero category fraction over an empty region, a
 // fraction outside [0, 1] — return an error wrapping ErrBadParams
 // rather than panicking on the first matching reference.
-func NewMix(mix Mix, n int, seed int64) (Generator, error) {
+func newMix(m mix, n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
-	if err := mix.validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	g := &mixGen{mix: mix, cores: n}
+	g := &mixGen{p: m, cores: n}
 	g.rngs = make([]*rand.Rand, n)
 	g.pendingWrite = make([]msg.Addr, n)
 	g.streamPos = make([]int, n)
 	for i := range g.rngs {
 		g.rngs[i] = rand.New(rand.NewSource(seed*7919 + int64(i)*104729 + 1))
 	}
-	if mix.DomainCores <= 0 {
-		g.mix.DomainCores = n
+	if m.DomainCores <= 0 {
+		g.p.DomainCores = n
 	}
 	return g, nil
 }
 
-func (g *mixGen) Name() string { return g.mix.Label }
-
 func (g *mixGen) think(r *rand.Rand) int {
-	if g.mix.ThinkMean <= 0 {
+	if g.p.ThinkMean <= 0 {
 		return 0
 	}
 	// Geometric-ish: uniform in [1, 2*mean).
-	return 1 + r.Intn(2*g.mix.ThinkMean)
+	return 1 + r.Intn(2*g.p.ThinkMean)
 }
 
 func blockAddr(base uint64, idx int) msg.Addr {
@@ -205,7 +199,7 @@ func blockAddr(base uint64, idx int) msg.Addr {
 
 func (g *mixGen) Next(core int) Op {
 	r := g.rngs[core]
-	m := &g.mix
+	m := &g.p
 	domain := core / m.DomainCores
 	domBase := func(base uint64) uint64 { return base + uint64(domain)*regionStride }
 
@@ -246,20 +240,20 @@ func (g *mixGen) Next(core int) Op {
 	}
 }
 
-// Micro is the scalability microbenchmark from §8.1: uniform random
+// micro is the scalability microbenchmark from §8.1: uniform random
 // references over a 16K-entry shared table, 30% writes.
-type Micro struct {
+type micro struct {
 	rngs   []*rand.Rand
 	blocks int
 	think  int
 }
 
-// NewMicro builds the microbenchmark for n cores.
-func NewMicro(n int, seed int64) (Generator, error) {
+// newMicro builds the microbenchmark for n cores.
+func newMicro(n int, seed int64) (Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: core count %d", ErrBadParams, n)
 	}
-	g := &Micro{blocks: 16 * 1024, think: 4}
+	g := &micro{blocks: 16 * 1024, think: 4}
 	g.rngs = make([]*rand.Rand, n)
 	for i := range g.rngs {
 		g.rngs[i] = rand.New(rand.NewSource(seed*31337 + int64(i)*7 + 1))
@@ -267,69 +261,12 @@ func NewMicro(n int, seed int64) (Generator, error) {
 	return g, nil
 }
 
-func (g *Micro) Name() string { return "micro" }
-
 // Next implements Generator.
-func (g *Micro) Next(core int) Op {
+func (g *micro) Next(core int) Op {
 	r := g.rngs[core]
 	return Op{
 		Addr:  blockAddr(sharedBase, r.Intn(g.blocks)),
 		Write: r.Float64() < 0.30,
 		Think: 1 + r.Intn(2*g.think),
 	}
-}
-
-// paperMixes encodes each of the paper's five applications' qualitative
-// sharing character (see the package comment). The registry binds each
-// to its name with the paper's 16-core consolidation domains
-// (paperDomain); DomainCores here is a placeholder overridden at build
-// time.
-var paperMixes = map[string]Mix{
-	// barnes: N-body tree with migratory body updates and moderate
-	// read sharing of tree cells.
-	"barnes": {
-		Label:          "barnes",
-		SharedReadFrac: 0.22, MigratoryFrac: 0.10, ProdConsFrac: 0.03, StreamFrac: 0.02,
-		PrivateWriteFrac: 0.30, SharedWriteFrac: 0.04,
-		PrivateBlocks: 2 << 10, SharedBlocks: 1 << 10, MigratoryBlocks: 256, ProdConsBlocks: 32,
-		ThinkMean: 6,
-	},
-	// ocean: grid solver — mostly private with nearest-neighbour
-	// boundary exchange and heavy streaming (high capacity-miss
-	// rate, the paper's most bandwidth-hungry workload).
-	"ocean": {
-		Label:          "ocean",
-		SharedReadFrac: 0.04, MigratoryFrac: 0.01, ProdConsFrac: 0.12, StreamFrac: 0.22,
-		PrivateWriteFrac: 0.35, SharedWriteFrac: 0.05,
-		PrivateBlocks: 3 << 10, SharedBlocks: 512, MigratoryBlocks: 64, ProdConsBlocks: 64,
-		ThinkMean: 4,
-	},
-	// oltp: transaction processing — lock-dominated migratory
-	// sharing and substantial read sharing; the paper's biggest
-	// beneficiary of direct requests.
-	"oltp": {
-		Label:          "oltp",
-		SharedReadFrac: 0.28, MigratoryFrac: 0.22, ProdConsFrac: 0.04, StreamFrac: 0.03,
-		PrivateWriteFrac: 0.25, SharedWriteFrac: 0.06,
-		PrivateBlocks: 1536, SharedBlocks: 1536, MigratoryBlocks: 512, ProdConsBlocks: 32,
-		ThinkMean: 8,
-	},
-	// apache: static web serving — wide read sharing of file/cache
-	// structures with some migratory metadata.
-	"apache": {
-		Label:          "apache",
-		SharedReadFrac: 0.34, MigratoryFrac: 0.14, ProdConsFrac: 0.03, StreamFrac: 0.04,
-		PrivateWriteFrac: 0.25, SharedWriteFrac: 0.05,
-		PrivateBlocks: 1792, SharedBlocks: 1536, MigratoryBlocks: 384, ProdConsBlocks: 32,
-		ThinkMean: 7,
-	},
-	// jbb: Java middleware — more private than oltp/apache with
-	// moderate object sharing.
-	"jbb": {
-		Label:          "jbb",
-		SharedReadFrac: 0.18, MigratoryFrac: 0.12, ProdConsFrac: 0.03, StreamFrac: 0.05,
-		PrivateWriteFrac: 0.30, SharedWriteFrac: 0.05,
-		PrivateBlocks: 2 << 10, SharedBlocks: 1 << 10, MigratoryBlocks: 384, ProdConsBlocks: 32,
-		ThinkMean: 7,
-	},
 }

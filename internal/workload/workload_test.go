@@ -8,12 +8,8 @@ import (
 
 func TestNamedKnownWorkloads(t *testing.T) {
 	for _, name := range Names() {
-		g, err := Named(name, 64, 1)
-		if err != nil {
+		if _, err := Named(name, 64, 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if g.Name() != name {
-			t.Fatalf("generator name %q != %q", g.Name(), name)
 		}
 	}
 	if _, err := Named("nope", 64, 1); err == nil {
@@ -58,7 +54,7 @@ func TestAddressesBlockAligned(t *testing.T) {
 }
 
 func TestMicroWriteFraction(t *testing.T) {
-	g, err := NewMicro(4, 1)
+	g, err := newMicro(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +71,7 @@ func TestMicroWriteFraction(t *testing.T) {
 }
 
 func TestMicroTableSize(t *testing.T) {
-	g, err := NewMicro(4, 1)
+	g, err := newMicro(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,8 @@
 package patch
 
 import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
 	"patch/internal/interconnect"
 	"patch/internal/msg"
-	"patch/internal/predictor"
 	"patch/internal/sim"
 	"patch/internal/stats"
 	"patch/internal/workload"
@@ -66,82 +61,18 @@ const (
 )
 
 // Variant names a PATCH configuration from the paper's evaluation.
-type Variant int
+// It marshals by paper name ("PATCH-All") and decodes a name
+// (case-insensitive) or an integer.
+type Variant = sim.Variant
 
+// Variant values, in the paper's order.
 const (
-	// VariantNone sends no direct requests (PATCH-NONE).
-	VariantNone Variant = iota
-	// VariantOwner predicts a single owner destination (PATCH-OWNER).
-	VariantOwner
-	// VariantBroadcastIfShared broadcasts for recently shared blocks
-	// (PATCH-BROADCASTIFSHARED).
-	VariantBroadcastIfShared
-	// VariantAll broadcasts every request best-effort (PATCH-ALL).
-	VariantAll
-	// VariantAllNonAdaptive broadcasts with guaranteed delivery
-	// (PATCH-ALL-NONADAPTIVE), the foil for the bandwidth-adaptivity
-	// experiments.
-	VariantAllNonAdaptive
+	VariantNone              = sim.VariantNone
+	VariantOwner             = sim.VariantOwner
+	VariantBroadcastIfShared = sim.VariantBroadcastIfShared
+	VariantAll               = sim.VariantAll
+	VariantAllNonAdaptive    = sim.VariantAllNonAdaptive
 )
-
-func (v Variant) String() string {
-	switch v {
-	case VariantNone:
-		return "PATCH-None"
-	case VariantOwner:
-		return "PATCH-Owner"
-	case VariantBroadcastIfShared:
-		return "PATCH-BroadcastIfShared"
-	case VariantAll:
-		return "PATCH-All"
-	case VariantAllNonAdaptive:
-		return "PATCH-All-NonAdaptive"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// variantNames maps each Variant to its wire spelling — the paper name
-// Variant.String returns. Unmarshalling accepts these names
-// case-insensitively, or a bare integer for backwards compatibility.
-var variantNames = map[string]Variant{}
-
-func init() {
-	for v := VariantNone; v <= VariantAllNonAdaptive; v++ {
-		variantNames[strings.ToLower(v.String())] = v
-	}
-}
-
-// MarshalJSON encodes the variant by its paper name ("PATCH-All"), so
-// the wire form survives any renumbering of the Go constants.
-func (v Variant) MarshalJSON() ([]byte, error) {
-	if v < VariantNone || v > VariantAllNonAdaptive {
-		return nil, fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, int(v))
-	}
-	return json.Marshal(v.String())
-}
-
-// UnmarshalJSON decodes a paper name (case-insensitive) or an integer.
-func (v *Variant) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		got, ok := variantNames[strings.ToLower(s)]
-		if !ok {
-			return fmt.Errorf("patch: %w: %q", ErrUnknownVariant, s)
-		}
-		*v = got
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("patch: %w: %s", ErrUnknownVariant, data)
-	}
-	got := Variant(n)
-	if got < VariantNone || got > VariantAllNonAdaptive {
-		return fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, n)
-	}
-	*v = got
-	return nil
-}
 
 // Config describes one simulation. Zero values select the paper's
 // defaults (64 cores, 16 B/cycle links, full-map directory).
@@ -155,7 +86,7 @@ type Config struct {
 	Variant  Variant  `json:"variant,omitempty"` // PATCH only
 
 	Cores int `json:"cores,omitempty"`
-	// Workload names a registered generator: one of the paper's
+	// Workload names a built-in generator: one of the paper's
 	// application mixes ("jbb", "oltp", "apache", "barnes", "ocean"),
 	// the §8.1 microbenchmark ("micro"), or a sharing-pattern scenario
 	// ("pipeline", "migratory", "convoy", "falseshare", "zipf",
@@ -259,19 +190,7 @@ func (c Config) ToSim() sim.Config {
 		NoDeactWindow:       c.NoDeactWindow,
 		MaxCycles:           c.MaxCycles,
 		SkipChecks:          c.SkipChecks,
-	}
-	if c.Protocol == sim.PATCH {
-		switch c.Variant {
-		case VariantNone:
-			sc.Policy = predictor.None
-		case VariantOwner:
-			sc.Policy = predictor.Owner
-		case VariantBroadcastIfShared:
-			sc.Policy = predictor.BroadcastIfShared
-		case VariantAll, VariantAllNonAdaptive:
-			sc.Policy = predictor.All
-		}
-		sc.BestEffort = c.Variant != VariantAllNonAdaptive
+		Variant:             c.Variant,
 	}
 	if c.UnboundedBandwidth {
 		sc.Net = interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100}
@@ -282,7 +201,7 @@ func (c Config) ToSim() sim.Config {
 	// After the bandwidth branches: both leave sc.Net fully formed, and
 	// the zero-value branch is re-defaulted inside sim with the fault
 	// pointer preserved.
-	sc.Net.Fault = c.FaultPlan.toPlan()
+	sc.Net.Fault = c.FaultPlan.Canonical()
 	return sc
 }
 
@@ -336,7 +255,7 @@ func ScenarioWorkloads() []string {
 	return workload.Scenarios()
 }
 
-// DescribeWorkload returns a registered workload's one-line parameter
+// DescribeWorkload returns a named workload's one-line parameter
 // summary and whether the name is known.
 func DescribeWorkload(name string) (string, bool) {
 	return workload.Describe(name)

@@ -114,8 +114,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ones re-enter admission and resume from their last journaled
 // replica. Determinism makes the resumed output byte-identical to an
 // uninterrupted run. A job whose spec no longer expands is skipped and
-// counted under StoreStats.Dropped, like the specs Load drops; its
-// directory stays on disk. Call once, after New and before serving
+// counted under StoreStats.Dropped, like the specs Load drops, and
+// leaves Loaded and Replayed; its directory stays on disk. Call once, after New and before serving
 // traffic; without a store it is a no-op.
 func (s *Server) Restore() (int, error) {
 	if s.cfg.Store == nil {
@@ -146,7 +146,7 @@ func (s *Server) Restore() (int, error) {
 		if err != nil {
 			// The spec no longer expands (e.g. a validation rule this
 			// build added). Skip it rather than refuse to start.
-			s.cfg.Store.drop()
+			s.cfg.Store.drop(rec)
 			continue
 		}
 		j.principal = rec.Principal

@@ -47,9 +47,10 @@ type JobStore struct {
 type StoreStats struct {
 	// Jobs is the number of job directories currently persisted.
 	Jobs int64 `json:"jobs"`
-	// Loaded counts jobs restored by the last Load.
+	// Loaded counts the jobs the last Load read back, less those
+	// Server.Restore then skipped: the jobs a restart re-admitted.
 	Loaded int64 `json:"loaded"`
-	// Replayed counts journal records replayed by the last Load.
+	// Replayed counts the journal records of the jobs in Loaded.
 	Replayed int64 `json:"replayed"`
 	// Records counts journal records appended since construction.
 	Records int64 `json:"records"`
@@ -318,9 +319,13 @@ func (st *JobStore) Load() ([]RestoredJob, error) {
 	return out, nil
 }
 
-// drop counts one loaded job the server could not re-admit.
-func (st *JobStore) drop() {
+// drop moves one loaded job the server could not re-admit, and its
+// journal records, out of Loaded and Replayed and counts it under
+// Dropped.
+func (st *JobStore) drop(job RestoredJob) {
 	st.mu.Lock()
+	st.stats.Loaded--
+	st.stats.Replayed -= int64(len(job.Results))
 	st.stats.Dropped++
 	st.mu.Unlock()
 }

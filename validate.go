@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"patch/internal/sim"
 	"patch/internal/workload"
 )
 
@@ -16,7 +17,7 @@ var (
 	ErrUnknownProtocol = errors.New("unknown protocol")
 	// ErrUnknownVariant reports a Variant outside the paper's five PATCH
 	// configurations.
-	ErrUnknownVariant = errors.New("unknown PATCH variant")
+	ErrUnknownVariant = sim.ErrUnknownVariant
 	// ErrUnknownWorkload reports a workload name with no built-in
 	// generator.
 	ErrUnknownWorkload = errors.New("unknown workload")
@@ -104,53 +105,8 @@ func (c Config) Validate() error {
 	if c.TenureTimeoutFactor < 0 {
 		return fmt.Errorf("patch: %w: got %g", ErrBadTenureFactor, c.TenureTimeoutFactor)
 	}
-	if err := c.FaultPlan.validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// maxFaultDelay bounds every per-crossing fault parameter. Well past
-// any latency worth simulating, but small enough that a hostile plan
-// cannot overflow cycle arithmetic or wedge the watchdog.
-const maxFaultDelay = 1 << 20
-
-// validate checks one fault plan's parameter envelope. A nil plan is
-// valid (no injection).
-func (p *FaultPlan) validate() error {
-	if p == nil {
-		return nil
-	}
-	if p.HopJitter < 0 || p.HopJitter > maxFaultDelay {
-		return fmt.Errorf("patch: %w: hop_jitter %d outside [0, %d]",
-			ErrBadFaultPlan, p.HopJitter, maxFaultDelay)
-	}
-	if len(p.Degrade) > 64 {
-		return fmt.Errorf("patch: %w: %d degrade windows (max 64)", ErrBadFaultPlan, len(p.Degrade))
-	}
-	for i, w := range p.Degrade {
-		if w.Multiplier < 1 || w.Multiplier > maxFaultDelay {
-			return fmt.Errorf("patch: %w: degrade[%d] multiplier %d outside [1, %d]",
-				ErrBadFaultPlan, i, w.Multiplier, maxFaultDelay)
-		}
-		if w.FromCycle > w.ToCycle {
-			return fmt.Errorf("patch: %w: degrade[%d] window [%d, %d] is inverted",
-				ErrBadFaultPlan, i, w.FromCycle, w.ToCycle)
-		}
-		if !(w.LinkFraction >= 0 && w.LinkFraction <= 1) {
-			return fmt.Errorf("patch: %w: degrade[%d] link_fraction %g outside [0, 1]",
-				ErrBadFaultPlan, i, w.LinkFraction)
-		}
-	}
-	if b := p.Burst; b != nil {
-		if b.ExtraCycles < 0 || b.ExtraCycles > maxFaultDelay {
-			return fmt.Errorf("patch: %w: burst extra_cycles %d outside [0, %d]",
-				ErrBadFaultPlan, b.ExtraCycles, maxFaultDelay)
-		}
-		if b.Duration > b.Period {
-			return fmt.Errorf("patch: %w: burst duration %d exceeds period %d",
-				ErrBadFaultPlan, b.Duration, b.Period)
-		}
+	if err := c.FaultPlan.Validate(); err != nil {
+		return fmt.Errorf("patch: %w: %v", ErrBadFaultPlan, err)
 	}
 	return nil
 }

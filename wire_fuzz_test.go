@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Hostile wire matrices from FuzzMatrixJSON's seed corpus, named so
+// TestHostileMatrixSeedsDecode can check that their values reach the
+// decoded Matrix (json.Unmarshal ignores unknown keys, so a misspelt
+// key would never reach Validate).
+const (
+	traversalTraceSeed    = `{"base": {"workload": "\u0000", "trace_file": "../../etc/passwd"}}`
+	negativeBandwidthSeed = `{"base": {"cores": -1, "bandwidth_bytes_per_kilocycle": -999}}`
+)
+
 // FuzzMatrixJSON throws hostile bytes at the wire decoders the sweep
 // service exposes to the network: a submitted job body is unmarshalled
 // into a Matrix and expanded, and each expanded cell Config is
@@ -27,8 +36,8 @@ func FuzzMatrixJSON(f *testing.F) {
 	f.Add([]byte(`{"protocols": [{"protocol": "PATCH", "variant": 9000}]}`))
 	f.Add([]byte(`{"adjust": "no-such-transform"}`))
 	f.Add([]byte(`{"filter": "no-such-predicate"}`))
-	f.Add([]byte(`{"base": {"workload": "\u0000", "trace": "../../etc/passwd"}}`))
-	f.Add([]byte(`{"base": {"cores": -1, "bandwidth": -999}}`))
+	f.Add([]byte(traversalTraceSeed))
+	f.Add([]byte(negativeBandwidthSeed))
 	f.Add([]byte(`{"cores": [0, -4, 1073741824]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{`))
@@ -81,4 +90,23 @@ func FuzzMatrixJSON(f *testing.F) {
 			t.Fatalf("round trip changed expansion: %d -> %d replicas", replicas, plan2.NumReplicas())
 		}
 	})
+}
+
+// TestHostileMatrixSeedsDecode: the hostile seeds carry their values
+// into the decoded Matrix, so the fuzzer hands them to Validate.
+func TestHostileMatrixSeedsDecode(t *testing.T) {
+	var m Matrix
+	if err := json.Unmarshal([]byte(traversalTraceSeed), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Base.TraceFile != "../../etc/passwd" {
+		t.Errorf("traversal seed decoded TraceFile %q", m.Base.TraceFile)
+	}
+	m = Matrix{}
+	if err := json.Unmarshal([]byte(negativeBandwidthSeed), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Base.BandwidthBytesPerKiloCycle != -999 {
+		t.Errorf("bandwidth seed decoded BandwidthBytesPerKiloCycle %d", m.Base.BandwidthBytesPerKiloCycle)
+	}
 }

@@ -141,3 +141,34 @@ func TestProtocolVariantJSONForms(t *testing.T) {
 		t.Errorf("case-insensitive variant decode: %v, %v", v, err)
 	}
 }
+
+// TestFaultPlanJSONGolden pins the fault plan's wire encoding: a
+// Config whose plan sets every field (seed, jitter, a degrade window
+// with a link fraction, a burst) must marshal to these exact bytes and
+// decode back to an equal value.
+func TestFaultPlanJSONGolden(t *testing.T) {
+	cfg := Config{
+		Protocol: Directory, Cores: 16, Workload: "micro",
+		FaultPlan: &FaultPlan{
+			Seed:      9,
+			HopJitter: 4,
+			Degrade:   []FaultWindow{{FromCycle: 100, ToCycle: 5_000, Multiplier: 3, LinkFraction: 0.5}},
+			Burst:     &CongestionBurst{Period: 500, Duration: 100, ExtraCycles: 6},
+		},
+	}
+	const want = `{"protocol":"Directory","cores":16,"workload":"micro","fault_plan":{"seed":9,"hop_jitter":4,"degrade":[{"from_cycle":100,"to_cycle":5000,"multiplier":3,"link_fraction":0.5}],"burst":{"period":500,"duration":100,"extra_cycles":6}}}`
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != want {
+		t.Errorf("fault plan JSON drifted:\n got %s\nwant %s", b, want)
+	}
+	var back Config
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, cfg) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", back, cfg)
+	}
+}
