@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // fingerprintVersion is bumped whenever the canonical encoding below
@@ -57,14 +57,6 @@ func (c Config) Fingerprint() string {
 	if coarseness == 0 {
 		coarseness = 1
 	}
-	bandwidth := "unbounded"
-	if !c.UnboundedBandwidth {
-		bw := c.BandwidthBytesPerKiloCycle
-		if bw == 0 {
-			bw = 16000
-		}
-		bandwidth = fmt.Sprintf("%d", bw)
-	}
 	tenure := c.TenureTimeoutFactor
 	if tenure == 0 {
 		tenure = 2
@@ -74,35 +66,69 @@ func (c Config) Fingerprint() string {
 		variant = c.Variant.String()
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", fingerprintVersion)
-	fmt.Fprintf(&b, "protocol=%s\n", c.Protocol.String())
-	fmt.Fprintf(&b, "variant=%s\n", variant)
-	fmt.Fprintf(&b, "cores=%d\n", cores)
-	fmt.Fprintf(&b, "workload=%s\n", workload)
-	fmt.Fprintf(&b, "trace_file=%s\n", c.TraceFile)
-	fmt.Fprintf(&b, "ops_per_core=%d\n", c.OpsPerCore)
-	fmt.Fprintf(&b, "warmup_ops=%d\n", c.WarmupOps)
-	fmt.Fprintf(&b, "seed=%d\n", c.Seed)
-	fmt.Fprintf(&b, "bandwidth=%s\n", bandwidth)
-	fmt.Fprintf(&b, "coarseness=%d\n", coarseness)
-	fmt.Fprintf(&b, "tenure_timeout_factor=%g\n", tenure)
-	fmt.Fprintf(&b, "no_deact_window=%t\n", c.NoDeactWindow)
-	fmt.Fprintf(&b, "max_cycles=%d\n", c.MaxCycles)
+	// One key=value line per field, appended with strconv rather than
+	// fmt, since every cache lookup hashes one: the bytes are those the
+	// verbs %s, %d, %t and %g write (%g of a float64 is AppendFloat's
+	// 'g' at the shortest precision), and refFingerprint in
+	// fingerprint_test.go, the fmt encoder this replaced, pins them.
+	b := make([]byte, 0, 512)
+	b = append(b, fingerprintVersion+"\n"...)
+	b = appendLine(b, "protocol=", c.Protocol.String())
+	b = appendLine(b, "variant=", variant)
+	b = appendInt(b, "cores=", int64(cores))
+	b = appendLine(b, "workload=", workload)
+	b = appendLine(b, "trace_file=", c.TraceFile)
+	b = appendInt(b, "ops_per_core=", int64(c.OpsPerCore))
+	b = appendInt(b, "warmup_ops=", int64(c.WarmupOps))
+	b = appendInt(b, "seed=", c.Seed)
+	if c.UnboundedBandwidth {
+		b = appendLine(b, "bandwidth=", "unbounded")
+	} else {
+		bw := c.BandwidthBytesPerKiloCycle
+		if bw == 0 {
+			bw = 16000
+		}
+		b = appendInt(b, "bandwidth=", int64(bw))
+	}
+	b = appendInt(b, "coarseness=", int64(coarseness))
+	b = append(b, "tenure_timeout_factor="...)
+	b = strconv.AppendFloat(b, tenure, 'g', -1, 64)
+	b = append(b, '\n')
+	b = append(b, "no_deact_window="...)
+	b = strconv.AppendBool(b, c.NoDeactWindow)
+	b = append(b, '\n')
+	b = append(b, "max_cycles="...)
+	b = strconv.AppendUint(b, c.MaxCycles, 10)
+	b = append(b, '\n')
 	// Fault lines are appended only for a plan that actually injects
 	// something, so every fault-free spelling (nil plan, zero plan,
 	// seed-only plan, dead windows) keeps the pre-fault golden hash and
-	// shares cache entries with unfaulted configs.
+	// shares cache entries with unfaulted configs. Only faulted configs
+	// pay for fmt.
 	if fp := c.FaultPlan.Canonical(); fp != nil {
-		fmt.Fprintf(&b, "fault_seed=%d\n", fp.Seed)
-		fmt.Fprintf(&b, "fault_hop_jitter=%d\n", fp.HopJitter)
+		b = fmt.Appendf(b, "fault_seed=%d\n", fp.Seed)
+		b = fmt.Appendf(b, "fault_hop_jitter=%d\n", fp.HopJitter)
 		for _, w := range fp.Degrade {
-			fmt.Fprintf(&b, "fault_degrade=%d:%d:%d:%g\n", w.FromCycle, w.ToCycle, w.Multiplier, w.LinkFraction)
+			b = fmt.Appendf(b, "fault_degrade=%d:%d:%d:%g\n", w.FromCycle, w.ToCycle, w.Multiplier, w.LinkFraction)
 		}
 		if bu := fp.Burst; bu != nil {
-			fmt.Fprintf(&b, "fault_burst=%d:%d:%d\n", bu.Period, bu.Duration, bu.ExtraCycles)
+			b = fmt.Appendf(b, "fault_burst=%d:%d:%d\n", bu.Period, bu.Duration, bu.ExtraCycles)
 		}
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// appendLine appends the line key+value+"\n" (key ends in '=').
+func appendLine(b []byte, key, value string) []byte {
+	b = append(b, key...)
+	b = append(b, value...)
+	return append(b, '\n')
+}
+
+// appendInt appends the line key+v+"\n", v in decimal as %d writes it.
+func appendInt(b []byte, key string, v int64) []byte {
+	b = append(b, key...)
+	b = strconv.AppendInt(b, v, 10)
+	return append(b, '\n')
 }

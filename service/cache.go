@@ -288,8 +288,14 @@ const checksumPrefix = "sha256:"
 
 // checksumLine returns the header line (without newline) for payload.
 func checksumLine(payload []byte) string {
+	return string(appendChecksum(make([]byte, 0, len(checksumPrefix)+2*sha256.Size), payload))
+}
+
+// appendChecksum appends checksumLine(payload) to b.
+func appendChecksum(b, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	return checksumPrefix + hex.EncodeToString(sum[:])
+	b = append(b, checksumPrefix...)
+	return hex.AppendEncode(b, sum[:])
 }
 
 // readChecksummed reads a checksummed file and returns its verified

@@ -13,3 +13,10 @@ import (
 func SetRunnerFactory(srv *Server, f func(ctx context.Context) patch.Runner) {
 	srv.newRunner = f
 }
+
+// OpenJournals counts the job journals st holds open.
+func OpenJournals(st *JobStore) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.journals)
+}

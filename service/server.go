@@ -265,6 +265,11 @@ func (s *Server) runJob(j *job) {
 			return &jobRunner{j: j, cache: s.cache, sim: s.newRunner(j.ctx)}
 		}),
 		patch.OnProgress(func(p patch.Progress) { j.complete(p.Replica, p.Result) }))
+	// Every completion is journaled from OnProgress, and Sweep returns
+	// only after its workers have: the job appends nothing more.
+	if s.cfg.Store != nil {
+		s.cfg.Store.closeJournal(j.id)
+	}
 	if err != nil {
 		// A replica failed. A job that is already finished (done,
 		// whose last completion cancelled the sweep's context, or
@@ -356,6 +361,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
+	// Planning stats a trace file, and its error would tell the client
+	// what the server's filesystem holds. A wire job is refused before
+	// that, whatever the path names; Submit and Restore still plan a
+	// trace the operator chose.
+	if spec.Matrix.Base.TraceFile != "" {
+		httpError(w, http.StatusBadRequest, "bad job spec: a submitted matrix may not name a trace_file")
+		return
+	}
 	st, err := s.submit(r.Header.Get("X-Sweep-Principal"), spec)
 	switch {
 	case errors.Is(err, ErrDraining):
@@ -427,6 +440,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleProgress streams replica-granular ProgressEvent lines as
 // NDJSON until the job reaches a terminal state or the client leaves.
+// It flushes once it has caught up with the queued events, so a stream
+// that keeps up sees each event at once and a burst costs one flush;
+// net/http flushes what remains when the handler returns.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -449,7 +465,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			if err := enc.Encode(ev); err != nil {
 				return
 			}
-			if flusher != nil {
+			if flusher != nil && len(ch) == 0 {
 				flusher.Flush()
 			}
 		case <-r.Context().Done():

@@ -630,6 +630,36 @@ func TestBadRequests(t *testing.T) {
 		!strings.Contains(msg, "invalid directory coarseness") {
 		t.Errorf("invalid cell: %d %s", code, msg)
 	}
+	// A submitted matrix may not name a trace file: an existing file, a
+	// missing path and a directory all get one answer, so a client
+	// learns nothing of the server's filesystem.
+	dir := t.TempDir()
+	file := filepath.Join(dir, "trace.bin")
+	if err := os.WriteFile(file, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var traceBodies []string
+	for _, path := range []string{file, filepath.Join(dir, "missing.bin"), dir} {
+		quoted, _ := json.Marshal(path)
+		code, msg := post(`{"matrix":{"base":{"cores":8,"ops_per_core":10,"skip_checks":true,"trace_file":` + string(quoted) + `}}}`)
+		if code != http.StatusBadRequest {
+			t.Errorf("trace_file %s: %d %s", path, code, msg)
+		}
+		traceBodies = append(traceBodies, msg)
+	}
+	if traceBodies[0] != traceBodies[1] || traceBodies[0] != traceBodies[2] {
+		t.Errorf("trace_file answers differ by path:\n%s", strings.Join(traceBodies, "\n"))
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&jobs)
+	resp.Body.Close()
+	if err != nil || len(jobs) != 0 {
+		t.Errorf("refused submissions admitted jobs: %+v, %v", jobs, err)
+	}
 
 	if _, err := c.Status(ctx, "job-999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("missing job status: %v", err)

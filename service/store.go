@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,11 +37,19 @@ import (
 // after each replica completes, so a restarted server resumes from the
 // last completed replica — and determinism makes the resumed output
 // byte-identical to an uninterrupted run.
+//
+// A job's journal is opened by its first append and stays open while
+// the job runs; the server releases it when the job's sweep returns,
+// and Delete releases it too, so at most one journal per running job
+// is open. Each record is one write(2) of its whole line, with nothing
+// buffered in user space, so a crash leaves on disk exactly the
+// records appended before it, or a torn final line.
 type JobStore struct {
 	dir string
 
-	mu    sync.Mutex
-	stats StoreStats
+	mu       sync.Mutex
+	journals map[string]*os.File // open results.jsonl by job id
+	stats    StoreStats
 }
 
 // StoreStats counts job-store activity for /healthz.
@@ -106,7 +115,7 @@ func OpenJobStore(dir string) (*JobStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("service: job store: %w", err)
 	}
-	st := &JobStore{dir: dir}
+	st := &JobStore{dir: dir, journals: make(map[string]*os.File)}
 	ids, err := st.jobIDs()
 	if err != nil {
 		return nil, err
@@ -133,10 +142,15 @@ func (st *JobStore) jobIDs() ([]string, error) {
 	return ids, nil
 }
 
+// validID rejects an id that could escape the store root.
+func validID(id string) bool {
+	return id != "" && !strings.ContainsAny(id, "/\\.")
+}
+
 // jobDir maps an id to its directory, rejecting anything that could
 // escape the store root.
 func (st *JobStore) jobDir(id string) (string, bool) {
-	if id == "" || strings.ContainsAny(id, "/\\.") {
+	if !validID(id) {
 		return "", false
 	}
 	return filepath.Join(st.jobsDir(), id), true
@@ -175,35 +189,58 @@ func (st *JobStore) SaveSpec(id string, seq int, principal string, spec JobSpec)
 }
 
 // AppendResult journals one completed replica. Appends are serialized
-// store-wide; each record is a single self-checksummed line, so the
-// worst a crash can do is tear the final line — which Load detects and
-// truncates, costing one replica re-run, never a wrong result.
+// store-wide; each record is a single self-checksummed line, written
+// with one write(2) to the job's open journal, so the worst a crash can
+// do is tear the final line — which Load detects and truncates, costing
+// one replica re-run, never a wrong result. The first append of a job
+// opens its journal; a failed write closes it, so the next append
+// opens it again.
 func (st *JobStore) AppendResult(id string, index int, r *patch.Result) error {
-	dir, ok := st.jobDir(id)
-	if !ok {
+	if !validID(id) {
 		return fmt.Errorf("service: job store: bad job id %q", id)
 	}
 	payload, err := json.Marshal(ReplicaResult{Index: index, Result: r})
 	if err != nil {
 		return st.writeErr(err)
 	}
+	line := make([]byte, 0, len(checksumPrefix)+2*sha256.Size+len(payload)+2)
+	line = appendChecksum(line, payload)
+	line = append(line, ' ')
+	line = append(line, payload...)
+	line = append(line, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f, err := os.OpenFile(filepath.Join(dir, "results.jsonl"),
-		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
+	f := st.journals[id]
+	if f == nil {
+		f, err = os.OpenFile(filepath.Join(st.jobsDir(), id, "results.jsonl"),
+			os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			return st.writeErrLocked(err)
+		}
+		st.journals[id] = f
+	}
+	if _, err := f.Write(line); err != nil {
+		_ = f.Close()
+		delete(st.journals, id)
 		return st.writeErrLocked(err)
-	}
-	_, werr := fmt.Fprintf(f, "%s %s\n", checksumLine(payload), payload)
-	cerr := f.Close()
-	if werr != nil {
-		return st.writeErrLocked(werr)
-	}
-	if cerr != nil {
-		return st.writeErrLocked(cerr)
 	}
 	st.stats.Records++
 	return nil
+}
+
+// closeJournal releases job id's open journal, if it has one. The
+// server calls it once the job can append no more.
+func (st *JobStore) closeJournal(id string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	f := st.journals[id]
+	if f == nil {
+		return
+	}
+	delete(st.journals, id)
+	if err := f.Close(); err != nil {
+		st.stats.WriteErrors++
+	}
 }
 
 // SaveTerminal records a failed/cancelled marker (done jobs need none:
@@ -240,6 +277,7 @@ func (st *JobStore) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("service: job store: bad job id %q", id)
 	}
+	st.closeJournal(id)
 	if _, err := os.Stat(dir); err != nil {
 		return nil // already gone
 	}
