@@ -20,9 +20,8 @@ import (
 const benchCores = 16
 
 // runSim executes one simulation per iteration (varying the seed) and
-// reports simulated cycles and bytes/miss. The configuration is lowered
-// through Config.ToSim, the one protocol/variant mapping every sweep
-// uses.
+// reports simulated cycles and bytes/miss. The configuration reaches
+// sim through Config.ToSim, as every sweep replica's does.
 func runSim(b *testing.B, cfg Config) {
 	b.Helper()
 	var cycles, bpm float64

@@ -24,10 +24,14 @@ const fingerprintVersion = "patch-config-v1"
 //   - Fields are written in a fixed, explicit order with fixed names,
 //     so reordering or renaming Config's Go fields cannot silently
 //     change the hash (a golden test pins one known fingerprint).
-//   - Documented zero-value defaults are normalised to their effective
-//     values (0 cores = 64, empty workload = "micro", coarseness 0 =
-//     1, bandwidth 0 = the paper's 16 B/cycle, tenure factor 0 = 2x),
-//     so spelling a default explicitly does not split the cache.
+//   - Five of the zero-value defaults sim.Config documents are
+//     normalised to their effective values (0 cores = 64, empty
+//     workload = "micro", coarseness 0 = 1, bandwidth 0 = the paper's
+//     16 B/cycle, tenure factor 0 = 2x), so spelling one of them
+//     explicitly does not split the cache. The others are not:
+//     OpsPerCore, WarmupOps and MaxCycles hash as spelled, so
+//     OpsPerCore 0 and OpsPerCore 1000 are two cache keys for one
+//     simulation (a duplicated entry, never a wrong one).
 //   - Variant is only significant under PATCH (the other protocols
 //     ignore it), and bandwidth collapses to "unbounded" when link
 //     contention is off.

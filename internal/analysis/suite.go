@@ -58,8 +58,10 @@ func PatchSuite() []*Analyzer {
 		}),
 		NewSteadyState(),
 		NewWirecheck(WirecheckConfig{
-			// The fault plan is a wire type the root package aliases.
-			Scope:        Scope{Paths: []string{modulePath, pkgService, pkgFault}},
+			// The run configuration and the fault plan are wire types
+			// the root package re-exports: patch.Config is sim.Config
+			// under the facade's name, and FaultPlan aliases fault.Plan.
+			Scope:        Scope{Paths: []string{modulePath, pkgService, pkgSim, pkgFault}},
 			ModulePrefix: modulePath,
 		}),
 		NewPoolpair(PoolpairConfig{

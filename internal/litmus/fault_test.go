@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"patch/internal/fault"
-	"patch/internal/interconnect"
 )
 
 // faultPlans is the fault-conformance axis: each plan stresses one
@@ -38,9 +37,7 @@ func TestFaultConformanceMatrix(t *testing.T) {
 		name, plan := name, plan
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			net := interconnect.DefaultConfig()
-			net.Fault = plan
-			suite, err := NewSuiteNet(8, net)
+			suite, err := NewSuite(8, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,11 +64,10 @@ func TestFaultConformanceFreshSystems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	net := interconnect.DefaultConfig()
-	net.Fault = faultPlans()["hostile"]
+	plan := faultPlans()["hostile"]
 	script := Generate(77, GenConfig{Cores: 4, Blocks: 2, Ops: 24})
 	for p := Protocol(0); p < NumProtocols; p++ {
-		h, err := NewHarnessNet(p, 4, net)
+		h, err := NewHarness(p, 4, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +81,10 @@ func TestFaultConformanceFreshSystems(t *testing.T) {
 // a pure function of its inputs: the same script on the same plan
 // yields identical observations and cycle counts, fresh or reused.
 func TestFaultedHarnessDeterministic(t *testing.T) {
-	net := interconnect.DefaultConfig()
-	net.Fault = faultPlans()["hostile"]
+	plan := faultPlans()["hostile"]
 	script := Generate(5, GenConfig{Cores: 4, Blocks: 2, Ops: 20})
 	run := func() *Outcome {
-		h, err := NewHarnessNet(PATCHAll, 4, net)
+		h, err := NewHarness(PATCHAll, 4, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +107,7 @@ func TestFaultedHarnessDeterministic(t *testing.T) {
 
 	// Reused path: run a different script first, then the pinned one —
 	// the injector must rewind on reset.
-	h, err := NewHarnessNet(PATCHAll, 4, net)
+	h, err := NewHarness(PATCHAll, 4, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 	"patch/internal/cache"
 	"patch/internal/directory"
 	"patch/internal/event"
-	"patch/internal/interconnect"
+	"patch/internal/fault"
 	"patch/internal/msg"
 	"patch/internal/sim"
 )
@@ -174,7 +174,7 @@ type Harness struct {
 }
 
 // variants holds each protocol variant's simulator configuration; the
-// harness adds the core count and interconnect.
+// harness adds the core count and fault plan.
 var variants = [NumProtocols]sim.Config{
 	Directory:           {Protocol: sim.Directory},
 	PATCHNone:           {Protocol: sim.PATCH, Variant: sim.VariantNone},
@@ -184,21 +184,17 @@ var variants = [NumProtocols]sim.Config{
 }
 
 // NewHarness assembles a reusable system of the given size for one
-// protocol variant, on the default fault-free interconnect.
-func NewHarness(p Protocol, cores int) (*Harness, error) {
-	return NewHarnessNet(p, cores, interconnect.DefaultConfig())
-}
-
-// NewHarnessNet is NewHarness with an explicit interconnect
-// configuration, so the conformance matrix can run the same scripts
-// under fault injection (jittered, degraded, bursting links) and pin
-// that the axioms are timing-independent in fact, not just by design.
-func NewHarnessNet(p Protocol, cores int, net interconnect.Config) (*Harness, error) {
+// protocol variant, on the paper's default interconnect. A non-nil
+// plan injects its faults (jittered, degraded, bursting links), so the
+// conformance matrix runs the same scripts under fault injection and
+// pins that the axioms are timing-independent in fact, not just by
+// design; a nil plan is fault-free.
+func NewHarness(p Protocol, cores int, plan *fault.Plan) (*Harness, error) {
 	if p < 0 || p >= NumProtocols {
 		return nil, fmt.Errorf("litmus: unknown protocol %v", p)
 	}
 	cfg := variants[p]
-	cfg.Cores, cfg.Net = cores, net
+	cfg.Cores, cfg.FaultPlan = cores, plan
 	sys, err := sim.NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -229,7 +225,7 @@ func (h *Harness) observe() {
 // verifies the timing-independent coherence axioms. It returns the
 // outcome for cross-protocol comparison.
 func Run(p Protocol, script Script, cores int) (*Outcome, error) {
-	h, err := NewHarness(p, cores)
+	h, err := NewHarness(p, cores, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -367,18 +363,13 @@ type Suite struct {
 }
 
 // NewSuite builds the per-protocol harnesses for systems of the given
-// size.
-func NewSuite(cores int) (*Suite, error) {
-	return NewSuiteNet(cores, interconnect.DefaultConfig())
-}
-
-// NewSuiteNet is NewSuite on an explicit interconnect configuration;
-// the fault-conformance matrix uses it to run every protocol on
-// jittered, degraded, bursting links.
-func NewSuiteNet(cores int, net interconnect.Config) (*Suite, error) {
+// size, injecting the plan's faults on every one (nil: fault-free);
+// the fault-conformance matrix runs every protocol on jittered,
+// degraded, bursting links this way.
+func NewSuite(cores int, plan *fault.Plan) (*Suite, error) {
 	s := &Suite{cores: cores}
 	for p := Protocol(0); p < NumProtocols; p++ {
-		h, err := NewHarnessNet(p, cores, net)
+		h, err := NewHarness(p, cores, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +410,7 @@ func (s *Suite) Compare(script Script) error {
 // Compare runs the script under every protocol on fresh systems and
 // checks cross-protocol agreement. One-shot form of Suite.Compare.
 func Compare(script Script, cores int) error {
-	s, err := NewSuite(cores)
+	s, err := NewSuite(cores, nil)
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,7 @@ func TestConformanceMatrix(t *testing.T) {
 			// Reset systems, so the matrix pins the pooled/reused-System
 			// paths (stale MSHRs, waiters, arena entries across resets),
 			// not just the protocols.
-			suite, err := NewSuite(sh.cores)
+			suite, err := NewSuite(sh.cores, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestRandomScriptsAllProtocols(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	// One reused suite across all 15 scripts: each protocol's system is
 	// Reset 14 times, soaking the reuse paths under random contention.
-	suite, err := NewSuite(4)
+	suite, err := NewSuite(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

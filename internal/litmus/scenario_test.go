@@ -48,7 +48,7 @@ func scriptFromGenerator(t *testing.T, name string, cores, ops, maxBlocks int) S
 // generator, the sweep arena's exact usage pattern.
 func TestScenarioConformanceMatrix(t *testing.T) {
 	const cores = 4
-	suite, err := NewSuite(cores)
+	suite, err := NewSuite(cores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"patch/internal/token"
 )
 
-// auditTask re-verifies mid-run invariants every Config.AuditEvery
+// auditTask re-verifies mid-run invariants every Config.auditEvery
 // cycles: the end-of-run checks only see the quiesced final state, so a
 // protocol bug whose damage is transient (a token duplicated and later
 // re-merged, an unbounded home queue that eventually drains) would
@@ -37,7 +37,7 @@ func (t *auditTask) Fire(event.Time) {
 		// instant; keeping the queue alive would mask the deadlock.
 		return
 	}
-	s.Eng.After(event.Time(s.Cfg.AuditEvery), t)
+	s.Eng.After(event.Time(s.Cfg.auditEvery), t)
 }
 
 // auditNow checks every invariant that must hold at any instant, not

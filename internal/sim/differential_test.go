@@ -72,9 +72,7 @@ func TestTinyCachesStress(t *testing.T) {
 			Protocol: k, Cores: 8, OpsPerCore: 150, WarmupOps: 150,
 			Workload: "micro", Seed: 33,
 		}
-		cfg.Net.BytesPerKiloCycle = 400
-		cfg.Net.HopLatency = 3
-		cfg.Net.DropAfter = 100
+		cfg.BandwidthBytesPerKiloCycle = 400
 		if k == PATCH {
 			cfg.Variant = VariantAll
 		}

@@ -23,10 +23,10 @@ func hostilePlan() *fault.Plan {
 }
 
 func faultConfigs() map[string]Config {
-	base := Config{Cores: 16, OpsPerCore: 300, Seed: 7, Workload: "micro", AuditEvery: 500}
+	base := Config{Cores: 16, OpsPerCore: 300, Seed: 7, Workload: "micro", auditEvery: 500}
 	mk := func(mut func(*Config)) Config {
 		c := base
-		c.Net.Fault = hostilePlan()
+		c.FaultPlan = hostilePlan()
 		mut(&c)
 		return c
 	}
@@ -39,9 +39,9 @@ func faultConfigs() map[string]Config {
 		"patch-unbounded": mk(func(c *Config) {
 			c.Protocol = PATCH
 			c.Variant = VariantAll
-			c.Net.Unbounded = true
+			c.UnboundedBandwidth = true
 		}),
-		"directory-degraded": mk(func(c *Config) { c.Protocol = Directory; c.Net.Fault.HopJitter = 0 }),
+		"directory-degraded": mk(func(c *Config) { c.Protocol = Directory; c.FaultPlan.HopJitter = 0 }),
 	}
 }
 
@@ -115,7 +115,7 @@ func TestZeroFaultPlanIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	zeroed := base
-	zeroed.Net.Fault = &fault.Plan{Seed: 42} // seed alone injects nothing
+	zeroed.FaultPlan = &fault.Plan{Seed: 42} // seed alone injects nothing
 	got, err := Run(zeroed)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestFaultInjectionPerturbsTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulted := base
-	faulted.Net.Fault = hostilePlan()
+	faulted.FaultPlan = hostilePlan()
 	got, err := Run(faulted)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestWatchdogReturnsTypedDiagnostics(t *testing.T) {
 // must fail with a FailAudit RunError naming the violation.
 func TestAuditDetectsTokenTheft(t *testing.T) {
 	cfg := Config{Protocol: PATCH, Variant: VariantAll,
-		Cores: 16, OpsPerCore: 20_000, Seed: 5, Workload: "micro", AuditEvery: 200}
+		Cores: 16, OpsPerCore: 20_000, Seed: 5, Workload: "micro", auditEvery: 200}
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,9 +257,9 @@ func TestDenseAuditNoFalsePositives(t *testing.T) {
 	} {
 		cfg := Config{
 			Cores: 16, OpsPerCore: 100, WarmupOps: 200, Seed: 1, Workload: "convoy",
-			AuditEvery: 97,
+			auditEvery: 97,
 		}
-		cfg.Net.Fault = &fault.Plan{Seed: 1, HopJitter: 4}
+		cfg.FaultPlan = &fault.Plan{Seed: 1, HopJitter: 4}
 		mut(&cfg)
 		t.Run(name, func(t *testing.T) {
 			if _, err := Run(cfg); err != nil {

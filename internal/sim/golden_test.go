@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/protocol"
 )
@@ -36,8 +35,6 @@ func goldenConfigs() []struct {
 	name string
 	cfg  Config
 } {
-	bw2000 := interconnect.DefaultConfig()
-	bw2000.BytesPerKiloCycle = 2000
 	return []struct {
 		name string
 		cfg  Config
@@ -48,7 +45,7 @@ func goldenConfigs() []struct {
 		}},
 		{"directory-oltp-coarse4", Config{
 			Protocol: Directory, Cores: 16, OpsPerCore: 200, WarmupOps: 400,
-			Workload: "oltp", Seed: 7, Coarseness: 4,
+			Workload: "oltp", Seed: 7, DirectoryCoarseness: 4,
 		}},
 		{"patch-all-oltp", Config{
 			Protocol: PATCH, Variant: VariantAll,
@@ -57,7 +54,7 @@ func goldenConfigs() []struct {
 		{"patch-none-micro-bw2000", Config{
 			Protocol: PATCH, Variant: VariantNone,
 			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "micro", Seed: 7,
-			Net: bw2000,
+			BandwidthBytesPerKiloCycle: 2000,
 		}},
 		{"patch-owner-barnes", Config{
 			Protocol: PATCH, Variant: VariantOwner,
@@ -70,7 +67,7 @@ func goldenConfigs() []struct {
 		{"directory-ocean-unbounded", Config{
 			Protocol: Directory, Cores: 16, OpsPerCore: 200, WarmupOps: 400,
 			Workload: "ocean", Seed: 7,
-			Net: interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100},
+			UnboundedBandwidth: true,
 		}},
 	}
 }

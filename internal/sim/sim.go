@@ -15,6 +15,7 @@ import (
 	"patch/internal/core"
 	"patch/internal/directory"
 	"patch/internal/event"
+	"patch/internal/fault"
 	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/predictor"
@@ -161,61 +162,91 @@ func (v *Variant) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Config describes one simulation.
+// Config describes one simulation. It is the one run configuration:
+// the patch facade's Config is this struct under its own name
+// (patch.Config.ToSim is a plain conversion), so a sim.Config runs the
+// same network, defaults and checks as the facade. Zero values select
+// the paper's defaults (64 cores, 16 B/cycle links, full-map
+// directory); withDefaults fills them in when a System is built or
+// Reset.
+//
+// Config is a wire type: the sweep service sends it over HTTP, so its
+// JSON field names are explicit and stable (a golden round-trip test
+// pins them), and the field order is the JSON order. Protocol and
+// Variant marshal by name ("PATCH", "PATCH-All"), not enum position.
 type Config struct {
-	Protocol   Kind
-	Cores      int
-	OpsPerCore int
-	Seed       int64
+	Protocol Kind    `json:"protocol"`
+	Variant  Variant `json:"variant,omitempty"` // PATCH only
 
+	Cores int `json:"cores,omitempty"` // 0: 64
+	// Workload names a built-in generator: one of the paper's
+	// application mixes ("jbb", "oltp", "apache", "barnes", "ocean"),
+	// the §8.1 microbenchmark ("micro", the default), or a
+	// sharing-pattern scenario ("pipeline", "migratory", "convoy",
+	// "falseshare", "zipf", "phased"); the facade's Workloads and
+	// ScenarioWorkloads list the two families.
+	// TraceFile, when set, replays a recorded reference trace instead.
+	//
+	// The trace is a binary trace (patchsim -record), streamed in
+	// fixed-size per-core windows (mmap-backed on linux), so multi-GB
+	// replays open at near-zero resident cost. The facade's Validate
+	// only checks the file exists; header and content errors (a text
+	// trace fails on its magic) surface when the run opens it.
+	Workload   string `json:"workload,omitempty"`
+	TraceFile  string `json:"trace_file,omitempty"`
+	OpsPerCore int    `json:"ops_per_core,omitempty"` // 0: 1000
 	// WarmupOps are per-core operations executed before measurement
 	// begins: caches and predictors warm up, then all statistics reset
-	// and the runtime clock starts (the paper measures warmed workloads).
-	// 0 selects OpsPerCore; -1 disables warmup.
-	WarmupOps int
+	// and the runtime clock starts (the paper measures warmed
+	// workloads). 0 selects one warmup op per measured op; -1 none.
+	WarmupOps int   `json:"warmup_ops,omitempty"`
+	Seed      int64 `json:"seed,omitempty"`
 
-	// Workload is one of workload.Names() — the paper's application
-	// mixes, "micro", or a sharing-pattern scenario. TraceFile, when
-	// set, overrides it: the reference stream is replayed from a binary
-	// trace (workload.RecordBinary), streamed in fixed per-core windows
-	// (workload.OpenTrace).
-	Workload  string
-	TraceFile string
+	// BandwidthBytesPerKiloCycle sweeps link bandwidth (Figures 6-8);
+	// 0 selects the paper's default 16 bytes/cycle. UnboundedBandwidth
+	// disables link contention entirely (Figure 9's upper halves).
+	BandwidthBytesPerKiloCycle int  `json:"bandwidth_bytes_per_kilocycle,omitempty"`
+	UnboundedBandwidth         bool `json:"unbounded_bandwidth,omitempty"`
 
-	// Variant selects the PATCH configuration; other protocols ignore
-	// it.
-	Variant Variant
+	// DirectoryCoarseness is K in the coarse sharer vector (1 bit per K
+	// cores); 1 or 0 selects an exact full map (Figures 9-10).
+	DirectoryCoarseness int `json:"directory_coarseness,omitempty"`
 
-	// TenureTimeoutFactor and NoDeactWindow are PATCH ablation knobs
-	// (see protocol.Params); zero values select the paper's design.
-	TenureTimeoutFactor float64
-	NoDeactWindow       bool
+	// TenureTimeoutFactor scales the token-tenure probationary period
+	// relative to the average round trip (PATCH ablation; 0 selects the
+	// paper's 2x design point).
+	TenureTimeoutFactor float64 `json:"tenure_timeout_factor,omitempty"`
+	// NoDeactWindow disables the post-deactivation direct-request ignore
+	// window (PATCH ablation, §5.2's racing-request mitigation).
+	NoDeactWindow bool `json:"no_deact_window,omitempty"`
+	// MaxCycles aborts a run that stops making progress (liveness
+	// watchdog); 0 selects a generous default (2 billion cycles).
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
 
-	// Coarseness is the sharer-encoding inexactness (1 = full map,
-	// Cores = single bit), Figures 9-10.
-	Coarseness int
+	// SkipChecks disables the end-of-run invariant verification
+	// (benchmark loops only).
+	SkipChecks bool `json:"skip_checks,omitempty"`
 
-	// Net is the interconnect configuration (bandwidth sweeps, Figures
-	// 6-8).
-	Net interconnect.Config
+	// FaultPlan, when set, injects deterministic interconnect faults
+	// (seeded delay jitter, degradation windows, congestion bursts) and
+	// enables the mid-run invariant audit. A nil or no-op plan leaves
+	// the simulation bit-identical to an unfaulted run.
+	FaultPlan *fault.Plan `json:"fault_plan,omitempty"`
 
-	// MaxCycles aborts a run that stopped making progress (liveness
-	// watchdog). 0 selects a generous default.
-	MaxCycles uint64
-
-	// SkipChecks disables end-of-run invariant checking (benchmarks).
-	SkipChecks bool
-
-	// AuditEvery, when non-zero and checks are enabled, runs the mid-run
+	// auditEvery, when non-zero and checks are enabled, runs the mid-run
 	// invariant audit (token conservation, owner tokens included, over
 	// tokens in flight and parked at nodes too; single-writer; home
-	// queue-depth bounds) every AuditEvery cycles. Fault-injected runs
-	// default it on; it is verification-only and, like SkipChecks, not
-	// part of a config's identity.
-	AuditEvery uint64
+	// queue-depth bounds) every auditEvery cycles. Fault-injected runs
+	// default it to 10,000; this package's tests set it denser. It is
+	// verification-only and, like SkipChecks, not part of a config's
+	// identity.
+	auditEvery uint64
 }
 
-// withDefaults fills unset fields.
+// withDefaults fills unset fields. It is not idempotent (WarmupOps -1
+// becomes 0, which a second pass would read as "one per measured op"),
+// so NewSystem and Reset apply it exactly once and the facade's
+// ToSim not at all.
 func (c Config) withDefaults() Config {
 	if c.Cores == 0 {
 		c.Cores = 64
@@ -232,30 +263,35 @@ func (c Config) withDefaults() Config {
 	if c.Workload == "" {
 		c.Workload = "micro"
 	}
-	if c.Coarseness == 0 {
-		c.Coarseness = 1
-	}
-	if c.Net.BytesPerKiloCycle == 0 && !c.Net.Unbounded {
-		f := c.Net.Fault
-		c.Net = interconnect.DefaultConfig()
-		c.Net.Fault = f
-	}
-	if c.Net.HopLatency == 0 {
-		c.Net.HopLatency = 3
-	}
-	if c.Net.DropAfter == 0 {
-		c.Net.DropAfter = 100
+	if c.DirectoryCoarseness == 0 {
+		c.DirectoryCoarseness = 1
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000_000
 	}
-	if c.AuditEvery == 0 && !c.SkipChecks && c.Net.Fault.Enabled() {
+	if c.auditEvery == 0 && !c.SkipChecks && c.FaultPlan.Enabled() {
 		// Injected runs audit themselves: adversarial delay is what
 		// shakes transient invariant violations loose, and 10k cycles
 		// keeps the overhead marginal.
-		c.AuditEvery = 10_000
+		c.auditEvery = 10_000
 	}
 	return c
+}
+
+// network derives the run's interconnect: the paper's §8.1 links
+// (interconnect.DefaultConfig) at the configured bandwidth, or with
+// contention off, carrying the fault plan's canonical form. It is the
+// one place a configuration becomes an interconnect.Config; NewSystem
+// builds the network from it and Reset rewinds the network to it.
+func (c Config) network() interconnect.Config {
+	n := interconnect.DefaultConfig()
+	if c.UnboundedBandwidth {
+		n.BytesPerKiloCycle, n.Unbounded = 0, true
+	} else if c.BandwidthBytesPerKiloCycle > 0 {
+		n.BytesPerKiloCycle = c.BandwidthBytesPerKiloCycle
+	}
+	n.Fault = c.FaultPlan.Canonical()
+	return n
 }
 
 // params lowers the configuration to the per-run protocol settings
@@ -263,7 +299,7 @@ func (c Config) withDefaults() Config {
 // variant becomes a prediction policy and a delivery class.
 func (c Config) params() protocol.Params {
 	p := protocol.Params{
-		Enc:                 directory.Encoding{Cores: c.Cores, Coarseness: c.Coarseness},
+		Enc:                 directory.Encoding{Cores: c.Cores, Coarseness: c.DirectoryCoarseness},
 		TenureTimeoutFactor: c.TenureTimeoutFactor,
 		NoDeactWindow:       c.NoDeactWindow,
 	}
@@ -350,7 +386,7 @@ type System struct {
 	lastSeen       []*addrmap.Map[uint64]
 	obsFns         []func(addr msg.Addr, isWrite bool, version uint64)
 
-	// auditT is the reusable mid-run invariant audit task (AuditEvery);
+	// auditT is the reusable mid-run invariant audit task (auditEvery);
 	// auditErr records the first violation it found.
 	auditT   *auditTask
 	auditErr error
@@ -408,7 +444,7 @@ func (s *System) Reset(cfg Config) error {
 		return err
 	}
 	s.Eng.Reset()
-	s.Net.Reset(cfg.Net)
+	s.Net.Reset(cfg.network())
 	s.Env.Holders.Clear()
 	params := cfg.params()
 	for _, n := range s.Nodes {
@@ -431,7 +467,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	eng := &event.Engine{}
-	net := interconnect.New(eng, cfg.Cores, cfg.Net)
+	net := interconnect.New(eng, cfg.Cores, cfg.network())
 	env := protocol.DefaultEnv(eng, net, cfg.Cores)
 	s := &System{Eng: eng, Net: net, Env: env, Nodes: make([]protocol.Node, cfg.Cores)}
 	params := cfg.params()
@@ -611,11 +647,11 @@ func (s *System) start() {
 			}
 		}
 	}
-	if !s.Cfg.SkipChecks && s.Cfg.AuditEvery > 0 {
+	if !s.Cfg.SkipChecks && s.Cfg.auditEvery > 0 {
 		if s.auditT == nil {
 			s.auditT = &auditTask{s: s}
 		}
-		s.Eng.After(event.Time(s.Cfg.AuditEvery), s.auditT)
+		s.Eng.After(event.Time(s.Cfg.auditEvery), s.auditT)
 	}
 	if s.Cfg.WarmupOps > 0 {
 		s.warming = true

@@ -1,10 +1,45 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"patch/internal/fault"
+	"patch/internal/interconnect"
 	"patch/internal/msg"
 )
+
+// TestNetworkDerivation pins the one place a Config becomes an
+// interconnect.Config: the paper's §8.1 links (3-cycle hops, a 3-cycle
+// route overhead, best-effort drops after 100 cycles) at the configured
+// bandwidth or with contention off, carrying the fault plan's
+// canonical form.
+func TestNetworkDerivation(t *testing.T) {
+	paper := func(bw int, plan *fault.Plan) interconnect.Config {
+		return interconnect.Config{BytesPerKiloCycle: bw, HopLatency: 3, RouteOverhead: 3, DropAfter: 100, Fault: plan}
+	}
+	live := &fault.Plan{Seed: 4, HopJitter: 2, Degrade: []fault.Window{
+		{FromCycle: 9, ToCycle: 5, Multiplier: 3}, // inverted: injects nothing
+		{ToCycle: 1 << 20, Multiplier: 2, LinkFraction: 1},
+	}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want interconnect.Config
+	}{
+		{"zero", Config{}, paper(16000, nil)},
+		{"bandwidth", Config{BandwidthBytesPerKiloCycle: 2000}, paper(2000, nil)},
+		{"unbounded", Config{UnboundedBandwidth: true},
+			interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100}},
+		{"inert plan", Config{FaultPlan: &fault.Plan{Seed: 42}}, paper(16000, nil)},
+		{"live plan", Config{FaultPlan: live}, paper(16000,
+			&fault.Plan{Seed: 4, HopJitter: 2, Degrade: []fault.Window{{ToCycle: 1 << 20, Multiplier: 2}}})},
+	} {
+		if got := tc.cfg.withDefaults().network(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: network() = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestAllProtocolsAllWorkloads(t *testing.T) {
 	if testing.Short() {
@@ -75,7 +110,7 @@ func TestInexactEncodings(t *testing.T) {
 		for _, coarse := range []int{1, 4, 16} {
 			cfg := Config{
 				Protocol: k, Cores: 16, OpsPerCore: 150, WarmupOps: 150,
-				Workload: "micro", Seed: 3, Coarseness: coarse,
+				Workload: "micro", Seed: 3, DirectoryCoarseness: coarse,
 			}
 			if _, err := Run(cfg); err != nil {
 				t.Fatalf("%v coarse=%d: %v", k, coarse, err)
@@ -101,7 +136,7 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 }
 
 func TestInvalidCoarsenessRejected(t *testing.T) {
-	if _, err := Run(Config{Cores: 16, Coarseness: 3, OpsPerCore: 10}); err == nil {
+	if _, err := Run(Config{Cores: 16, DirectoryCoarseness: 3, OpsPerCore: 10}); err == nil {
 		t.Fatal("non-dividing coarseness accepted")
 	}
 }
@@ -219,10 +254,7 @@ func TestShapeBestEffortDoesNoHarm(t *testing.T) {
 		t.Skip("short mode")
 	}
 	base := Config{Cores: 16, OpsPerCore: 600, WarmupOps: 1200, Workload: "jbb", Seed: 11}
-	base.Net.BytesPerKiloCycle = 500 // scarce
-	base.Net.HopLatency = 3
-	base.Net.RouteOverhead = 3
-	base.Net.DropAfter = 100
+	base.BandwidthBytesPerKiloCycle = 500 // scarce
 
 	dir := base
 	dir.Protocol = Directory
@@ -265,7 +297,7 @@ func TestShapeInexactEncodingAckElision(t *testing.T) {
 	run := func(k Kind, coarse int) *Result {
 		cfg := Config{
 			Protocol: k, Cores: 16, OpsPerCore: 500, WarmupOps: 1000,
-			Workload: "micro", Seed: 11, Coarseness: coarse,
+			Workload: "micro", Seed: 11, DirectoryCoarseness: coarse,
 		}
 		if k == PATCH {
 			cfg.Variant = VariantNone

@@ -42,9 +42,9 @@ func workCountConfigs() []struct {
 	convoy := Config{
 		Protocol: PATCH, Variant: VariantAll,
 		Cores: 16, OpsPerCore: 100, WarmupOps: 200, Seed: 1, Workload: "convoy",
-		AuditEvery: 97,
+		auditEvery: 97,
 	}
-	convoy.Net.Fault = &fault.Plan{
+	convoy.FaultPlan = &fault.Plan{
 		Seed: 1, HopJitter: 4,
 		Degrade: []fault.Window{{FromCycle: 2000, ToCycle: 6000, Multiplier: 3, LinkFraction: 0.5}},
 		Burst:   &fault.Burst{Period: 1000, Duration: 100, ExtraCycles: 2},

@@ -43,7 +43,6 @@
 package patch
 
 import (
-	"patch/internal/interconnect"
 	"patch/internal/msg"
 	"patch/internal/sim"
 	"patch/internal/stats"
@@ -74,67 +73,18 @@ const (
 	VariantAllNonAdaptive    = sim.VariantAllNonAdaptive
 )
 
-// Config describes one simulation. Zero values select the paper's
-// defaults (64 cores, 16 B/cycle links, full-map directory).
+// Config describes one simulation. It is sim.Config under the
+// facade's name: the fields, their JSON tags and their doc comments
+// live there, once (go doc patch/internal/sim.Config lists them), and
+// ToSim is a plain conversion. Zero values
+// select the paper's defaults (64 cores, the "micro" workload,
+// 16 B/cycle links, full-map directory, a 2x tenure timeout).
 //
 // Config is a wire type: the sweep service sends it over HTTP, so its
 // JSON field names are explicit and stable (a golden round-trip test
-// pins them). Protocol and Variant marshal by name ("PATCH",
-// "PATCH-All"), not enum position.
-type Config struct {
-	Protocol Protocol `json:"protocol"`
-	Variant  Variant  `json:"variant,omitempty"` // PATCH only
-
-	Cores int `json:"cores,omitempty"`
-	// Workload names a built-in generator: one of the paper's
-	// application mixes ("jbb", "oltp", "apache", "barnes", "ocean"),
-	// the §8.1 microbenchmark ("micro"), or a sharing-pattern scenario
-	// ("pipeline", "migratory", "convoy", "falseshare", "zipf",
-	// "phased"); Workloads and ScenarioWorkloads list the two families.
-	// TraceFile, when set, replays a recorded reference trace instead.
-	//
-	// The trace is a binary trace (patchsim -record), streamed in
-	// fixed-size per-core windows (mmap-backed on linux), so multi-GB
-	// replays open at near-zero resident cost. Validate only checks the
-	// file exists; header and content errors (a text trace fails on its
-	// magic) surface when the run opens it.
-	Workload   string `json:"workload,omitempty"`
-	TraceFile  string `json:"trace_file,omitempty"`
-	OpsPerCore int    `json:"ops_per_core,omitempty"`
-	WarmupOps  int    `json:"warmup_ops,omitempty"` // 0: one warmup op per measured op; -1: none
-	Seed       int64  `json:"seed,omitempty"`
-
-	// BandwidthBytesPerKiloCycle sweeps link bandwidth (Figures 6-8);
-	// 0 selects the paper's default 16 bytes/cycle. UnboundedBandwidth
-	// disables link contention entirely (Figure 9's upper halves).
-	BandwidthBytesPerKiloCycle int  `json:"bandwidth_bytes_per_kilocycle,omitempty"`
-	UnboundedBandwidth         bool `json:"unbounded_bandwidth,omitempty"`
-
-	// DirectoryCoarseness is K in the coarse sharer vector (1 bit per K
-	// cores); 1 or 0 selects an exact full map (Figures 9-10).
-	DirectoryCoarseness int `json:"directory_coarseness,omitempty"`
-
-	// TenureTimeoutFactor scales the token-tenure probationary period
-	// relative to the average round trip (PATCH ablation; 0 selects the
-	// paper's 2x design point).
-	TenureTimeoutFactor float64 `json:"tenure_timeout_factor,omitempty"`
-	// NoDeactWindow disables the post-deactivation direct-request ignore
-	// window (PATCH ablation, §5.2's racing-request mitigation).
-	NoDeactWindow bool `json:"no_deact_window,omitempty"`
-	// MaxCycles aborts a run that stops making progress (liveness
-	// watchdog); 0 selects a generous default.
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
-
-	// SkipChecks disables the end-of-run invariant verification
-	// (benchmark loops only).
-	SkipChecks bool `json:"skip_checks,omitempty"`
-
-	// FaultPlan, when set, injects deterministic interconnect faults
-	// (seeded delay jitter, degradation windows, congestion bursts) and
-	// enables the mid-run invariant audit. A nil or no-op plan leaves
-	// the simulation bit-identical to an unfaulted run.
-	FaultPlan *FaultPlan `json:"fault_plan,omitempty"`
-}
+// pins them), in sim.Config's field order. Protocol and Variant
+// marshal by name ("PATCH", "PATCH-All"), not enum position.
+type Config sim.Config
 
 // Result is the outcome of one run. Like Config it is a wire type
 // (the sweep service's result cache and job journal persist it), so
@@ -174,36 +124,12 @@ type Summary struct {
 	Results      []*Result     `json:"results,omitempty"`
 }
 
-// ToSim lowers the facade configuration to the internal simulator
-// configuration (exposed for tooling such as cmd/patchsim's tracer).
-func (c Config) ToSim() sim.Config {
-	sc := sim.Config{
-		Protocol:            c.Protocol,
-		Cores:               c.Cores,
-		OpsPerCore:          c.OpsPerCore,
-		WarmupOps:           c.WarmupOps,
-		Seed:                c.Seed,
-		Workload:            c.Workload,
-		TraceFile:           c.TraceFile,
-		Coarseness:          c.DirectoryCoarseness,
-		TenureTimeoutFactor: c.TenureTimeoutFactor,
-		NoDeactWindow:       c.NoDeactWindow,
-		MaxCycles:           c.MaxCycles,
-		SkipChecks:          c.SkipChecks,
-		Variant:             c.Variant,
-	}
-	if c.UnboundedBandwidth {
-		sc.Net = interconnect.Config{Unbounded: true, HopLatency: 3, RouteOverhead: 3, DropAfter: 100}
-	} else if c.BandwidthBytesPerKiloCycle > 0 {
-		sc.Net = interconnect.DefaultConfig()
-		sc.Net.BytesPerKiloCycle = c.BandwidthBytesPerKiloCycle
-	}
-	// After the bandwidth branches: both leave sc.Net fully formed, and
-	// the zero-value branch is re-defaulted inside sim with the fault
-	// pointer preserved.
-	sc.Net.Fault = c.FaultPlan.Canonical()
-	return sc
-}
+// ToSim returns the configuration as the simulator's own type
+// (exposed for tooling such as cmd/patchsim's tracer). The two types
+// share one definition, so this is a conversion: it applies no
+// defaults, and sim.NewSystem derives the same network from it as Run
+// does.
+func (c Config) ToSim() sim.Config { return sim.Config(c) }
 
 func fromSim(r *sim.Result) *Result {
 	out := &Result{
