@@ -69,6 +69,14 @@ func goldenConfigs() []struct {
 			Workload: "ocean", Seed: 7,
 			UnboundedBandwidth: true,
 		}},
+		{"patch-bcast-jbb", Config{
+			Protocol: PATCH, Variant: VariantBroadcastIfShared,
+			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "jbb", Seed: 7,
+		}},
+		{"patch-all-na-apache", Config{
+			Protocol: PATCH, Variant: VariantAllNonAdaptive,
+			Cores: 16, OpsPerCore: 200, WarmupOps: 400, Workload: "apache", Seed: 7,
+		}},
 	}
 }
 
