@@ -105,10 +105,7 @@ func main() {
 		return
 	}
 
-	name := cfg.Protocol.String()
-	if cfg.Protocol == patch.PATCH {
-		name = cfg.Variant.String()
-	}
+	name := patch.ProtoVariant{Protocol: cfg.Protocol, Variant: cfg.Variant}.Name()
 	source := cfg.Workload
 	if *replay != "" {
 		source = *replay

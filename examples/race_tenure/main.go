@@ -23,7 +23,9 @@ import (
 )
 
 func main() {
-	// A 4-node PATCH-All system, driven by hand rather than by a workload.
+	// A 4-node PATCH-All system, driven by hand rather than by a workload:
+	// each access goes through sim's issue path, which counts the stores
+	// the end-of-run write-serialisation check compares versions with.
 	sys, err := sim.NewSystem(sim.Config{
 		Protocol: sim.PATCH, Cores: 4, Variant: sim.VariantAll,
 	})
@@ -59,9 +61,9 @@ func main() {
 
 	fmt.Println("Figure 1's initial state: P1 writes, then P0 reads, so ownership and")
 	fmt.Println("all but one token move to P0.")
-	nodes[1].Access(addr, true, func() {})
+	sys.Issue(1, addr, true, func() {})
 	eng.Run(0)
-	nodes[0].Access(addr, false, func() {})
+	sys.Issue(0, addr, false, func() {})
 	eng.Run(0)
 	fmt.Printf("  %s   (T=%d tokens, home = node 1)\n\n", states(), env.Tokens)
 
@@ -70,10 +72,10 @@ func main() {
 	start := eng.Now() + 2000
 	var p1At, p2At event.Time
 	eng.At(start, event.Func(func(event.Time) {
-		nodes[2].Access(addr, true, func() { p2At = eng.Now() })
+		sys.Issue(2, addr, true, func() { p2At = eng.Now() })
 	}))
 	eng.At(start+5, event.Func(func(event.Time) {
-		nodes[1].Access(addr, true, func() { p1At = eng.Now() })
+		sys.Issue(1, addr, true, func() { p1At = eng.Now() })
 	}))
 	fmt.Println("Race: P2 writes, broadcasting direct requests; P1 writes 5 cycles later.")
 	timeouts := func() (n uint64) {

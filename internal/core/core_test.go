@@ -214,7 +214,7 @@ func TestUpgradeMissCollectsAllTokens(t *testing.T) {
 // gap from 2 to 8 cycles between the two writes stages the race.
 func TestFigure1RaceResolvedByTenure(t *testing.T) {
 	for gap := event.Time(2); gap <= 8; gap++ {
-		c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
+		c := newCluster(4, protocol.Params{Variant: predictor.VariantAll})
 		a := addrHomedAt(c.env, 1)
 
 		// P1 writes, then P0 reads: ownership and all but one token
@@ -295,7 +295,7 @@ func TestTenureTimeoutDiscardsUnsolicitedTokens(t *testing.T) {
 // sharing miss is satisfied by a direct request without waiting for the
 // home's forward.
 func TestDirectRequestTwoHopTransfer(t *testing.T) {
-	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
+	c := newCluster(4, protocol.Params{Variant: predictor.VariantAll})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true) // P0 owns all tokens
 	c.run(t)
@@ -330,15 +330,18 @@ func TestPostDeactivationWindowIgnoresDirects(t *testing.T) {
 // TestHotBlockStress hammers a handful of blocks from every node with
 // racing reads and writes and verifies liveness plus conservation.
 func TestHotBlockStress(t *testing.T) {
-	for _, cfg := range []protocol.Params{
-		{Policy: predictor.None},
-		{Policy: predictor.All, BestEffort: true},
-		{Policy: predictor.All, BestEffort: false},
-		{Policy: predictor.Owner, BestEffort: true},
+	for _, tc := range []struct {
+		name string // the variant's prediction policy
+		v    predictor.Variant
+	}{
+		{"None", predictor.VariantNone},
+		{"All", predictor.VariantAll},
+		{"All", predictor.VariantAllNonAdaptive},
+		{"Owner", predictor.VariantOwner},
 	} {
-		cfg := cfg
-		t.Run(cfg.Policy.String(), func(t *testing.T) {
-			c := newCluster(8, cfg)
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(8, protocol.Params{Variant: tc.v})
 			r := rand.New(rand.NewSource(99))
 			blocks := []msg.Addr{0x10000, 0x10040, 0x10080}
 			completed := 0
@@ -379,7 +382,7 @@ func TestEvictionStress(t *testing.T) {
 	env.L1Bytes = 256
 	var nodes []*Node
 	for i := 0; i < 4; i++ {
-		nd := New(msg.NodeID(i), env, protocol.Params{Enc: directory.FullMap(4), Policy: predictor.All, BestEffort: true})
+		nd := New(msg.NodeID(i), env, protocol.Params{Enc: directory.FullMap(4), Variant: predictor.VariantAll})
 		nodes = append(nodes, nd)
 		net.Register(msg.NodeID(i), nd.Handle)
 	}

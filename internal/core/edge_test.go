@@ -15,7 +15,7 @@ import (
 // home's forward arrives. It must still answer (zero tokens) so the
 // activation bit reaches the requester, and the requester must complete.
 func TestStaleForwardAfterDirectTransfer(t *testing.T) {
-	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: true})
+	c := newCluster(4, protocol.Params{Variant: predictor.VariantAll})
 	a := addrHomedAt(c.env, 3)
 	// P0 becomes owner of everything.
 	c.access(0, a, true)
@@ -121,7 +121,7 @@ func TestTenureTimerStopsAfterRetire(t *testing.T) {
 // TestNonAdaptiveDirectsAreGuaranteed: PATCH-ALL-NONADAPTIVE's direct
 // requests travel as normal traffic and are never dropped.
 func TestNonAdaptiveDirectsAreGuaranteed(t *testing.T) {
-	c := newCluster(4, protocol.Params{Policy: predictor.All, BestEffort: false})
+	c := newCluster(4, protocol.Params{Variant: predictor.VariantAllNonAdaptive})
 	a := addrHomedAt(c.env, 3)
 	c.access(0, a, true)
 	c.run(t)

@@ -6,6 +6,7 @@ import (
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
+	"patch/internal/protocol"
 	"patch/internal/token"
 )
 
@@ -68,7 +69,7 @@ func (n *Node) redirect(e *directory.Entry, m *msg.Message) {
 	if m.Owner && !m.HasData {
 		withData = true // clean owner: supply the memory copy
 		out.Version = e.MemVersion
-		delay = event.Time(n.Home().DRAMLatency)
+		delay = protocol.DRAMLatency
 	}
 	token.Attach(out, m.Tokens, m.Owner, m.OwnerDirty, withData)
 	if delay > 0 {
@@ -131,7 +132,7 @@ func (n *Node) homeActivate(now event.Time, e *directory.Entry, m *msg.Message) 
 			if owner {
 				grant.Type = msg.Data
 				grant.Version = e.MemVersion
-				n.SendAfter(event.Time(n.Home().DRAMLatency), grant)
+				n.SendAfter(protocol.DRAMLatency, grant)
 			} else {
 				n.Send(grant)
 			}

@@ -52,6 +52,10 @@ type Node struct {
 	pred  *predictor.Predictor
 	mshrs protocol.MSHRs[mshr, *mshr]
 
+	// bestEffort is the delivery class of the node's direct requests
+	// (see lower).
+	bestEffort bool
+
 	// ignoreDirectUntil implements the post-deactivation window during
 	// which direct (but not forwarded) requests are ignored (§5.2).
 	ignoreDirectUntil map[msg.Addr]event.Time
@@ -74,11 +78,11 @@ type Node struct {
 func New(id msg.NodeID, env *protocol.Env, p protocol.Params) *Node {
 	n := &Node{
 		Base:              protocol.NewBase(id, env, p.Enc, env.Tokens),
-		cfg:               p,
-		pred:              predictor.New(p.Policy, id, env.N),
 		ignoreDirectUntil: make(map[msg.Addr]event.Time),
 		tenureTimers:      make(map[msg.Addr]event.Handle),
 	}
+	n.pred = predictor.New(id, n.OthersExcept())
+	n.lower(p)
 	n.L2.Join(env.Holders, int(id))
 	n.Bind(n, &n.mshrs, n.EvictTokens, n.homeLookup)
 	return n
@@ -87,11 +91,21 @@ func New(id msg.NodeID, env *protocol.Env, p protocol.Params) *Node {
 // Reset implements protocol.Node.
 func (n *Node) Reset(p protocol.Params) {
 	n.ResetBase(p.Enc, n.Env.Tokens)
-	n.cfg = p
-	n.pred.Reset(p.Policy)
+	n.lower(p)
 	clear(n.ignoreDirectUntil)
 	clear(n.tenureTimers)
 	n.seq = 0
+}
+
+// lower adopts the run's settings. It is the one place a PATCH variant
+// becomes behaviour: the predictor follows the variant's prediction
+// policy (All-NonAdaptive's is All's), and every variant but
+// All-NonAdaptive sends its direct requests best-effort, on the
+// deprioritised droppable virtual network (the paper's default).
+func (n *Node) lower(p protocol.Params) {
+	n.cfg = p
+	n.pred.Reset(p.Variant)
+	n.bestEffort = p.Variant != predictor.VariantAllNonAdaptive
 }
 
 // Access implements protocol.Node.
@@ -128,7 +142,7 @@ func (n *Node) Access(addr msg.Addr, isWrite bool, done func()) {
 		}
 		n.Multicast(n.Msg(msg.Message{
 			Type: dt, Addr: addr, Requester: n.ID, IsWrite: isWrite,
-			BestEffort: n.cfg.BestEffort,
+			BestEffort: n.bestEffort,
 		}), dsts)
 	}
 

@@ -314,22 +314,11 @@ type Directory struct {
 	slabs    [][]Entry
 	slabCur  int // chunk currently being carved
 	slabUsed int // entries used in slabs[slabCur]
-
-	// LookupLatency is the directory access latency (16 cycles in the
-	// paper); DRAMLatency the memory lookup (80 cycles).
-	LookupLatency int
-	DRAMLatency   int
 }
 
 // New creates an empty directory for blocks homed at home.
 func New(home msg.NodeID, enc Encoding, tokens int) *Directory {
-	return &Directory{
-		Home:          home,
-		Enc:           enc,
-		Tokens:        tokens,
-		LookupLatency: 16,
-		DRAMLatency:   80,
-	}
+	return &Directory{Home: home, Enc: enc, Tokens: tokens}
 }
 
 // alloc carves one entry out of the slab arena. After a Reset the

@@ -210,6 +210,14 @@ func Scalability(w io.Writer, sc Scale) (map[int][3]float64, error) {
 	return out, nil
 }
 
+// familyProtocols are the three protocol families, Directory,
+// PATCH-All and TokenB: the columns of the scenario and fault figures.
+var familyProtocols = []patch.ProtoVariant{
+	{Protocol: patch.Directory},
+	{Protocol: patch.PATCH, Variant: patch.VariantAll},
+	{Protocol: patch.TokenB},
+}
+
 // ScenarioSweep is the scenario figure: every sharing-pattern scenario
 // generator (pipeline, migratory, convoy, falseshare, zipf, phased)
 // under the three protocol families — Directory, PATCH-All, TokenB —
@@ -221,12 +229,8 @@ func ScenarioSweep(w io.Writer, sc Scale) (map[string][]Cell, error) {
 	m := patch.Matrix{
 		Base:      sc.base(),
 		Workloads: patch.ScenarioWorkloads(),
-		Protocols: []patch.ProtoVariant{
-			{Protocol: patch.Directory, Label: "Directory"},
-			{Protocol: patch.PATCH, Variant: patch.VariantAll, Label: "PATCH-All"},
-			{Protocol: patch.TokenB, Label: "TokenB"},
-		},
-		Seeds: sc.Seeds,
+		Protocols: familyProtocols,
+		Seeds:     sc.Seeds,
 	}
 	res, err := sc.sweep(m)
 	if err != nil {
@@ -287,14 +291,10 @@ func FaultSweep(w io.Writer, sc Scale) (map[int][3]float64, error) {
 	base := sc.base()
 	base.Workload = "micro"
 	m := patch.Matrix{
-		Base:   base,
-		Faults: faults,
-		Protocols: []patch.ProtoVariant{
-			{Protocol: patch.Directory, Label: "Directory"},
-			{Protocol: patch.PATCH, Variant: patch.VariantAll, Label: "PATCH-All"},
-			{Protocol: patch.TokenB, Label: "TokenB"},
-		},
-		Seeds: sc.Seeds,
+		Base:      base,
+		Faults:    faults,
+		Protocols: familyProtocols,
+		Seeds:     sc.Seeds,
 	}
 	res, err := sc.sweep(m)
 	if err != nil {
@@ -304,7 +304,9 @@ func FaultSweep(w io.Writer, sc Scale) (map[int][3]float64, error) {
 	baseline := res.Cells[0:cols] // jitter 0: each protocol's fault-free run
 	out := make(map[int][3]float64)
 	fmt.Fprintf(w, "== Fault injection (runtime vs hop jitter, microbenchmark, %d cores) ==\n", sc.Cores)
-	fmt.Fprintf(w, "  %-8s %-11s %-11s %-8s %s\n", "jitter", "Directory", "PATCH-All", "TokenB", "(runtime normalized to own fault-free run)")
+	fmt.Fprintf(w, "  %-8s %-11s %-11s %-8s %s\n", "jitter",
+		familyProtocols[0].Name(), familyProtocols[1].Name(), familyProtocols[2].Name(),
+		"(runtime normalized to own fault-free run)")
 	for i, j := range jitters {
 		group := res.Cells[i*cols : (i+1)*cols]
 		var row [3]float64

@@ -61,7 +61,7 @@ func TestScenarioConformanceMatrix(t *testing.T) {
 }
 
 // TestScenarioConformanceFreshSystems re-runs a subset on fresh systems
-// (the one-shot Compare), pinning that reuse above isn't masking a
+// (a new Suite per scenario), pinning that reuse above isn't masking a
 // construction-order dependence.
 func TestScenarioConformanceFreshSystems(t *testing.T) {
 	if testing.Short() {
@@ -69,7 +69,11 @@ func TestScenarioConformanceFreshSystems(t *testing.T) {
 	}
 	for _, name := range workload.Scenarios() {
 		script := scriptFromGenerator(t, name, 4, 25, 4)
-		if err := Compare(script, 4); err != nil {
+		suite, err := NewSuite(4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := suite.Compare(script); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

@@ -8,37 +8,90 @@
 package predictor
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
+
 	"patch/internal/msg"
 )
 
-// Policy selects a predictor.
-type Policy int
+// Variant names a PATCH configuration from the paper's evaluation (§6):
+// the prediction policy its direct requests follow and, for the last,
+// their delivery class. PATCH's node lowers it (package core); the run
+// configuration and the patch facade carry it under their own names.
+type Variant int
 
 const (
-	// None sends no direct requests: PATCH-NONE, which the paper shows
-	// performs like DIRECTORY.
-	None Policy = iota
-	// Owner predicts the single likely owner: PATCH-OWNER.
-	Owner
-	// BroadcastIfShared broadcasts for blocks observed to be shared:
-	// PATCH-BROADCASTIFSHARED.
-	BroadcastIfShared
-	// All broadcasts every request: PATCH-ALL.
-	All
+	// VariantNone sends no direct requests (PATCH-NONE), which the
+	// paper shows performs like DIRECTORY.
+	VariantNone Variant = iota
+	// VariantOwner predicts a single owner destination (PATCH-OWNER).
+	VariantOwner
+	// VariantBroadcastIfShared broadcasts for recently shared blocks
+	// (PATCH-BROADCASTIFSHARED).
+	VariantBroadcastIfShared
+	// VariantAll broadcasts every request best-effort (PATCH-ALL).
+	VariantAll
+	// VariantAllNonAdaptive broadcasts with guaranteed delivery
+	// (PATCH-ALL-NONADAPTIVE), the foil for the bandwidth-adaptivity
+	// experiments.
+	VariantAllNonAdaptive
 )
 
-func (p Policy) String() string {
-	switch p {
-	case None:
-		return "None"
-	case Owner:
-		return "Owner"
-	case BroadcastIfShared:
-		return "BroadcastIfShared"
-	case All:
-		return "All"
+// ErrUnknownVariant reports a Variant outside the paper's five PATCH
+// configurations.
+var ErrUnknownVariant = errors.New("unknown PATCH variant")
+
+func (v Variant) String() string {
+	switch v {
+	case VariantNone:
+		return "PATCH-None"
+	case VariantOwner:
+		return "PATCH-Owner"
+	case VariantBroadcastIfShared:
+		return "PATCH-BroadcastIfShared"
+	case VariantAll:
+		return "PATCH-All"
+	case VariantAllNonAdaptive:
+		return "PATCH-All-NonAdaptive"
 	}
-	return "Policy(?)"
+	return fmt.Sprintf("Variant(%d)", int(v))
+}
+
+// MarshalJSON encodes the variant by its paper name ("PATCH-All"), so
+// the wire form survives any renumbering of the constants. Its errors,
+// like UnmarshalJSON's, carry the patch facade's prefix: the sweep
+// service returns them in its 400 bodies.
+func (v Variant) MarshalJSON() ([]byte, error) {
+	if v < VariantNone || v > VariantAllNonAdaptive {
+		return nil, fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, int(v))
+	}
+	return json.Marshal(v.String())
+}
+
+// UnmarshalJSON decodes a paper name (case-insensitive) or an integer.
+func (v *Variant) UnmarshalJSON(data []byte) error {
+	var s string
+	if err := json.Unmarshal(data, &s); err == nil {
+		for got := VariantNone; got <= VariantAllNonAdaptive; got++ {
+			if strings.EqualFold(s, got.String()) {
+				*v = got
+				return nil
+			}
+		}
+		return fmt.Errorf("patch: %w: %q", ErrUnknownVariant, s)
+	}
+	var n int
+	if err := json.Unmarshal(data, &n); err != nil {
+		return fmt.Errorf("patch: %w: %s", ErrUnknownVariant, data)
+	}
+	got := Variant(n)
+	if got < VariantNone || got > VariantAllNonAdaptive {
+		return fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, n)
+	}
+	*v = got
+	return nil
 }
 
 const (
@@ -59,39 +112,36 @@ type entry struct {
 
 // Predictor is one core's destination-set predictor.
 type Predictor struct {
-	policy Policy
-	self   msg.NodeID
-	n      int
-	table  []entry
+	variant Variant
+	self    msg.NodeID
+	table   []entry
 
-	// everyone caches the broadcast set and one the single-owner set, so
+	// others is the broadcast set and one the single-owner set, so
 	// Predict allocates nothing on the hot path. Callers must treat the
 	// returned slice as read-only and consume it before the next Predict.
-	everyone []msg.NodeID
-	one      [1]msg.NodeID
+	others []msg.NodeID
+	one    [1]msg.NodeID
 
 	Predictions uint64
 	Broadcasts  uint64
 }
 
-// New creates a predictor for node self in an n-core system.
-func New(policy Policy, self msg.NodeID, n int) *Predictor {
-	p := &Predictor{policy: policy, self: self, n: n}
-	if policy == Owner || policy == BroadcastIfShared {
-		p.table = make([]entry, TableEntries)
-	}
-	return p
+// New creates node self's predictor. others is the node's broadcast set
+// (protocol.Base.OthersExcept: every other node, ascending, which the
+// interconnect recognises as a full broadcast); the predictor returns
+// it read-only and never modifies it. It predicts nothing until Reset
+// selects a variant.
+func New(self msg.NodeID, others []msg.NodeID) *Predictor {
+	return &Predictor{self: self, others: others}
 }
 
-// Policy returns the configured policy.
-func (p *Predictor) Policy() Policy { return p.policy }
-
-// Reset clears all learned state and counters, switching to policy, so
-// a reused predictor behaves exactly like a freshly constructed one.
-// The table storage is retained when the new policy needs one.
-func (p *Predictor) Reset(policy Policy) {
-	p.policy = policy
-	if policy == Owner || policy == BroadcastIfShared {
+// Reset clears all learned state and counters and follows variant v's
+// prediction policy, so a reused predictor behaves exactly like a
+// freshly constructed one. The table storage is retained when the new
+// variant needs one.
+func (p *Predictor) Reset(v Variant) {
+	p.variant = v
+	if v == VariantOwner || v == VariantBroadcastIfShared {
 		if p.table == nil {
 			p.table = make([]entry, TableEntries)
 		} else {
@@ -111,14 +161,12 @@ func (p *Predictor) slot(a msg.Addr) (*entry, uint64) {
 // Predict returns the destination set for a direct request to addr
 // (never including self; nil means indirect-only).
 func (p *Predictor) Predict(a msg.Addr) []msg.NodeID {
-	switch p.policy {
-	case None:
-		return nil
-	case All:
+	switch p.variant {
+	case VariantAll, VariantAllNonAdaptive:
 		p.Predictions++
 		p.Broadcasts++
-		return p.everyoneElse()
-	case Owner:
+		return p.others
+	case VariantOwner:
 		e, tag := p.slot(a)
 		if !e.valid || e.tag != tag || e.lastOwner == p.self {
 			return nil
@@ -126,7 +174,7 @@ func (p *Predictor) Predict(a msg.Addr) []msg.NodeID {
 		p.Predictions++
 		p.one[0] = e.lastOwner
 		return p.one[:]
-	case BroadcastIfShared:
+	case VariantBroadcastIfShared:
 		e, tag := p.slot(a)
 		if !e.valid || e.tag != tag || !e.shared {
 			// Fall back to the owner prediction when not shared.
@@ -139,21 +187,9 @@ func (p *Predictor) Predict(a msg.Addr) []msg.NodeID {
 		}
 		p.Predictions++
 		p.Broadcasts++
-		return p.everyoneElse()
+		return p.others
 	}
 	return nil
-}
-
-func (p *Predictor) everyoneElse() []msg.NodeID {
-	if p.everyone == nil {
-		p.everyone = make([]msg.NodeID, 0, p.n-1)
-		for i := 0; i < p.n; i++ {
-			if msg.NodeID(i) != p.self {
-				p.everyone = append(p.everyone, msg.NodeID(i))
-			}
-		}
-	}
-	return p.everyone
 }
 
 // observe updates the macroblock entry for a remote interaction.

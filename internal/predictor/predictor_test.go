@@ -1,13 +1,28 @@
 package predictor
 
 import (
+	"fmt"
 	"testing"
 
 	"patch/internal/msg"
 )
 
+// newPredictor builds node self's predictor of variant v in an n-core
+// system, with the broadcast set protocol.Base.OthersExcept gives it.
+func newPredictor(v Variant, self msg.NodeID, n int) *Predictor {
+	var others []msg.NodeID
+	for i := 0; i < n; i++ {
+		if msg.NodeID(i) != self {
+			others = append(others, msg.NodeID(i))
+		}
+	}
+	p := New(self, others)
+	p.Reset(v)
+	return p
+}
+
 func TestNonePredictsNothing(t *testing.T) {
-	p := New(None, 0, 16)
+	p := newPredictor(VariantNone, 0, 16)
 	p.ObserveResponse(0x1000, 3)
 	if got := p.Predict(0x1000); got != nil {
 		t.Fatalf("None predicted %v", got)
@@ -15,30 +30,34 @@ func TestNonePredictsNothing(t *testing.T) {
 }
 
 func TestAllPredictsEveryoneElse(t *testing.T) {
-	p := New(All, 5, 8)
-	got := p.Predict(0x40)
-	if len(got) != 7 {
-		t.Fatalf("All predicted %d nodes", len(got))
-	}
-	for _, n := range got {
-		if n == 5 {
-			t.Fatal("All included self")
+	// All-NonAdaptive differs from All only in delivery, which the node
+	// decides: it predicts the same broadcast.
+	for _, v := range []Variant{VariantAll, VariantAllNonAdaptive} {
+		p := newPredictor(v, 5, 8)
+		got := p.Predict(0x40)
+		if len(got) != 7 {
+			t.Fatalf("%v predicted %d nodes", v, len(got))
 		}
-	}
-	if p.Broadcasts != 1 || p.Predictions != 1 {
-		t.Fatal("stats not recorded")
+		for _, n := range got {
+			if n == 5 {
+				t.Fatalf("%v included self", v)
+			}
+		}
+		if p.Broadcasts != 1 || p.Predictions != 1 {
+			t.Fatalf("%v: stats not recorded", v)
+		}
 	}
 }
 
 func TestOwnerColdMissPredictsNothing(t *testing.T) {
-	p := New(Owner, 0, 16)
+	p := newPredictor(VariantOwner, 0, 16)
 	if got := p.Predict(0x9000); got != nil {
 		t.Fatalf("cold owner prediction %v", got)
 	}
 }
 
 func TestOwnerLearnsFromResponses(t *testing.T) {
-	p := New(Owner, 0, 16)
+	p := newPredictor(VariantOwner, 0, 16)
 	p.ObserveResponse(0x2000, 7)
 	got := p.Predict(0x2000)
 	if len(got) != 1 || got[0] != 7 {
@@ -52,7 +71,7 @@ func TestOwnerLearnsFromResponses(t *testing.T) {
 }
 
 func TestOwnerNeverPredictsSelf(t *testing.T) {
-	p := New(Owner, 4, 16)
+	p := newPredictor(VariantOwner, 4, 16)
 	p.ObserveResponse(0x2000, 4) // self-observation ignored
 	if got := p.Predict(0x2000); got != nil {
 		t.Fatalf("predicted %v, want nil", got)
@@ -60,7 +79,7 @@ func TestOwnerNeverPredictsSelf(t *testing.T) {
 }
 
 func TestMacroblockSharing(t *testing.T) {
-	p := New(Owner, 0, 16)
+	p := newPredictor(VariantOwner, 0, 16)
 	p.ObserveResponse(0x2000, 7)
 	// 0x2040 is in the same 1024-byte macroblock as 0x2000.
 	if got := p.Predict(0x2040); len(got) != 1 || got[0] != 7 {
@@ -73,7 +92,7 @@ func TestMacroblockSharing(t *testing.T) {
 }
 
 func TestBroadcastIfSharedEscalates(t *testing.T) {
-	p := New(BroadcastIfShared, 0, 16)
+	p := newPredictor(VariantBroadcastIfShared, 0, 16)
 	// One remote party: owner-style prediction.
 	p.ObserveResponse(0x3000, 3)
 	if got := p.Predict(0x3000); len(got) != 1 || got[0] != 3 {
@@ -88,7 +107,7 @@ func TestBroadcastIfSharedEscalates(t *testing.T) {
 }
 
 func TestBroadcastIfSharedSinglePartyStaysNarrow(t *testing.T) {
-	p := New(BroadcastIfShared, 0, 16)
+	p := newPredictor(VariantBroadcastIfShared, 0, 16)
 	p.ObserveRequest(0x3000, 5, false)
 	p.ObserveRequest(0x3000, 5, false)
 	p.ObserveRequest(0x3000, 5, false)
@@ -98,7 +117,7 @@ func TestBroadcastIfSharedSinglePartyStaysNarrow(t *testing.T) {
 }
 
 func TestTableConflictEvicts(t *testing.T) {
-	p := New(Owner, 0, 16)
+	p := newPredictor(VariantOwner, 0, 16)
 	p.ObserveResponse(0x2000, 7)
 	// Same table slot, different tag: 8192 entries * 1024 bytes apart.
 	conflicting := msg.Addr(0x2000 + TableEntries*MacroblockBytes)
@@ -111,10 +130,10 @@ func TestTableConflictEvicts(t *testing.T) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	for _, p := range []Policy{None, Owner, BroadcastIfShared, All} {
-		if p.String() == "Policy(?)" {
-			t.Fatalf("policy %d has no name", p)
+func TestVariantStrings(t *testing.T) {
+	for v := VariantNone; v <= VariantAllNonAdaptive; v++ {
+		if v.String() == fmt.Sprintf("Variant(%d)", int(v)) {
+			t.Fatalf("variant %d has no name", int(v))
 		}
 	}
 }

@@ -230,9 +230,9 @@ func (b *Base) EvictTokens(l cache.Line) {
 // level lvl (1 or 2).
 func (b *Base) HitLatency(lvl int) event.Time {
 	if lvl == 1 {
-		return event.Time(b.Env.L1Latency)
+		return L1Latency
 	}
-	return event.Time(b.Env.L2Latency)
+	return L2Latency
 }
 
 // TouchL1 installs the block in the L1 filter (evictions are silent; L1

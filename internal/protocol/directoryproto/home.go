@@ -6,6 +6,7 @@ import (
 	"patch/internal/directory"
 	"patch/internal/event"
 	"patch/internal/msg"
+	"patch/internal/protocol"
 )
 
 // homeReceive accepts requests and writebacks at the home node (after
@@ -121,7 +122,7 @@ func (n *Node) homeGetS(now event.Time, e *directory.Entry, r msg.NodeID) {
 	if e.Owner == directory.HomeOwner {
 		excl := e.Sharers.Count() == 0
 		e.Commit = directory.Commit{Kind: directory.CommitRead, Req: r, Prev: directory.HomeOwner}
-		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
+		n.SendAfter(protocol.DRAMLatency, n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
 			HasData: true, Owner: true, Exclusive: excl, AcksExpected: 0,
 			Version: e.MemVersion,
@@ -153,7 +154,7 @@ func (n *Node) homeGetM(e *directory.Entry, r msg.NodeID) {
 	acks := len(sharers)
 	e.Commit = directory.Commit{Kind: directory.CommitWrite, Req: r}
 	if e.Owner == directory.HomeOwner {
-		n.SendAfter(event.Time(n.Home().DRAMLatency), n.Msg(msg.Message{
+		n.SendAfter(protocol.DRAMLatency, n.Msg(msg.Message{
 			Type: msg.Data, Addr: e.Addr, Dst: r, Requester: r,
 			HasData: true, Owner: true, Exclusive: acks == 0, AcksExpected: acks,
 			Version: e.MemVersion,

@@ -64,7 +64,7 @@ func (b *Base) SendAfter(d event.Time, m *msg.Message) { b.park(d, m, false) }
 // completes.
 func (b *Base) HomeDefer(m *msg.Message) {
 	b.Env.Net.Retain(m)
-	b.park(event.Time(b.home.LookupLatency), m, true)
+	b.park(DirLatency, m, true)
 }
 
 // Parked invokes fn for every message the node holds off the wire,

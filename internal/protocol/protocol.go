@@ -62,22 +62,19 @@ type Node interface {
 }
 
 // Params are the protocol settings of one run: everything a node's
-// Reset may change without rebuilding it. The PATCH fields select its
-// variant (§6) and ablations; the other backends ignore them.
+// Reset may change without rebuilding it. DIRECTORY reads only Enc and
+// TokenB none; the other fields are PATCH's.
 type Params struct {
 	// Enc is the home directory's sharer encoding (1 = full map,
 	// Figures 9-10). TokenB keeps no sharer state and ignores it.
 	Enc directory.Encoding
 
-	// Policy is PATCH's destination-set prediction policy (None, Owner,
-	// BroadcastIfShared, All).
-	Policy predictor.Policy
-
-	// BestEffort delivers PATCH's direct requests on the deprioritised
-	// droppable virtual network (the paper's default). Setting it false
-	// yields PATCH-ALL-NONADAPTIVE: guaranteed-delivery direct requests
-	// that contend with everything else.
-	BestEffort bool
+	// Variant is the PATCH configuration (§6). PATCH's node lowers it,
+	// and nothing else does: the variant's prediction policy picks the
+	// direct requests' destinations, and every variant but
+	// All-NonAdaptive sends them best-effort, on the deprioritised
+	// droppable virtual network.
+	Variant predictor.Variant
 
 	// TenureTimeoutFactor scales PATCH's probationary period relative
 	// to the dynamic average round trip; 0 selects the paper's 2x
@@ -114,11 +111,6 @@ type Env struct {
 	// L2 unindexed.
 	Holders *cache.Holders
 
-	L1Latency   int
-	L2Latency   int
-	DirLatency  int
-	DRAMLatency int
-
 	// L1Bytes and L2Bytes size the private hierarchy (64 KB / 1 MB in the
 	// paper); tests shrink them to force evictions and writeback races.
 	L1Bytes int
@@ -130,18 +122,24 @@ type Env struct {
 	Tokens int
 }
 
-// DefaultEnv fills in the paper's latency parameters (§8.1).
+// The paper's fixed latencies in cycles (§8.1): an L1 and an L2 hit, a
+// home's directory lookup, and its memory (DRAM) access.
+const (
+	L1Latency   event.Time = 1
+	L2Latency   event.Time = 12
+	DirLatency  event.Time = 16
+	DRAMLatency event.Time = 80
+)
+
+// DefaultEnv builds the environment of an n-core system with the
+// paper's cache sizes (§8.1).
 func DefaultEnv(eng *event.Engine, net *interconnect.Network, n int) *Env {
 	return &Env{
 		Eng: eng, Net: net, N: n,
-		Holders:     cache.NewHolders(n),
-		L1Latency:   1,
-		L2Latency:   12,
-		DirLatency:  16,
-		DRAMLatency: 80,
-		L1Bytes:     64 << 10,
-		L2Bytes:     1 << 20,
-		Tokens:      n,
+		Holders: cache.NewHolders(n),
+		L1Bytes: 64 << 10,
+		L2Bytes: 1 << 20,
+		Tokens:  n,
 	}
 }
 
@@ -252,28 +250,19 @@ func (f *FreeList[T]) Get() *T {
 // Put recycles a value.
 func (f *FreeList[T]) Put(t *T) { f.free = append(f.free, t) }
 
-// NewBase constructs the cache hierarchy with the paper's sizes and the
-// home slice: a directory with sharer encoding enc whose blocks start
-// with tokens tokens at memory (0 for DIRECTORY). The embedding node
-// must call Bind before use.
+// NewBase constructs the cache hierarchy sized by env and the home
+// slice: a directory with sharer encoding enc whose blocks start with
+// tokens tokens at memory (0 for DIRECTORY). The embedding node must
+// call Bind before use.
 func NewBase(id msg.NodeID, env *Env, enc directory.Encoding, tokens int) Base {
-	l1, l2 := env.L1Bytes, env.L2Bytes
-	if l1 <= 0 {
-		l1 = 64 << 10
-	}
-	if l2 <= 0 {
-		l2 = 1 << 20
-	}
-	b := Base{
+	return Base{
 		ID:     id,
 		Env:    env,
-		L1:     cache.New(cache.Config{SizeBytes: l1, Ways: 4, BlockSize: msg.BlockBytes}),
-		L2:     cache.New(cache.Config{SizeBytes: l2, Ways: 4, BlockSize: msg.BlockBytes}),
+		L1:     cache.New(cache.Config{SizeBytes: env.L1Bytes, Ways: 4, BlockSize: msg.BlockBytes}),
+		L2:     cache.New(cache.Config{SizeBytes: env.L2Bytes, Ways: 4, BlockSize: msg.BlockBytes}),
 		home:   directory.New(id, enc, tokens),
 		avgRTT: 100,
 	}
-	b.setHomeLatencies()
-	return b
 }
 
 // Bind wires the protocol node built around b, once, at construction:
@@ -308,13 +297,7 @@ func (b *Base) ResetBase(enc directory.Encoding, tokens int) {
 	}
 	b.parked = b.parked[:0]
 	b.home.Reset(enc, tokens)
-	b.setHomeLatencies()
 	b.misses.reset()
-}
-
-func (b *Base) setHomeLatencies() {
-	b.home.LookupLatency = b.Env.DirLatency
-	b.home.DRAMLatency = b.Env.DRAMLatency
 }
 
 // Shared implements Node.

@@ -107,18 +107,18 @@ func TestResetStatsKeepsState(t *testing.T) {
 func TestHitLatencies(t *testing.T) {
 	env := testEnv(4)
 	b := NewBase(0, env, directory.FullMap(env.N), env.Tokens)
-	if b.HitLatency(1) != event.Time(env.L1Latency) {
+	if b.HitLatency(1) != L1Latency {
 		t.Fatal("L1 latency wrong")
 	}
-	if b.HitLatency(2) != event.Time(env.L2Latency) {
+	if b.HitLatency(2) != L2Latency {
 		t.Fatal("L2 latency wrong")
 	}
 }
 
 func TestDefaultEnvPaperParameters(t *testing.T) {
 	env := testEnv(64)
-	if env.L2Latency != 12 || env.DirLatency != 16 || env.DRAMLatency != 80 {
-		t.Fatalf("latencies diverge from §8.1: %+v", env)
+	if L1Latency != 1 || L2Latency != 12 || DirLatency != 16 || DRAMLatency != 80 {
+		t.Fatal("latencies diverge from §8.1")
 	}
 	if env.L1Bytes != 64<<10 || env.L2Bytes != 1<<20 {
 		t.Fatalf("cache sizes diverge from §8.1: %+v", env)

@@ -261,9 +261,9 @@ func (n *Node) memRespond(m *msg.Message) {
 		resp.Type = msg.Data
 	}
 	token.Attach(resp, tokens, owner, false, owner)
-	lat := event.Time(n.Home().LookupLatency)
+	lat := protocol.DirLatency
 	if resp.HasData {
-		lat += event.Time(n.Home().DRAMLatency)
+		lat += protocol.DRAMLatency
 	}
 	n.SendAfter(lat, resp)
 }
@@ -388,7 +388,7 @@ func (n *Node) persistentActivate(now event.Time, m *msg.Message) {
 				resp.Type = msg.Data
 			}
 			token.Attach(resp, tokens, owner, false, owner)
-			n.SendAfter(event.Time(n.Home().DRAMLatency), resp)
+			n.SendAfter(protocol.DRAMLatency, resp)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func newAllocHarness(build func(id msg.NodeID, env *protocol.Env, p protocol.Par
 	eng := &event.Engine{}
 	net := interconnect.New(eng, cores, interconnect.DefaultConfig())
 	env := protocol.DefaultEnv(eng, net, cores)
-	p := protocol.Params{Enc: directory.FullMap(cores), Policy: predictor.All, BestEffort: true}
+	p := protocol.Params{Enc: directory.FullMap(cores), Variant: predictor.VariantAll}
 	h := &allocHarness{eng: eng}
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < cores; i++ {

@@ -60,8 +60,8 @@ func (s *System) checkAnyInstant() error {
 			return err
 		}
 	}
-	if s.Cfg.Protocol.tokenCounting() {
-		if err := token.CheckConservation(s.Env.Tokens, s.tokenHolders()); err != nil {
+	if t := s.tokens(); t > 0 {
+		if err := token.CheckConservation(t, s.tokenHolders()); err != nil {
 			return err
 		}
 	}

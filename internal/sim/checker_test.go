@@ -103,6 +103,30 @@ func TestCheckerCatchesLostWrite(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesFabricatedWrite raises the version of a resident
+// line whose block no store reached, as a protocol that invented a
+// write would: write serialisation must flag a version on a block
+// with no stores, not only a wrong version on a stored one.
+func TestCheckerCatchesFabricatedWrite(t *testing.T) {
+	s := runToCompletion(t)
+	var victim *cache.Line
+	for _, n := range s.Nodes {
+		n.Shared().L2.ForEach(func(l *cache.Line) {
+			if _, stored := s.storeCounts.Get(l.Addr); victim == nil && !stored {
+				victim = l
+			}
+		})
+	}
+	if victim == nil {
+		t.Fatal("no resident block without stores at end of run")
+	}
+	victim.Version++
+	err := s.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "serialisation") {
+		t.Fatalf("fabricated write not caught: %v", err)
+	}
+}
+
 func TestCheckerCatchesUnquiescedNode(t *testing.T) {
 	s := runToCompletion(t)
 	// Fabricate a stuck home entry.

@@ -88,79 +88,24 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Variant names a PATCH configuration from the paper's evaluation (§6).
-type Variant int
+// Variant names a PATCH configuration from the paper's evaluation
+// (§6). It is predictor.Variant, which PATCH's node lowers to a
+// prediction policy and a delivery class; Config carries it, and it
+// marshals by paper name ("PATCH-All").
+type Variant = predictor.Variant
 
+// Variant values, in the paper's order.
 const (
-	// VariantNone sends no direct requests (PATCH-NONE).
-	VariantNone Variant = iota
-	// VariantOwner predicts a single owner destination (PATCH-OWNER).
-	VariantOwner
-	// VariantBroadcastIfShared broadcasts for recently shared blocks
-	// (PATCH-BROADCASTIFSHARED).
-	VariantBroadcastIfShared
-	// VariantAll broadcasts every request best-effort (PATCH-ALL).
-	VariantAll
-	// VariantAllNonAdaptive broadcasts with guaranteed delivery
-	// (PATCH-ALL-NONADAPTIVE), the foil for the bandwidth-adaptivity
-	// experiments.
-	VariantAllNonAdaptive
+	VariantNone              = predictor.VariantNone
+	VariantOwner             = predictor.VariantOwner
+	VariantBroadcastIfShared = predictor.VariantBroadcastIfShared
+	VariantAll               = predictor.VariantAll
+	VariantAllNonAdaptive    = predictor.VariantAllNonAdaptive
 )
 
 // ErrUnknownVariant reports a Variant outside the paper's five PATCH
 // configurations.
-var ErrUnknownVariant = errors.New("unknown PATCH variant")
-
-func (v Variant) String() string {
-	switch v {
-	case VariantNone:
-		return "PATCH-None"
-	case VariantOwner:
-		return "PATCH-Owner"
-	case VariantBroadcastIfShared:
-		return "PATCH-BroadcastIfShared"
-	case VariantAll:
-		return "PATCH-All"
-	case VariantAllNonAdaptive:
-		return "PATCH-All-NonAdaptive"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// MarshalJSON encodes the variant by its paper name ("PATCH-All"), so
-// the wire form survives any renumbering of the constants. Its errors,
-// like UnmarshalJSON's, carry the patch facade's prefix: the sweep
-// service returns them in its 400 bodies.
-func (v Variant) MarshalJSON() ([]byte, error) {
-	if v < VariantNone || v > VariantAllNonAdaptive {
-		return nil, fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, int(v))
-	}
-	return json.Marshal(v.String())
-}
-
-// UnmarshalJSON decodes a paper name (case-insensitive) or an integer.
-func (v *Variant) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		for got := VariantNone; got <= VariantAllNonAdaptive; got++ {
-			if strings.EqualFold(s, got.String()) {
-				*v = got
-				return nil
-			}
-		}
-		return fmt.Errorf("patch: %w: %q", ErrUnknownVariant, s)
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("patch: %w: %s", ErrUnknownVariant, data)
-	}
-	got := Variant(n)
-	if got < VariantNone || got > VariantAllNonAdaptive {
-		return fmt.Errorf("patch: %w: Variant(%d)", ErrUnknownVariant, n)
-	}
-	*v = got
-	return nil
-}
+var ErrUnknownVariant = predictor.ErrUnknownVariant
 
 // Config describes one simulation. It is the one run configuration:
 // the patch facade's Config is this struct under its own name
@@ -294,32 +239,17 @@ func (c Config) network() interconnect.Config {
 	return n
 }
 
-// params lowers the configuration to the per-run protocol settings
-// every node is built and Reset with. It is the one place a PATCH
-// variant becomes a prediction policy and a delivery class.
+// params is the per-run protocol settings every node is built and
+// Reset with. The backends read what they use of them; PATCH's node
+// lowers the variant.
 func (c Config) params() protocol.Params {
-	p := protocol.Params{
+	return protocol.Params{
 		Enc:                 directory.Encoding{Cores: c.Cores, Coarseness: c.DirectoryCoarseness},
+		Variant:             c.Variant,
 		TenureTimeoutFactor: c.TenureTimeoutFactor,
 		NoDeactWindow:       c.NoDeactWindow,
 	}
-	if c.Protocol == PATCH {
-		switch c.Variant { // VariantNone keeps the zero policy, predictor.None
-		case VariantOwner:
-			p.Policy = predictor.Owner
-		case VariantBroadcastIfShared:
-			p.Policy = predictor.BroadcastIfShared
-		case VariantAll, VariantAllNonAdaptive:
-			p.Policy = predictor.All
-		}
-		p.BestEffort = c.Variant != VariantAllNonAdaptive
-	}
-	return p
 }
-
-// tokenCounting reports whether the protocol conserves tokens (Rule #1),
-// so token conservation is checked and audited.
-func (k Kind) tokenCounting() bool { return k == PATCH || k == TokenB }
 
 // Result carries everything the experiment harness reports.
 type Result struct {
@@ -386,8 +316,8 @@ type System struct {
 	lastSeen       []*addrmap.Map[uint64]
 	obsFns         []func(addr msg.Addr, isWrite bool, version uint64)
 
-	// auditT is the reusable mid-run invariant audit task (auditEvery);
-	// auditErr records the first violation it found.
+	// auditT is the reusable mid-run invariant audit task (auditEvery),
+	// armed by ready; auditErr records the first violation it found.
 	auditT   *auditTask
 	auditErr error
 }
@@ -510,9 +440,11 @@ func open(cfg Config) (workload.Generator, error) {
 
 // ready readies an assembled system, built or just rewound, for a run
 // under cfg: the run counters and reference stream, plus, with checks
-// on, the store counts, the token auditor's network hooks and the
-// per-core order checkers. The checking state is itself arena-reused:
-// a table or auditor that exists keeps its grown capacity.
+// on, the store counts, the token auditor's network hooks on a system
+// whose homes count tokens, the per-core order checkers and, given an
+// audit period, the first mid-run audit. The checking state is itself
+// arena-reused: a table or auditor that exists keeps its grown
+// capacity.
 func (s *System) ready(cfg Config, gen workload.Generator) {
 	s.Close() // release a replay left by an unrun assembly
 	s.Cfg = cfg
@@ -532,11 +464,11 @@ func (s *System) ready(cfg Config, gen workload.Generator) {
 	} else {
 		s.storeCounts.Clear()
 	}
-	if cfg.Protocol.tokenCounting() {
+	if t := s.tokens(); t > 0 {
 		if s.auditor == nil {
-			s.auditor = trace.NewAuditor(s.Env.Tokens)
+			s.auditor = trace.NewAuditor(t)
 		} else {
-			s.auditor.Reset(s.Env.Tokens)
+			s.auditor.Reset(t)
 		}
 		s.Net.OnSend = func(_ event.Time, m *msg.Message) { s.auditor.Sent(m) }
 		s.Net.OnDeliver = func(_ event.Time, m *msg.Message) { s.auditor.Delivered(m) }
@@ -544,7 +476,18 @@ func (s *System) ready(cfg Config, gen workload.Generator) {
 	for i := range s.Nodes {
 		s.attachOrderChecker(i)
 	}
+	if cfg.auditEvery > 0 {
+		if s.auditT == nil {
+			s.auditT = &auditTask{s: s}
+		}
+		s.Eng.After(event.Time(cfg.auditEvery), s.auditT)
+	}
 }
+
+// tokens is the per-block token count T the system's homes were built
+// with: what every block's holders must conserve (Rule #1), or 0 on a
+// system that does not count tokens (DIRECTORY).
+func (s *System) tokens() int { return s.Nodes[0].Home().Tokens }
 
 // attachOrderChecker installs an online per-core coherence-order
 // monitor: each core must observe non-decreasing write versions per
@@ -615,9 +558,6 @@ func (it *issuer) pull() {
 		return
 	}
 	op := s.Gen.Next(it.c)
-	if op.Write && s.storeCounts != nil {
-		*s.storeCounts.Ptr(op.Addr)++
-	}
 	it.addr, it.write = op.Addr, op.Write
 	s.Eng.After(event.Time(op.Think), it)
 }
@@ -627,7 +567,22 @@ func (it *issuer) Fire(event.Time) {
 	if !it.warm {
 		it.s.opsIssued++
 	}
-	it.s.Nodes[it.c].Access(it.addr, it.write, it.advance)
+	it.s.Issue(it.c, it.addr, it.write, it.advance)
+}
+
+// Issue performs one access of core c: it counts a store for the
+// write-serialisation check, then hands the access to the core's node;
+// done runs when the core may proceed. It is the one issue path: the
+// workload's issuers and any other driver of an assembled system (the
+// litmus harness) go through it, because a store that bypasses it
+// leaves a version the end-of-run check reports as fabricated.
+//
+//patch:steadystate
+func (s *System) Issue(c int, addr msg.Addr, isWrite bool, done func()) {
+	if isWrite && s.storeCounts != nil {
+		*s.storeCounts.Ptr(addr)++
+	}
+	s.Nodes[c].Access(addr, isWrite, done)
 }
 
 // start seeds each core's operation loop: an optional warmup phase with
@@ -646,12 +601,6 @@ func (s *System) start() {
 				it.pull()
 			}
 		}
-	}
-	if !s.Cfg.SkipChecks && s.Cfg.auditEvery > 0 {
-		if s.auditT == nil {
-			s.auditT = &auditTask{s: s}
-		}
-		s.Eng.After(event.Time(s.Cfg.auditEvery), s.auditT)
 	}
 	if s.Cfg.WarmupOps > 0 {
 		s.warming = true
@@ -691,18 +640,8 @@ func Run(cfg Config) (*Result, error) {
 func (s *System) Run() (*Result, error) {
 	defer s.Close()
 	s.start()
-	const chunk = 4 << 20
-	for {
-		n := s.Eng.Run(chunk)
-		if s.auditErr != nil {
-			return nil, s.auditErr
-		}
-		if uint64(s.Eng.Now()) > s.Cfg.MaxCycles {
-			return nil, s.failRun(FailWatchdog, "")
-		}
-		if n < chunk {
-			break // queue drained
-		}
+	if err := s.Drain(); err != nil {
+		return nil, err
 	}
 	if s.finished != s.Cfg.Cores {
 		return nil, s.failRun(FailDeadlock, "")
@@ -728,6 +667,28 @@ func (s *System) Run() (*Result, error) {
 		}
 	}
 	return s.collect(), nil
+}
+
+// Drain runs the engine until its event queue is empty: the one run
+// loop, under the mid-run audit ready armed and the liveness watchdog.
+// It returns the audit's first violation, or a FailWatchdog RunError
+// once the clock passes Cfg.MaxCycles. Whether the drained work was
+// complete is the caller's to judge: Run counts finished cores, and any
+// other driver (the litmus harness) its own operations.
+func (s *System) Drain() error {
+	const chunk = 4 << 20
+	for {
+		n := s.Eng.Run(chunk)
+		if s.auditErr != nil {
+			return s.auditErr
+		}
+		if uint64(s.Eng.Now()) > s.Cfg.MaxCycles {
+			return s.failRun(FailWatchdog, "")
+		}
+		if n < chunk {
+			return nil
+		}
+	}
 }
 
 func (s *System) collect() *Result {
@@ -824,11 +785,12 @@ func (s *System) checkHolders() error {
 	return nil
 }
 
-// checkWriteSerialization verifies end to end that no store was lost or
-// duplicated: every store bumped its block's version exactly once under
-// the single-writer invariant, so the final maximum version of each
-// block (across caches and the home memory) must equal the number of
-// stores issued to it.
+// checkWriteSerialization verifies end to end that no store was lost,
+// duplicated or fabricated: every store issued (Issue) bumped its
+// block's version exactly once under the single-writer invariant, so
+// the final maximum version of each block (across caches and the home
+// memory) must equal the number of stores issued to it, which is 0 for
+// a block no store reached.
 func (s *System) checkWriteSerialization() error {
 	if s.storeCounts == nil {
 		return nil
@@ -844,12 +806,19 @@ func (s *System) checkWriteSerialization() error {
 		n.Home().ForEach(func(e *directory.Entry) { consider(e.Addr, e.MemVersion) })
 	}
 	var serErr error
+	check := func(a msg.Addr, got, want uint64) {
+		if got != want && serErr == nil {
+			serErr = fmt.Errorf("sim: write serialisation violated at %#x: final version %d, %d stores issued",
+				uint64(a), got, want)
+		}
+	}
 	s.storeCounts.ForEach(func(a msg.Addr, want *uint64) {
 		got, _ := maxVersion.Get(a)
-		if got != *want && serErr == nil {
-			serErr = fmt.Errorf("sim: write serialisation violated at %#x: final version %d, %d stores issued",
-				uint64(a), got, *want)
-		}
+		check(a, got, *want)
+	})
+	maxVersion.ForEach(func(a msg.Addr, got *uint64) {
+		want, _ := s.storeCounts.Get(a)
+		check(a, *got, want)
 	})
 	return serErr
 }
@@ -862,11 +831,12 @@ func (s *System) checkWriteSerialization() error {
 func (s *System) checkSingleWriter() error {
 	type blockView struct{ writers, holders, owners int }
 	var views addrmap.Map[blockView]
+	tokens := s.tokens()
 	for _, n := range s.Nodes {
 		n.Shared().L2.ForEach(func(l *cache.Line) {
 			st := l.MOESI
-			if s.Cfg.Protocol != Directory {
-				st = l.Tok.ToMOESI(s.Env.Tokens)
+			if tokens > 0 {
+				st = l.Tok.ToMOESI(tokens)
 			}
 			if st == token.I {
 				return
